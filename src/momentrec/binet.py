@@ -29,7 +29,7 @@ from .errors import (
     NegativeWeightError,
     RepeatedRootsError,
 )
-from .indexing import iter_basis
+from .indexing import basis_array, degree_lex_ranks
 from .moments import TruncatedSequence
 from .polynomials import MultivariatePoly, UnivariatePoly, poly_roots
 from .recurrence import CharacteristicSystem
@@ -127,12 +127,13 @@ def _simple_roots(poly: UnivariatePoly, axis: int) -> tuple[complex, ...]:
     return tuple(root for root, _ in roots)
 
 
-def _vandermonde(roots: Sequence[complex]) -> np.ndarray:
-    m = len(roots)
-    v = np.empty((m, m), dtype=complex)
+def _vandermonde(roots: Sequence[complex], rows: int | None = None) -> np.ndarray:
+    """Row k holds root ** k, for k below ``rows`` (default: one per root)."""
+    roots = np.asarray(roots, dtype=complex)
+    v = np.empty((len(roots) if rows is None else rows, len(roots)), dtype=complex)
     v[0] = 1.0
-    for k in range(1, m):
-        v[k] = v[k - 1] * np.asarray(roots)
+    for k in range(1, len(v)):
+        v[k] = v[k - 1] * roots
     return v
 
 
@@ -193,28 +194,22 @@ def multivariate_binet(
             f"initial block needs moments to degree {block_degree}, "
             f"only {seq.max_degree} available"
         )
-    block = np.empty(shape, dtype=complex)
-    for grid_idx in np.ndindex(shape):
-        block[grid_idx] = seq.values[grid_idx]
     order = list(mode_order) if mode_order is not None else list(range(seq.dim))
     if sorted(order) != list(range(seq.dim)):
         raise ValueError("mode_order must be a permutation of the axes")
-    coefficients = block
+    # the initial block, solved in place one mode at a time
+    grid = np.moveaxis(np.indices(shape), 0, -1)
+    coefficients = seq.array[degree_lex_ranks(grid)].astype(complex)
     for axis in order:
         coefficients = _mode_solve(_vandermonde(roots[axis]), coefficients, axis)
 
     # reconstruct the full rectangle containing all known entries
     recon = coefficients
     for axis in order:
-        powers = np.empty((seq.max_degree + 1, shape[axis]), dtype=complex)
-        powers[0] = 1.0
-        for k in range(1, seq.max_degree + 1):
-            powers[k] = powers[k - 1] * np.asarray(roots[axis])
-        recon = _mode_apply(powers, recon, axis)
-    residual = 0.0
-    for idx, value in seq.values.items():
-        err = abs(recon[idx] - value) / (1.0 + abs(value))
-        residual = max(residual, err)
+        recon = _mode_apply(_vandermonde(roots[axis], seq.max_degree + 1), recon, axis)
+    exponents = basis_array(seq.dim, seq.max_degree)
+    err = np.abs(recon[tuple(exponents.T)] - seq.array) / (1.0 + np.abs(seq.array))
+    residual = float(err.max())
     return BinetExpansion(roots=roots, coefficients=coefficients, source_residual=residual)
 
 
@@ -233,12 +228,9 @@ def expansion_to_measure(
     """
     coef = expansion.coefficients
     magnitudes = np.abs(coef)
-    max_abs = float(magnitudes.max()) if coef.size else 0.0
-    survivors = [
-        tuple(idx)
-        for idx in np.ndindex(coef.shape)
-        if max_abs > 0.0 and magnitudes[idx] > tol_weight * max_abs
-    ]
+    max_abs = float(magnitudes.max(initial=0.0))
+    # grid indices in C order; an all-zero tensor has none
+    survivors = [tuple(i) for i in np.argwhere(magnitudes > tol_weight * max_abs).tolist()]
     if not survivors:
         return AtomicMeasure(dim=expansion.dim, points=(), weights=(), support=())
     scale = 1.0 + max(abs(coef[idx].real) for idx in survivors)
@@ -270,20 +262,14 @@ def evaluate_moments(measure: AtomicMeasure, degree: int) -> TruncatedSequence:
     """Moments beta_i = sum w * point^i for all |i| <= degree."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    powers = []
-    for axis in range(measure.dim):
-        table = np.empty((measure.atom_count, degree + 1))
-        for a, point in enumerate(measure.points):
-            table[a] = np.power(point[axis], np.arange(degree + 1))
-        powers.append(table)
-    w = np.asarray(measure.weights)
-    values = {}
-    for idx in iter_basis(measure.dim, degree):
-        prod = np.ones(measure.atom_count)
-        for axis, e in enumerate(idx):
-            if e:
-                prod = prod * powers[axis][:, e]
-        values[idx] = float(w @ prod) if measure.atom_count else 0.0
+    exponents = basis_array(measure.dim, degree)
+    points = np.array(measure.points).reshape(measure.atom_count, measure.dim)
+    # powers[a, l, e] = x_l^e at atom a
+    powers = np.power(points[:, :, None], np.arange(degree + 1))
+    values = np.zeros(len(exponents))
+    # one atom at a time keeps memory at one row of monomials, not atoms x rows
+    for weight, table in zip(measure.weights, powers):
+        values += weight * table[np.arange(measure.dim), exponents].prod(axis=1)
     return TruncatedSequence(measure.dim, degree, values)
 
 

@@ -129,7 +129,11 @@ def _cmd_synthesize(args) -> int:
         degree = 2 * (minimal_tau(measure) + 1)
     if degree < 0:
         raise _InputError("--degree must be nonnegative")
-    _emit(evaluate_moments(measure, degree).to_dict(), args.out)
+    try:
+        moments = evaluate_moments(measure, degree)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    _emit(moments.to_dict(), args.out)
     return 0
 
 

@@ -10,19 +10,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from functools import lru_cache
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
 
 def total_degree(index: MultiIndex) -> int:
     return sum(index)
-
-
-def unit_index(dim: int, axis: int) -> MultiIndex:
-    """Exponent tuple of the monomial x_axis (0-based axis)."""
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} out of range for dimension {dim}")
-    return tuple(1 if k == axis else 0 for k in range(dim))
 
 
 def add_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
@@ -59,24 +55,57 @@ def enumerate_basis(dim: int, degree: int) -> list[MultiIndex]:
     return list(iter_basis(dim, degree))
 
 
-def degree_lex_rank(index: MultiIndex) -> int:
-    """Position of an exponent tuple in the degree-lex order (0-based).
+@lru_cache(maxsize=128)
+def basis_array(dim: int, degree: int) -> np.ndarray:
+    """enumerate_basis as a read-only (n, dim) array; lower degrees are prefixes."""
+    basis = np.array(enumerate_basis(dim, degree), dtype=np.intp).reshape(-1, dim)
+    basis.flags.writeable = False
+    return basis
 
-    Computed combinatorially: all lower-degree tuples come first, then the
-    tuples of the same degree with a larger leading exponent, recursively.
+
+@lru_cache(maxsize=64)
+def _rank_terms(dim: int, top: int) -> np.ndarray:
+    """terms[c, s] = C(s + d - c - 1, d - c); the position of i is sum_c terms[c, s_c].
+
+    With suffix sums s_c = i_c + ... + i_{d-1}, term c counts the tuples that
+    agree with i before axis c and have a smaller suffix sum from axis c on
+    (term 0: every tuple of lower total degree).
     """
-    dim = len(index)
-    if dim < 1:
+    terms = np.array(
+        [[math.comb(s + dim - c - 1, dim - c) for s in range(top + 1)] for c in range(dim)]
+    )
+    terms.flags.writeable = False
+    return terms
+
+
+def degree_lex_pair_ranks(left, right) -> np.ndarray:
+    """(n, m) degree-lex positions of left[i] + right[j] for (n, d) and (m, d) inputs.
+
+    Suffix sums add, so term c is one lookup at s_c(left[i]) + s_c(right[j]):
+    memory stays near two (n, m) arrays, not n * m * d summed exponents. A
+    negative exponent is allowed where the sum stays a valid tuple.
+    """
+    a = np.cumsum(np.asarray(left, dtype=np.intp)[:, ::-1], axis=1)[:, ::-1]
+    b = np.cumsum(np.asarray(right, dtype=np.intp)[:, ::-1], axis=1)[:, ::-1]
+    terms = _rank_terms(a.shape[1], int(a[:, 0].max(initial=0) + b[:, 0].max(initial=0)))
+    rank = 0
+    for c, table in enumerate(terms):
+        # int32 sums halve the one (n, m) temporary besides rank and the lookup
+        rank += table[np.add.outer(a[:, c], b[:, c], dtype=np.int32)]
+    return rank
+
+
+def degree_lex_ranks(indices) -> np.ndarray:
+    """Degree-lex positions of the exponent tuples along the last axis."""
+    suffix = np.cumsum(np.asarray(indices, dtype=np.intp)[..., ::-1], axis=-1)[..., ::-1]
+    dim = suffix.shape[-1]
+    return _rank_terms(dim, int(suffix.max(initial=0)))[np.arange(dim), suffix].sum(axis=-1)
+
+
+def degree_lex_rank(index: MultiIndex) -> int:
+    """Position of an exponent tuple in the degree-lex order (0-based)."""
+    if len(index) < 1:
         raise ValueError("empty multi-index")
     if any(e < 0 for e in index):
         raise ValueError(f"negative exponent in {index}")
-    t = total_degree(index)
-    rank = math.comb(t - 1 + dim, dim) if t > 0 else 0
-    remaining = t
-    for axis in range(dim - 1):
-        parts_left = dim - axis - 1
-        for larger in range(remaining, index[axis], -1):
-            # tuples of this block whose current exponent exceeds ours
-            rank += math.comb(remaining - larger + parts_left - 1, parts_left - 1)
-        remaining -= index[axis]
-    return rank
+    return int(degree_lex_ranks(index))

@@ -1,30 +1,34 @@
 """Truncated moment sequences, moment matrices, and localizing matrices.
 
 A truncated sequence stores one real value per exponent tuple of total degree
-up to ``max_degree`` (dense). The moment matrix of order n has rows and
-columns labeled by the degree-lex monomial basis of degree <= n and entries
-``beta[row + col]``; the localizing matrix of a polynomial q is the moment
-matrix of the shifted sequence (q * beta)_a = sum_g q_g beta_{g+a}.
+up to ``max_degree`` (dense), in one degree-lex array. The moment matrix of
+order n has rows and columns labeled by the degree-lex monomial basis of
+degree <= n and entries ``beta[row + col]``, gathered from that array; it is
+the leading block of M(n+1). The localizing matrix of a polynomial q is the
+moment matrix of the shifted sequence (q * beta)_a = sum_g q_g beta_{g+a}.
 
 Positive semidefiniteness and numeric rank are decided with relative
-tolerances: an eigenvalue floor of ``-tol * (1 + |trace|)`` and a singular
-value cutoff of ``tol * sigma_max``.
+tolerances on one eigendecomposition: an eigenvalue floor of
+``-tol * (1 + |trace|)`` and a singular value (|eigenvalue|) cutoff of
+``tol * sigma_max``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .indexing import (
     MultiIndex,
-    add_indices,
+    basis_array,
     basis_size,
-    enumerate_basis,
+    degree_lex_pair_ranks,
+    degree_lex_ranks,
     iter_basis,
-    total_degree,
 )
 from .polynomials import MultivariatePoly
 
@@ -45,53 +49,68 @@ DEFAULT_RANK_TOL = 1e-8
 DEFAULT_PSD_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TruncatedSequence:
-    """Dense real multisequence truncated at a total degree."""
+    """Dense real multisequence truncated at a total degree.
+
+    The only stored state is ``array``: the finite values in degree-lex order,
+    read-only. ``values`` may be given as that array or as a mapping from
+    exponent tuples; read back, it is a read-only mapping built on first use.
+    """
 
     dim: int
     max_degree: int
-    values: dict[MultiIndex, float]
+    array: np.ndarray
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, max_degree: int, values: Mapping | np.ndarray):
+        if dim < 1:
             raise ValueError("dimension must be at least 1")
-        if self.max_degree < 0:
+        if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        cleaned: dict[MultiIndex, float] = {}
-        for idx, val in self.values.items():
-            key = tuple(int(e) for e in idx)
-            if len(key) != self.dim or any(e < 0 for e in key):
-                raise ValueError(f"bad exponent tuple {key} for dimension {self.dim}")
-            if total_degree(key) > self.max_degree:
+        expected = basis_size(dim, max_degree)
+        if isinstance(values, Mapping):
+            keys = [tuple(int(e) for e in idx) for idx in values]
+            for key in keys:
+                if len(key) != dim or min(key) < 0 or sum(key) > max_degree:
+                    raise ValueError(
+                        f"bad exponent tuple {key} for dimension {dim}, degree {max_degree}"
+                    )
+            if len(set(keys)) != expected:
                 raise ValueError(
-                    f"entry {key} exceeds max_degree {self.max_degree}"
+                    f"sequence is not dense: {len(set(keys))} entries, expected {expected}"
                 )
-            cleaned[key] = float(val)
-        expected = basis_size(self.dim, self.max_degree)
-        if len(cleaned) != expected:
-            raise ValueError(
-                f"sequence is not dense: {len(cleaned)} entries, expected {expected}"
-            )
-        object.__setattr__(self, "values", cleaned)
+            array = np.empty(expected)
+            array[degree_lex_ranks(keys)] = [float(v) for v in values.values()]
+        else:
+            array = np.array(values, dtype=float)
+            if array.shape != (expected,):
+                raise ValueError(f"array of shape {array.shape}, expected ({expected},)")
+        bad = np.flatnonzero(~np.isfinite(array))
+        if bad.size:
+            index = tuple(basis_array(dim, max_degree)[bad[0]].tolist())
+            raise ValueError(f"moment {index} is not finite: {array[bad[0]]}")
+        array.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "array", array)
+
+    @cached_property
+    def values(self) -> Mapping[MultiIndex, float]:
+        return MappingProxyType(
+            dict(zip(iter_basis(self.dim, self.max_degree), self.array.tolist()))
+        )
 
     def __getitem__(self, index: MultiIndex) -> float:
         return self.values[tuple(index)]
 
     def truncate(self, degree: int) -> "TruncatedSequence":
-        """Restriction to total degree <= degree."""
+        """Restriction to total degree <= degree: a prefix of the array."""
         if degree > self.max_degree:
             raise ValueError("cannot truncate upward")
-        kept = {
-            idx: val for idx, val in self.values.items() if total_degree(idx) <= degree
-        }
-        return TruncatedSequence(self.dim, degree, kept)
+        return TruncatedSequence(self.dim, degree, self.array[: basis_size(self.dim, degree)])
 
     def to_dict(self) -> dict:
-        moments = [
-            {"idx": list(idx), "value": self.values[idx]}
-            for idx in iter_basis(self.dim, self.max_degree)
-        ]
+        moments = [{"idx": list(idx), "value": v} for idx, v in self.values.items()]
         return {"dim": self.dim, "degree": self.max_degree, "moments": moments}
 
     @classmethod
@@ -131,6 +150,20 @@ class MomentMatrix:
     def size(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues; their absolute values are the singular values."""
+        return np.linalg.eigvalsh(self.entries)
+
+    def truncate(self, order: int) -> "MomentMatrix":
+        """The same matrix at a lower order: its leading principal block."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
+        n = basis_size(self.dim, order)
+        return replace(
+            self, order=order, labels=self.labels[:n], entries=self.entries[:n, :n]
+        )
+
     def to_dict(self) -> dict:
         out = {
             "dim": self.dim,
@@ -152,6 +185,9 @@ class MomentMatrix:
         entries = np.array(data["entries"], dtype=float)
         if entries.shape != (len(labels), len(labels)):
             raise ValueError("matrix entries do not match the label count")
+        # eigvalsh reads one triangle only, so both must agree exactly
+        if not (np.isfinite(entries).all() and np.array_equal(entries, entries.T)):
+            raise ValueError("matrix entries must be finite and exactly symmetric")
         localizer = None
         if data.get("localizer") is not None:
             localizer = MultivariatePoly.from_dict(data["localizer"])
@@ -173,15 +209,9 @@ def build_moment_matrix(seq: TruncatedSequence, order: int) -> MomentMatrix:
             f"order {order} needs moments to degree {2 * order}, "
             f"only {seq.max_degree} available"
         )
-    labels = enumerate_basis(seq.dim, order)
-    n = len(labels)
-    entries = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = seq.values[add_indices(labels[i], labels[j])]
-            entries[i, j] = v
-            entries[j, i] = v
-    return MomentMatrix(order=order, labels=tuple(labels), entries=entries)
+    labels = basis_array(seq.dim, order)
+    entries = seq.array[degree_lex_pair_ranks(labels, labels)]
+    return MomentMatrix(order, tuple(map(tuple, labels.tolist())), entries)
 
 
 def shift_sequence(seq: TruncatedSequence, poly: MultivariatePoly) -> TruncatedSequence:
@@ -192,21 +222,16 @@ def shift_sequence(seq: TruncatedSequence, poly: MultivariatePoly) -> TruncatedS
     if poly.dim != seq.dim:
         raise ValueError("dimension mismatch between sequence and polynomial")
     deg = poly.degree
-    if deg < 0:
-        # shifting by the zero polynomial zeroes every entry
-        zeros = {idx: 0.0 for idx in iter_basis(seq.dim, seq.max_degree)}
-        return TruncatedSequence(seq.dim, seq.max_degree, zeros)
     if deg > seq.max_degree:
         raise ValueError(
             f"polynomial degree {deg} exceeds sequence degree {seq.max_degree}"
         )
-    new_degree = seq.max_degree - deg
-    shifted = {}
-    for idx in iter_basis(seq.dim, new_degree):
-        shifted[idx] = sum(
-            coef * seq.values[add_indices(gamma, idx)]
-            for gamma, coef in poly.terms.items()
-        )
+    # the zero polynomial (degree -1) zeroes every entry and keeps the degree
+    new_degree = seq.max_degree - max(deg, 0)
+    gammas = np.array(list(poly.terms), dtype=int).reshape(-1, seq.dim)
+    coefs = np.array(list(poly.terms.values()), dtype=float)
+    basis = basis_array(seq.dim, new_degree)
+    shifted = coefs @ seq.array[degree_lex_pair_ranks(gammas, basis)]
     return TruncatedSequence(seq.dim, new_degree, shifted)
 
 
@@ -225,13 +250,7 @@ def build_localizing_matrix(
             f"to degree {2 * order + poly.degree}, only {seq.max_degree} available"
         )
     base = build_moment_matrix(shift_sequence(seq, poly), order)
-    return MomentMatrix(
-        order=order,
-        labels=base.labels,
-        entries=base.entries,
-        kind="localizing",
-        localizer=poly,
-    )
+    return replace(base, kind="localizing", localizer=poly)
 
 
 @dataclass(frozen=True)
@@ -245,8 +264,7 @@ class PsdCheck:
 
 def psd_check(matrix: MomentMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdCheck:
     """PSD iff the smallest eigenvalue is >= -tol * (1 + |trace|)."""
-    eigenvalues = np.linalg.eigvalsh(matrix.entries)
-    lam_min = float(eigenvalues[0])
+    lam_min = float(matrix.eigenvalues[0])
     threshold = -tol * (1.0 + abs(float(np.trace(matrix.entries))))
     return PsdCheck(is_psd=lam_min >= threshold, min_eigenvalue=lam_min, threshold=threshold)
 
@@ -256,16 +274,17 @@ def numeric_rank(
 ) -> int:
     """Number of singular values above tol * max(sigma_max, scale).
 
+    The matrix is symmetric, so its singular values are the absolute values
+    of the eigenvalues ``psd_check`` reads; no second factorization runs.
     ``scale`` sets an external noise floor for matrices that are zero up to
     roundoff, where sigma_max itself is noise and a purely relative cutoff
     would count every singular value. A localizing matrix whose polynomial
     vanishes on all atoms is the standard case; pass the parent moment
     matrix's largest singular value there.
     """
-    sigma = np.linalg.svd(matrix.entries, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    reference = sigma[0] if scale is None else max(sigma[0], scale)
+    sigma = np.abs(matrix.eigenvalues)
+    sigma_max = float(sigma.max(initial=0.0))
+    reference = sigma_max if scale is None else max(sigma_max, scale)
     return int(np.count_nonzero(sigma > tol * reference))
 
 

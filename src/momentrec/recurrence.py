@@ -24,9 +24,9 @@ from .errors import (
     InsufficientInitialDataError,
     NoRecurrenceError,
 )
-from .indexing import MultiIndex, _compositions, degree_lex_rank, iter_basis, unit_index
+from .indexing import basis_array, basis_size, degree_lex_pair_ranks
 from .moments import MomentMatrix, TruncatedSequence
-from .polynomials import UnivariatePoly
+from .polynomials import MultivariatePoly, UnivariatePoly
 
 __all__ = [
     "CharacteristicSystem",
@@ -86,25 +86,16 @@ class CharacteristicSystem:
         return cls(polys=polys, tau=tau, residual=residual)
 
 
-def _fit_order(seq: TruncatedSequence, axis: int, order: int):
+def _fit_order(window: np.ndarray, order: int):
     """Joint least-squares fit of a fixed-order recurrence along one axis.
 
-    Uses every index i with |i| + order <= max_degree as one equation
-    beta_{i + order*e} = sum_k a_k beta_{i + (order-k)*e}; returns the weight
-    vector and the relative residual ||A a - b|| / (1 + ||b||).
+    Row r of ``window`` holds beta_{i + p*e}, p = 0, 1, ..., for the r-th
+    index i with |i| + order <= max_degree: one equation
+    beta_{i + order*e} = sum_k a_k beta_{i + (order-k)*e} each. Returns the
+    weights and the relative residual ||A a - b|| / (1 + ||b||).
     """
-    step = unit_index(seq.dim, axis)
-    rows = list(iter_basis(seq.dim, seq.max_degree - order))
-    a_mat = np.empty((len(rows), order))
-    b_vec = np.empty(len(rows))
-    for r, idx in enumerate(rows):
-        for k in range(1, order + 1):
-            shifted = tuple(
-                idx[j] + (order - k if j == axis else 0) for j in range(seq.dim)
-            )
-            a_mat[r, k - 1] = seq.values[shifted]
-        top = tuple(idx[j] + (order if j == axis else 0) for j in range(seq.dim))
-        b_vec[r] = seq.values[top]
+    a_mat = np.ascontiguousarray(window[:, order - 1 :: -1])
+    b_vec = window[:, order]
     weights, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     residual = float(np.linalg.norm(a_mat @ weights - b_vec))
     residual /= 1.0 + float(np.linalg.norm(b_vec))
@@ -124,14 +115,17 @@ def detect_minimal_recurrence(
     if not 0 <= axis < seq.dim:
         raise ValueError(f"axis {axis} out of range for dimension {seq.dim}")
     max_order = seq.max_degree // 2
+    steps = np.outer(np.arange(max_order + 1), np.eye(seq.dim, dtype=int)[axis])
+    ranks = degree_lex_pair_ranks(basis_array(seq.dim, seq.max_degree - 1), steps)
+    # one gather serves every order; entries past max_degree are clipped, never read
+    window = seq.array.take(ranks, mode="clip")
     best = np.inf
     for order in range(1, max_order + 1):
-        weights, residual = _fit_order(seq, axis, order)
+        rows = basis_size(seq.dim, seq.max_degree - order)
+        weights, residual = _fit_order(window[:rows], order)
         if residual < tol:
-            coeffs = [0.0] * (order + 1)
-            coeffs[order] = 1.0
-            for k in range(1, order + 1):
-                coeffs[order - k] = -float(weights[k - 1])
+            # x^order - sum_k a_k x^(order-k), lowest coefficient first
+            coeffs = [-float(w) for w in weights[::-1]] + [1.0]
             return UnivariatePoly(tuple(coeffs)), residual
         best = min(best, residual)
     raise NoRecurrenceError(axis, max_order, best)
@@ -141,19 +135,9 @@ def detect_characteristic_system(
     seq: TruncatedSequence, tol: float = DEFAULT_FIT_TOL
 ) -> CharacteristicSystem:
     """Minimal recurrences for every variable, with tau = sum(deg - 1)."""
-    polys = []
-    residual = 0.0
-    for axis in range(seq.dim):
-        poly, r = detect_minimal_recurrence(seq, axis, tol)
-        polys.append(poly)
-        residual = max(residual, r)
-    return CharacteristicSystem.from_polys(polys, residual=residual)
-
-
-def _recurrence_weights(poly: UnivariatePoly) -> np.ndarray:
-    """Weights a_k with beta_{i+s e} = sum_k a_k beta_{i+(s-k) e}."""
-    s = poly.degree
-    return np.array([-poly.coeffs[s - k] for k in range(1, s + 1)])
+    fits = [detect_minimal_recurrence(seq, axis, tol) for axis in range(seq.dim)]
+    polys, residuals = zip(*fits)
+    return CharacteristicSystem.from_polys(polys, residual=max(residuals))
 
 
 def extend_sequence(
@@ -174,30 +158,39 @@ def extend_sequence(
         raise ValueError("dimension mismatch between sequence and system")
     if target_degree <= seq.max_degree:
         return seq
-    degrees = [p.degree for p in system.polys]
-    weights = [_recurrence_weights(p) for p in system.polys]
-    values = dict(seq.values)
-
-    def produce(idx: MultiIndex, axis: int) -> float:
-        s = degrees[axis]
-        total = 0.0
-        for k in range(1, s + 1):
-            lower = tuple(idx[j] - (k if j == axis else 0) for j in range(seq.dim))
-            total += weights[axis][k - 1] * values[lower]
-        return total
+    degrees = np.array([p.degree for p in system.polys])
+    # weights a_k with beta_{i+s e} = sum_k a_k beta_{i+(s-k) e}, k = 1..s
+    weights = [-np.array(p.coeffs[-2::-1]) for p in system.polys]
+    exponents = basis_array(seq.dim, target_degree)
+    values = np.concatenate([seq.array, np.empty(len(exponents) - seq.array.size)])
+    unit = np.eye(seq.dim, dtype=int)
 
     for t in range(seq.max_degree + 1, target_degree + 1):
-        for idx in _compositions(t, seq.dim):
-            producers = [axis for axis in range(seq.dim) if idx[axis] >= degrees[axis]]
-            if not producers:
+        # a block depends only on lower degrees, so it is produced in one step
+        part = slice(basis_size(seq.dim, t - 1), basis_size(seq.dim, t))
+        block = exponents[part]
+        producers = block >= degrees
+        produced = np.zeros(block.shape)
+        for axis in range(seq.dim):
+            rows = np.flatnonzero(producers[:, axis])
+            steps = np.outer(np.arange(1, degrees[axis] + 1), unit[axis])
+            window = values[degree_lex_pair_ranks(block[rows], -steps)]
+            # summed term by term in k, the order an entry-by-entry fill uses
+            produced[rows, axis] = sum(w * window[:, k] for k, w in enumerate(weights[axis]))
+        # the lowest producing variable sets the value, the others must agree
+        value = produced[np.arange(len(block)), producers.argmax(axis=1)]
+        limit = consistency_tol * (1.0 + np.maximum(np.abs(value)[:, None], np.abs(produced)))
+        disagree = producers & (np.abs(produced - value[:, None]) > limit)
+        failing = np.flatnonzero(~producers.any(axis=1) | disagree.any(axis=1))
+        if failing.size:
+            # report the first failing entry in degree-lex order
+            r = failing[0]
+            idx = tuple(int(e) for e in block[r])
+            if not producers[r].any():
                 raise InsufficientInitialDataError(idx)
-            value = produce(idx, producers[0])
-            for axis in producers[1:]:
-                other = produce(idx, axis)
-                gap = abs(other - value)
-                if gap > consistency_tol * (1.0 + max(abs(value), abs(other))):
-                    raise InconsistentRecurrenceError(idx, value, other)
-            values[idx] = value
+            other = produced[r, disagree[r].argmax()]
+            raise InconsistentRecurrenceError(idx, float(value[r]), float(other))
+        values[part] = value
     return TruncatedSequence(seq.dim, target_degree, values)
 
 
@@ -213,14 +206,8 @@ def verify_annihilation(
         raise ValueError("dimension mismatch between matrix and system")
     m_norm = float(np.linalg.norm(matrix.entries))
     for axis, poly in enumerate(system.polys):
-        if poly.degree > matrix.order:
-            raise ValueError(
-                f"polynomial degree {poly.degree} exceeds matrix order {matrix.order}"
-            )
-        vec = np.zeros(matrix.size)
-        for power, coef in enumerate(poly.coeffs):
-            idx = tuple(power if k == axis else 0 for k in range(matrix.dim))
-            vec[degree_lex_rank(idx)] = coef
+        embedded = MultivariatePoly.from_univariate(matrix.dim, axis, poly)
+        vec = embedded.coefficient_vector(matrix.order)  # ValueError if deg > order
         image = float(np.linalg.norm(matrix.entries @ vec))
         if image > tol * m_norm * float(np.linalg.norm(vec)):
             return False

@@ -57,7 +57,7 @@ from .moments import (
 from .polynomials import MultivariatePoly
 from .recurrence import (
     CharacteristicSystem,
-    detect_minimal_recurrence,
+    detect_characteristic_system,
     extend_sequence,
 )
 
@@ -234,11 +234,7 @@ def verify_measure(measure: AtomicMeasure, seq: TruncatedSequence) -> float:
     if measure.dim != seq.dim:
         raise ValueError("dimension mismatch between measure and sequence")
     recon = evaluate_moments(measure, seq.max_degree)
-    residual = 0.0
-    for idx, value in seq.values.items():
-        err = abs(value - recon.values[idx]) / (1.0 + abs(value))
-        residual = max(residual, err)
-    return residual
+    return float(np.max(np.abs(seq.array - recon.array) / (1.0 + np.abs(seq.array))))
 
 
 def count_atoms_in_zero_set(
@@ -251,48 +247,26 @@ def count_atoms_in_zero_set(
     return sum(1 for p in measure.points if abs(q.evaluate(p)) <= threshold)
 
 
-def _detect_system(
-    seq: TruncatedSequence, tol: float, variable_order: Sequence[int]
-) -> CharacteristicSystem:
-    polys: list = [None] * seq.dim
-    residual = 0.0
-    for axis in variable_order:
-        poly, r = detect_minimal_recurrence(seq, axis, tol)
-        polys[axis] = poly
-        residual = max(residual, r)
-    return CharacteristicSystem.from_polys(polys, residual=residual)
-
-
-def _psd_records(
-    ext: TruncatedSequence, orders: Sequence[int], tol: Tolerances
-) -> tuple[tuple[PsdRecord, ...], dict[int, MomentMatrix]]:
-    records = []
-    matrices = {}
-    for order in orders:
-        matrix = build_moment_matrix(ext, order)
-        check = psd_check(matrix, tol.psd)
-        records.append(
-            PsdRecord(
-                order=order,
-                min_eigenvalue=check.min_eigenvalue,
-                is_psd=check.is_psd,
-                rank=numeric_rank(matrix, tol.rank),
-            )
-        )
-        matrices[order] = matrix
-    return tuple(records), matrices
+def _psd_record(matrix: MomentMatrix, tol: Tolerances) -> PsdRecord:
+    check = psd_check(matrix, tol.psd)
+    return PsdRecord(
+        order=matrix.order,
+        min_eigenvalue=check.min_eigenvalue,
+        is_psd=check.is_psd,
+        rank=numeric_rank(matrix, tol.rank),
+    )
 
 
 def _constraint_stage(
     report: SolveReport,
     ext: TruncatedSequence,
+    parent: MomentMatrix,
     constraints: SemialgebraicSet,
     tol: Tolerances,
 ) -> SolveReport:
     measure = report.measure
     rank_full = report.psd_records[-1].rank
-    parent = build_moment_matrix(ext, report.tau + 1)
-    noise_scale = float(np.linalg.norm(parent.entries, 2))
+    noise_scale = float(np.abs(parent.eigenvalues).max())
     records = []
     first_violation: str | None = None
     for k, q in enumerate(constraints.constraints):
@@ -355,21 +329,21 @@ def _solve(
     base = SolveReport(status=STATUS_SUCCESS, dim=seq.dim, tolerances=tolerances)
 
     try:
-        system = _detect_system(seq, tolerances.residual, order)
+        system = detect_characteristic_system(seq, tolerances.residual)
     except NoRecurrenceError as exc:
         return replace(base, status=STATUS_NOT_RECURSIVE, detail=str(exc))
     base = replace(base, system=system, tau=system.tau)
 
-    max_q_degree = 0
-    if constraints is not None and constraints.constraints:
-        max_q_degree = max(q.degree for q in constraints.constraints)
-    target = max(seq.max_degree, 2 * (system.tau + 1) + max_q_degree)
+    q_degrees = [q.degree for q in constraints.constraints] if constraints else []
+    target = max(seq.max_degree, 2 * (system.tau + 1) + max(q_degrees, default=0))
     try:
         ext = extend_sequence(seq, system, target)
     except (InconsistentRecurrenceError, InsufficientInitialDataError) as exc:
         return replace(base, status=STATUS_NOT_RECURSIVE, detail=str(exc))
 
-    psd_records, _ = _psd_records(ext, (system.tau, system.tau + 1), tolerances)
+    # M(tau) is the leading block of M(tau+1), which the constraint stage reuses
+    full = build_moment_matrix(ext, system.tau + 1)
+    psd_records = tuple(_psd_record(m, tolerances) for m in (full.truncate(system.tau), full))
     base = replace(base, psd_records=psd_records)
     psd_ok = all(r.is_psd for r in psd_records)
 
@@ -426,7 +400,7 @@ def _solve(
         )
 
     if constraints is not None and constraints.constraints:
-        base = _constraint_stage(base, ext, constraints, tolerances)
+        base = _constraint_stage(base, ext, full, constraints, tolerances)
     return base
 
 
@@ -437,9 +411,10 @@ def solve_full(
 ) -> SolveReport:
     """Recover the unique representing measure of a recursive sequence.
 
-    ``variable_order`` permutes the per-variable detection and the expansion
-    solve order; it exists as a reproducibility probe and never changes the
-    result beyond rounding.
+    ``variable_order`` permutes the expansion's per-variable solve order; it
+    exists as a reproducibility probe and never changes the result beyond
+    rounding. Detection needs no order: each variable's recurrence is fit
+    independently of the others.
     """
     return _solve(seq, None, tolerances, variable_order)
 
@@ -473,11 +448,10 @@ def flat_extension_check(
     NoRecurrenceError if the data supports no recurrence).
     """
     needed = 2 * (order + 1)
-    ext = seq
-    if seq.max_degree < needed:
-        if system is None:
-            system = _detect_system(seq, tolerances.residual, list(range(seq.dim)))
-        ext = extend_sequence(seq, system, needed)
-    rank_n = numeric_rank(build_moment_matrix(ext, order), tolerances.rank)
-    rank_next = numeric_rank(build_moment_matrix(ext, order + 1), tolerances.rank)
+    if system is None and seq.max_degree < needed:
+        system = detect_characteristic_system(seq, tolerances.residual)
+    ext = seq if system is None else extend_sequence(seq, system, needed)
+    full = build_moment_matrix(ext, order + 1)
+    rank_n = numeric_rank(full.truncate(order), tolerances.rank)
+    rank_next = numeric_rank(full, tolerances.rank)
     return FlatExtension(flat=rank_n == rank_next, rank_n=rank_n, rank_next=rank_next)

@@ -230,6 +230,30 @@ def test_bad_inputs_exit_one(capsys, tmp_path, pair_moments):
     assert info.value.code == 1
 
 
+def test_non_finite_moments_exit_one(capsys, tmp_path, pair_moments):
+    """NaN or overflowing moments are input errors naming the index."""
+    data = json.loads(Path(pair_moments).read_text())
+    data["moments"][4]["value"] = float("nan")
+    path = write_json(tmp_path, "nan.json", data)
+    assert main(["solve", "--in", path]) == 1
+    assert "moment (1, 1) is not finite" in capsys.readouterr().err
+    huge = AtomicMeasure(dim=1, points=((1e200,),), weights=(1.0,))
+    measure = write_json(tmp_path, "huge.json", huge.to_dict())
+    with np.errstate(over="ignore"):
+        assert main(["synthesize", "--measure", measure, "--degree", "2"]) == 1
+    assert "moment (2,) is not finite" in capsys.readouterr().err
+
+
+def test_psd_rejects_asymmetric_matrix(capsys, tmp_path):
+    """A matrix whose triangles disagree exits 1 instead of a verdict."""
+    payload = {"order": 1, "labels": [[0], [1]], "entries": [[1, -5], [0, 1]]}
+    path = write_json(tmp_path, "asym.json", payload)
+    assert main(["psd", "--in", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exactly symmetric" in captured.err
+
+
 def _round_trip(command, tmp_path, env=None):
     """Synthesize seed 3 with ``command``, solve it, and expect Success."""
     synth = subprocess.run(

@@ -3,15 +3,17 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from momentrec.indexing import (
     basis_size,
+    degree_lex_pair_ranks,
     degree_lex_rank,
+    degree_lex_ranks,
     enumerate_basis,
     iter_basis,
     total_degree,
-    unit_index,
 )
 
 
@@ -29,13 +31,10 @@ def brute_force_basis(dim, degree):
     return sorted(tuples, key=lambda idx: (sum(idx), tuple(-e for e in idx)))
 
 
-def test_total_degree_and_unit_index():
-    """The degree is the entry sum and unit indices have a single 1."""
+def test_total_degree():
+    """The degree is the entry sum."""
     assert total_degree((0, 0)) == 0
     assert total_degree((3, 1, 2)) == 6
-    assert unit_index(3, 1) == (0, 1, 0)
-    with pytest.raises(ValueError):
-        unit_index(2, 5)
 
 
 def test_rank_frozen_values():
@@ -73,6 +72,29 @@ def test_rank_is_position():
         for degree in range(0, 7):
             for pos, idx in enumerate(enumerate_basis(dim, degree)):
                 assert degree_lex_rank(idx) == pos
+
+
+def test_rank_rejects_bad_indices():
+    """Empty and negative multi-indices have no position."""
+    with pytest.raises(ValueError):
+        degree_lex_rank(())
+    with pytest.raises(ValueError):
+        degree_lex_rank((1, -1))
+
+
+def test_ranks_of_sums_match_positions():
+    """Ranks of pairwise sums, tabulated or summed first, equal list positions."""
+    for dim in (1, 2, 3, 5):
+        labels = enumerate_basis(dim, 3)
+        position = {idx: pos for pos, idx in enumerate(enumerate_basis(dim, 6))}
+        expected = [
+            [position[tuple(a + b for a, b in zip(x, y))] for y in labels]
+            for x in labels
+        ]
+        assert degree_lex_pair_ranks(labels, labels).tolist() == expected
+        assert degree_lex_ranks(labels).tolist() == list(range(len(labels)))
+        grid = np.array(labels)
+        assert degree_lex_ranks(grid[:, None] + grid[None, :]).tolist() == expected
 
 
 def test_basis_size_binomial():

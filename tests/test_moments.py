@@ -1,5 +1,7 @@
 """Moment matrices, localizing matrices, PSD/rank analysis, bilinear forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,19 @@ def test_sequence_density_validation():
         TruncatedSequence(2, 2, {(0, 0): 1.0})
     with pytest.raises(ValueError):
         TruncatedSequence(1, 1, {(0,): 1.0, (1,): 1.0, (2,): 1.0})
+    with pytest.raises(ValueError):
+        TruncatedSequence(1, 2, np.ones(4))
+
+
+def test_sequence_rejects_non_finite_values():
+    """NaN and infinite moments are refused with the offending index named."""
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        values = {idx: 1.0 for idx in iter_basis(2, 2)}
+        values[(1, 1)] = bad
+        with pytest.raises(ValueError, match=r"\(1, 1\)"):
+            TruncatedSequence(2, 2, values)
+    with pytest.raises(ValueError, match=r"\(2,\)"):
+        TruncatedSequence(1, 2, [1.0, 0.5, np.nan])
 
 
 def test_sequence_serialization():
@@ -195,6 +210,25 @@ def test_numeric_rank_examples():
     assert numeric_rank(zero) == 0
 
 
+def test_numeric_rank_matches_svd_reference():
+    """|eigenvalues| count like SVD singular values, with and without a floor."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        true_rank = int(rng.integers(0, n + 1))
+        basis = rng.standard_normal((n, true_rank))
+        signs = rng.choice([-1.0, 1.0], size=true_rank)
+        entries = (basis * signs) @ basis.T
+        entries += 1e-12 * rng.standard_normal() * np.eye(n)
+        entries = (entries + entries.T) / 2.0
+        matrix = MomentMatrix(order=0, labels=tuple((k,) for k in range(n)), entries=entries)
+        sigma = np.linalg.svd(entries, compute_uv=False)
+        for tol, scale in ((1e-8, None), (1e-8, 1e3), (1e-3, 0.5)):
+            reference = sigma[0] if scale is None else max(sigma[0], scale)
+            expected = int(np.count_nonzero(sigma > tol * reference)) if sigma[0] else 0
+            assert numeric_rank(matrix, tol, scale=scale) == expected
+
+
 def test_numeric_rank_noise_floor():
     """An external scale floor keeps roundoff-only matrices at rank 0."""
     noise = MomentMatrix(
@@ -275,6 +309,46 @@ def test_necessity_psd_everywhere():
         q = MultivariatePoly.variable(d, 0) - MultivariatePoly.constant(d, low)
         order = max_localizing_order(inst.moments, q)
         assert psd_check(build_localizing_matrix(inst.moments, order, q)).is_psd
+
+
+def test_leading_blocks_and_prefixes():
+    """M(k) is the leading block of M(k+1) and truncate(k) is an array prefix."""
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        for _ in range(4):
+            seq = sample_instance(rng, dim=dim).moments
+            top = seq.max_degree // 2
+            for k in range(top):
+                small = build_moment_matrix(seq, k)
+                big = build_moment_matrix(seq, k + 1)
+                assert np.array_equal(big.truncate(k).entries, small.entries)
+                assert big.truncate(k).labels == small.labels
+            for degree in range(seq.max_degree + 1):
+                cut = seq.truncate(degree).array
+                assert np.array_equal(cut, seq.array[: cut.size])
+
+
+def test_moment_matrix_memory_follows_the_basis():
+    """M(2) of a 10-variable, degree-4 sequence needs no (degree+1)^dim table."""
+    seq = TruncatedSequence(10, 4, np.ones(1001))
+    tracemalloc.start()
+    try:
+        matrix = build_moment_matrix(seq, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.size == 66
+    assert peak < 10 * 2**20
+
+
+def test_matrix_json_rejects_asymmetric_and_non_finite():
+    """Only exactly symmetric, finite entries load; eigvalsh reads one triangle."""
+    data = {"order": 1, "labels": [[0], [1]], "entries": [[1.0, -5.0], [0.0, 1.0]]}
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        MomentMatrix.from_dict(data)
+    data["entries"] = [[1.0, float("nan")], [float("nan"), 1.0]]
+    with pytest.raises(ValueError, match="finite"):
+        MomentMatrix.from_dict(data)
 
 
 def test_matrix_serialization():
