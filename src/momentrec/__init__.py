@@ -46,13 +46,7 @@ from .moments import (
     psd_check,
     shift_sequence,
 )
-from .polynomials import (
-    MultivariatePoly,
-    UnivariatePoly,
-    poly_roots,
-    univariate_gcd,
-    univariate_lcm,
-)
+from .polynomials import MultivariatePoly, UnivariatePoly, poly_roots
 from .recurrence import (
     CharacteristicSystem,
     detect_characteristic_system,
@@ -148,8 +142,6 @@ __all__ = [
     "solve_full",
     "total_degree",
     "univariate_binet",
-    "univariate_gcd",
-    "univariate_lcm",
     "verify_annihilation",
     "verify_measure",
 ]

@@ -29,7 +29,7 @@ from .errors import (
     NegativeWeightError,
     RepeatedRootsError,
 )
-from .indexing import basis_array, degree_lex_ranks
+from .indexing import basis_array, grid_plan
 from .moments import TruncatedSequence
 from .polynomials import MultivariatePoly, UnivariatePoly, poly_roots
 from .recurrence import CharacteristicSystem
@@ -198,8 +198,7 @@ def multivariate_binet(
     if sorted(order) != list(range(seq.dim)):
         raise ValueError("mode_order must be a permutation of the axes")
     # the initial block, solved in place one mode at a time
-    grid = np.moveaxis(np.indices(shape), 0, -1)
-    coefficients = seq.array[degree_lex_ranks(grid)].astype(complex)
+    coefficients = seq.array[grid_plan(shape)].astype(complex)
     for axis in order:
         coefficients = _mode_solve(_vandermonde(roots[axis]), coefficients, axis)
 

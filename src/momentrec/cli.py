@@ -164,9 +164,7 @@ def _cmd_psd(args) -> int:
             raise ValueError("expected a matrix JSON or a moments JSON")
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{args.in_path}: {exc}") from exc
-    tol = args.tol_psd if args.tol_psd is not None else Tolerances().psd
-    if tol <= 0:
-        raise _InputError("tolerance 'psd' must be positive")
+    tol = _tolerances(args).psd
     check = psd_check(matrix, tol)
     _emit(
         {

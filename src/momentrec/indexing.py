@@ -4,25 +4,47 @@ Monomials x^i are identified with exponent tuples i = (i_1, ..., i_d). The
 basis order used everywhere in this package is degree-lex: ascending total
 degree, and within a degree block descending powers of x_1, then x_2, and so
 on. For d = 2 this reads 1; x1; x2; x1^2; x1*x2; x2^2; ...
+
+Every gather the package makes from a degree-lex array (moment matrices,
+shifted sequences, recurrence windows, extension steps, the Binet initial
+block) reads a *plan*: a read-only int32 array of positions that depends only
+on the shape (dimension, degrees, axis, exponents of q), never on the data.
+The basis arrays behind them are kept the same way, as intp exponents.
+Each plan is computed once per process and kept for later solves, unless it
+holds more than ``PLAN_RETAIN_LIMIT`` = 2^18 entries: such a plan is built
+for its call and dropped. Retained plans together hold at most
+``PLAN_STORE_LIMIT`` = 2^22 entries, the least recently used leaving first.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 MultiIndex = tuple[int, ...]
 
+# A plan above this many entries is built for its call and dropped. There
+# the n^3 eigendecompositions dwarf the n^2 index work (3-D 6^3 grid, one
+# thread: about 18 ms for the ranks of M(16) against 115 ms for eigvalsh of
+# M(15) and M(16)), and one 5-D 3^5 solve would otherwise pin a 76 MB table.
+PLAN_RETAIN_LIMIT = 1 << 18
+# All retained plans together, in entries: 4 bytes each, 8 in basis arrays.
+PLAN_STORE_LIMIT = 1 << 22
+# Positions are int32, so a basis of 2^31 monomials or more is refused.
+_INT32_BASIS = 1 << 31
+
+_plans: OrderedDict = OrderedDict()
+_plans_entries = 0
+_plans_lock = threading.Lock()
+
 
 def total_degree(index: MultiIndex) -> int:
     return sum(index)
-
-
-def add_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def basis_size(dim: int, degree: int) -> int:
@@ -30,6 +52,14 @@ def basis_size(dim: int, degree: int) -> int:
     if degree < 0:
         return 0
     return math.comb(degree + dim, dim)
+
+
+def _check_int32(dim: int, degree: int) -> None:
+    if basis_size(dim, degree) >= _INT32_BASIS:
+        raise ValueError(
+            f"the degree-lex basis of degree {degree} in {dim} variables has "
+            f"{basis_size(dim, degree)} monomials; int32 positions stop at 2^31"
+        )
 
 
 def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
@@ -55,14 +85,6 @@ def enumerate_basis(dim: int, degree: int) -> list[MultiIndex]:
     return list(iter_basis(dim, degree))
 
 
-@lru_cache(maxsize=128)
-def basis_array(dim: int, degree: int) -> np.ndarray:
-    """enumerate_basis as a read-only (n, dim) array; lower degrees are prefixes."""
-    basis = np.array(enumerate_basis(dim, degree), dtype=np.intp).reshape(-1, dim)
-    basis.flags.writeable = False
-    return basis
-
-
 @lru_cache(maxsize=64)
 def _rank_terms(dim: int, top: int) -> np.ndarray:
     """terms[c, s] = C(s + d - c - 1, d - c); the position of i is sum_c terms[c, s_c].
@@ -71,26 +93,27 @@ def _rank_terms(dim: int, top: int) -> np.ndarray:
     agree with i before axis c and have a smaller suffix sum from axis c on
     (term 0: every tuple of lower total degree).
     """
+    _check_int32(dim, top)
     terms = np.array(
-        [[math.comb(s + dim - c - 1, dim - c) for s in range(top + 1)] for c in range(dim)]
+        [[math.comb(s + dim - c - 1, dim - c) for s in range(top + 1)] for c in range(dim)],
+        dtype=np.int32,
     )
     terms.flags.writeable = False
     return terms
 
 
 def degree_lex_pair_ranks(left, right) -> np.ndarray:
-    """(n, m) degree-lex positions of left[i] + right[j] for (n, d) and (m, d) inputs.
+    """(n, m) int32 degree-lex positions of left[i] + right[j] for (n, d) and (m, d) inputs.
 
     Suffix sums add, so term c is one lookup at s_c(left[i]) + s_c(right[j]):
-    memory stays near two (n, m) arrays, not n * m * d summed exponents. A
-    negative exponent is allowed where the sum stays a valid tuple.
+    memory stays near three int32 (n, m) arrays, not n * m * d summed
+    exponents. A negative exponent is allowed where the sum stays a valid tuple.
     """
     a = np.cumsum(np.asarray(left, dtype=np.intp)[:, ::-1], axis=1)[:, ::-1]
     b = np.cumsum(np.asarray(right, dtype=np.intp)[:, ::-1], axis=1)[:, ::-1]
     terms = _rank_terms(a.shape[1], int(a[:, 0].max(initial=0) + b[:, 0].max(initial=0)))
-    rank = 0
+    rank = np.zeros((len(a), len(b)), dtype=np.int32)
     for c, table in enumerate(terms):
-        # int32 sums halve the one (n, m) temporary besides rank and the lookup
         rank += table[np.add.outer(a[:, c], b[:, c], dtype=np.int32)]
     return rank
 
@@ -109,3 +132,104 @@ def degree_lex_rank(index: MultiIndex) -> int:
     if any(e < 0 for e in index):
         raise ValueError(f"negative exponent in {index}")
     return int(degree_lex_ranks(index))
+
+
+def _entries(plan) -> int:
+    """Integers held by a plan: an array, or a tuple of arrays or of tuples."""
+    if isinstance(plan, np.ndarray):
+        return plan.size
+    return sum(p.size if isinstance(p, np.ndarray) else len(p) for p in plan)
+
+
+def _plan(build):
+    """Memoize a plan builder in the shared store, within the two limits."""
+
+    @wraps(build)
+    def lookup(*shape):
+        global _plans_entries
+        key = (build.__name__,) + shape
+        with _plans_lock:
+            plan = _plans.get(key)
+            if plan is not None:
+                _plans.move_to_end(key)
+                return plan
+        plan = build(*shape)
+        for array in (plan,) if isinstance(plan, np.ndarray) else plan:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        size = _entries(plan)
+        if size <= PLAN_RETAIN_LIMIT:
+            with _plans_lock:
+                if key not in _plans:
+                    _plans[key] = plan
+                    _plans_entries += size
+                while _plans_entries > PLAN_STORE_LIMIT:
+                    _plans_entries -= _entries(_plans.popitem(last=False)[1])
+        return plan
+
+    return lookup
+
+
+@_plan
+def basis_array(dim: int, degree: int) -> np.ndarray:
+    """enumerate_basis as an (n, dim) array; lower degrees are prefixes.
+
+    These are exponents, not positions: they stay intp, because numpy casts
+    any other index dtype on every gather (int32 exponents made
+    evaluate_moments about 40% slower).
+    """
+    _check_int32(dim, degree)
+    return np.array(enumerate_basis(dim, degree), dtype=np.intp).reshape(-1, dim)
+
+
+@_plan
+def basis_labels(dim: int, degree: int) -> tuple[MultiIndex, ...]:
+    """enumerate_basis as a tuple: the labels of M(degree), the keys of a sequence."""
+    return tuple(map(tuple, basis_array(dim, degree).tolist()))
+
+
+@_plan
+def moment_plan(dim: int, order: int) -> np.ndarray:
+    """M(order)'s positions: entry (r, c) is the rank of label r + label c."""
+    labels = basis_array(dim, order)
+    return degree_lex_pair_ranks(labels, labels)
+
+
+@_plan
+def shift_plan(dim: int, exponents: tuple[MultiIndex, ...], degree: int) -> np.ndarray:
+    """Row g holds the ranks of exponents[g] + i for every |i| <= degree."""
+    gammas = np.array(exponents, dtype=np.intp).reshape(-1, dim)
+    return degree_lex_pair_ranks(gammas, basis_array(dim, degree))
+
+
+@_plan
+def window_plan(dim: int, degree: int, axis: int) -> np.ndarray:
+    """Detection window of a degree-``degree`` sequence along one axis.
+
+    Row r holds the ranks of i + p*e_axis, p = 0 .. degree // 2, for the r-th
+    tuple i with |i| < degree; past ``degree`` they run off the array.
+    """
+    steps = np.outer(np.arange(degree // 2 + 1), np.eye(dim, dtype=np.intp)[axis])
+    return degree_lex_pair_ranks(basis_array(dim, degree - 1), steps)
+
+
+@_plan
+def extension_plan(
+    dim: int, degree: int, axis: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where an order-``order`` recurrence along ``axis`` fills degree block ``degree``.
+
+    Returns (rows, ranks): the positions within the block of the tuples i
+    with i_axis >= order, and for each the ranks of i - k*e_axis, k = 1 .. order.
+    """
+    block = np.array(list(_compositions(degree, dim)), dtype=np.intp)
+    rows = np.flatnonzero(block[:, axis] >= order).astype(np.int32)
+    steps = np.outer(np.arange(1, order + 1), np.eye(dim, dtype=np.intp)[axis])
+    return rows, degree_lex_pair_ranks(block[rows], -steps)
+
+
+@_plan
+def grid_plan(shape: tuple[int, ...]) -> np.ndarray:
+    """Ranks of the grid prod_l {0 .. shape_l - 1}, as an array of that shape."""
+    grid = np.moveaxis(np.indices(shape), 0, -1)
+    return degree_lex_ranks(grid).astype(np.int32)

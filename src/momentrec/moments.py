@@ -3,9 +3,11 @@
 A truncated sequence stores one real value per exponent tuple of total degree
 up to ``max_degree`` (dense), in one degree-lex array. The moment matrix of
 order n has rows and columns labeled by the degree-lex monomial basis of
-degree <= n and entries ``beta[row + col]``, gathered from that array; it is
-the leading block of M(n+1). The localizing matrix of a polynomial q is the
-moment matrix of the shifted sequence (q * beta)_a = sum_g q_g beta_{g+a}.
+degree <= n and entries ``beta[row + col]``, gathered from that array
+through a position plan that ``indexing`` computes once per (dimension,
+order); it is the leading block of M(n+1). The localizing matrix of a
+polynomial q is the moment matrix of the shifted sequence
+(q * beta)_a = sum_g q_g beta_{g+a}.
 
 Positive semidefiniteness and numeric rank are decided with relative
 tolerances on one eigendecomposition: an eigenvalue floor of
@@ -25,10 +27,12 @@ import numpy as np
 from .indexing import (
     MultiIndex,
     basis_array,
+    basis_labels,
     basis_size,
-    degree_lex_pair_ranks,
     degree_lex_ranks,
     iter_basis,
+    moment_plan,
+    shift_plan,
 )
 from .polynomials import MultivariatePoly
 
@@ -97,7 +101,7 @@ class TruncatedSequence:
     @cached_property
     def values(self) -> Mapping[MultiIndex, float]:
         return MappingProxyType(
-            dict(zip(iter_basis(self.dim, self.max_degree), self.array.tolist()))
+            dict(zip(basis_labels(self.dim, self.max_degree), self.array.tolist()))
         )
 
     def __getitem__(self, index: MultiIndex) -> float:
@@ -209,9 +213,8 @@ def build_moment_matrix(seq: TruncatedSequence, order: int) -> MomentMatrix:
             f"order {order} needs moments to degree {2 * order}, "
             f"only {seq.max_degree} available"
         )
-    labels = basis_array(seq.dim, order)
-    entries = seq.array[degree_lex_pair_ranks(labels, labels)]
-    return MomentMatrix(order, tuple(map(tuple, labels.tolist())), entries)
+    entries = seq.array[moment_plan(seq.dim, order)]
+    return MomentMatrix(order, basis_labels(seq.dim, order), entries)
 
 
 def shift_sequence(seq: TruncatedSequence, poly: MultivariatePoly) -> TruncatedSequence:
@@ -228,10 +231,8 @@ def shift_sequence(seq: TruncatedSequence, poly: MultivariatePoly) -> TruncatedS
         )
     # the zero polynomial (degree -1) zeroes every entry and keeps the degree
     new_degree = seq.max_degree - max(deg, 0)
-    gammas = np.array(list(poly.terms), dtype=int).reshape(-1, seq.dim)
     coefs = np.array(list(poly.terms.values()), dtype=float)
-    basis = basis_array(seq.dim, new_degree)
-    shifted = coefs @ seq.array[degree_lex_pair_ranks(gammas, basis)]
+    shifted = coefs @ seq.array[shift_plan(seq.dim, tuple(poly.terms), new_degree)]
     return TruncatedSequence(seq.dim, new_degree, shifted)
 
 

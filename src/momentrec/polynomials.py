@@ -6,26 +6,23 @@ polynomial is represented as ``(0.0,)``. Multivariate polynomials map
 exponent tuples to nonzero coefficients.
 
 Root finding goes through the companion matrix (``numpy.roots``) with
-multiplicities recovered by clustering; gcd/lcm use the Euclidean remainder
-sequence with a relative truncation tolerance, which is enough for the
-well-separated characteristic polynomials this package produces.
+multiplicities recovered by clustering.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .indexing import MultiIndex, add_indices, basis_size, degree_lex_rank, total_degree
+from .indexing import MultiIndex, basis_size, degree_lex_rank, total_degree
 
 __all__ = [
     "UnivariatePoly",
     "MultivariatePoly",
     "poly_roots",
-    "univariate_gcd",
-    "univariate_lcm",
 ]
 
 
@@ -119,60 +116,6 @@ class UnivariatePoly:
         return cls(tuple(float(c) for c in coeffs))
 
 
-def _divmod_arrays(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polynomial long division on lowest-first coefficient arrays."""
-    num = np.array(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    dn, dd = len(num) - 1, len(den) - 1
-    if den[dd] == 0.0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if dn < dd:
-        return np.zeros(1), num
-    quot = np.zeros(dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        q = num[k + dd] / den[dd]
-        quot[k] = q
-        num[k : k + dd + 1] -= q * den
-    return quot, num[:dd] if dd > 0 else np.zeros(1)
-
-
-def _trim_leading(arr: np.ndarray, threshold: float) -> np.ndarray:
-    end = len(arr)
-    while end > 1 and abs(arr[end - 1]) <= threshold:
-        end -= 1
-    return arr[:end]
-
-
-def univariate_gcd(p: UnivariatePoly, q: UnivariatePoly, tol: float = 1e-9) -> UnivariatePoly:
-    """Monic gcd via the Euclidean remainder sequence.
-
-    Remainder coefficients with magnitude below ``tol`` relative to the larger
-    operand are treated as zero, which keeps floating-point noise from faking
-    spurious low-degree remainders.
-    """
-    a = np.asarray(p.monic().coeffs)
-    b = np.asarray(q.monic().coeffs)
-    if len(b) > len(a):
-        a, b = b, a
-    while True:
-        threshold = tol * max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        _, r = _divmod_arrays(a, b)
-        r = _trim_leading(r, threshold)
-        if len(r) == 1 and abs(r[0]) <= threshold:
-            return UnivariatePoly(tuple(b)).monic()
-        a, b = b, r / r[-1]
-
-
-def univariate_lcm(p: UnivariatePoly, q: UnivariatePoly, tol: float = 1e-9) -> UnivariatePoly:
-    """Monic lcm computed as p*q / gcd(p, q)."""
-    g = univariate_gcd(p, q, tol)
-    prod = p.monic() * q.monic()
-    quot, rem = _divmod_arrays(np.asarray(prod.coeffs), np.asarray(g.coeffs))
-    if float(np.max(np.abs(rem))) > tol * max(1.0, float(np.max(np.abs(prod.coeffs)))):
-        raise ValueError("gcd does not divide the product; tolerance too tight")
-    return UnivariatePoly(tuple(quot)).monic()
-
-
 def poly_roots(p: UnivariatePoly, cluster_tol: float = 1e-7) -> list[tuple[complex, int]]:
     """Roots with multiplicities via companion-matrix eigenvalues.
 
@@ -215,6 +158,8 @@ class MultivariatePoly:
             if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in {key}")
             c = float(coef)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {key} is not finite: {c}")
             if c != 0.0:
                 cleaned[key] = c
         object.__setattr__(self, "terms", cleaned)
@@ -259,7 +204,7 @@ class MultivariatePoly:
         out: dict[MultiIndex, float] = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
-                key = add_indices(ia, ib)
+                key = tuple(a + b for a, b in zip(ia, ib))
                 out[key] = out.get(key, 0.0) + ca * cb
         return MultivariatePoly(self.dim, out)
 

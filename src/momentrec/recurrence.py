@@ -24,7 +24,7 @@ from .errors import (
     InsufficientInitialDataError,
     NoRecurrenceError,
 )
-from .indexing import basis_array, basis_size, degree_lex_pair_ranks
+from .indexing import basis_array, basis_size, extension_plan, window_plan
 from .moments import MomentMatrix, TruncatedSequence
 from .polynomials import MultivariatePoly, UnivariatePoly
 
@@ -115,10 +115,8 @@ def detect_minimal_recurrence(
     if not 0 <= axis < seq.dim:
         raise ValueError(f"axis {axis} out of range for dimension {seq.dim}")
     max_order = seq.max_degree // 2
-    steps = np.outer(np.arange(max_order + 1), np.eye(seq.dim, dtype=int)[axis])
-    ranks = degree_lex_pair_ranks(basis_array(seq.dim, seq.max_degree - 1), steps)
     # one gather serves every order; entries past max_degree are clipped, never read
-    window = seq.array.take(ranks, mode="clip")
+    window = seq.array.take(window_plan(seq.dim, seq.max_degree, axis), mode="clip")
     best = np.inf
     for order in range(1, max_order + 1):
         rows = basis_size(seq.dim, seq.max_degree - order)
@@ -158,39 +156,38 @@ def extend_sequence(
         raise ValueError("dimension mismatch between sequence and system")
     if target_degree <= seq.max_degree:
         return seq
-    degrees = np.array([p.degree for p in system.polys])
+    degrees = [p.degree for p in system.polys]
     # weights a_k with beta_{i+s e} = sum_k a_k beta_{i+(s-k) e}, k = 1..s
     weights = [-np.array(p.coeffs[-2::-1]) for p in system.polys]
-    exponents = basis_array(seq.dim, target_degree)
-    values = np.concatenate([seq.array, np.empty(len(exponents) - seq.array.size)])
-    unit = np.eye(seq.dim, dtype=int)
+    values = np.empty(basis_size(seq.dim, target_degree))
+    values[: seq.array.size] = seq.array
 
     for t in range(seq.max_degree + 1, target_degree + 1):
         # a block depends only on lower degrees, so it is produced in one step
-        part = slice(basis_size(seq.dim, t - 1), basis_size(seq.dim, t))
-        block = exponents[part]
-        producers = block >= degrees
-        produced = np.zeros(block.shape)
+        start = basis_size(seq.dim, t - 1)
+        size = basis_size(seq.dim, t) - start
+        producers = np.zeros((size, seq.dim), dtype=bool)
+        produced = np.zeros((size, seq.dim))
         for axis in range(seq.dim):
-            rows = np.flatnonzero(producers[:, axis])
-            steps = np.outer(np.arange(1, degrees[axis] + 1), unit[axis])
-            window = values[degree_lex_pair_ranks(block[rows], -steps)]
+            rows, ranks = extension_plan(seq.dim, t, axis, degrees[axis])
+            window = values[ranks]
+            producers[rows, axis] = True
             # summed term by term in k, the order an entry-by-entry fill uses
             produced[rows, axis] = sum(w * window[:, k] for k, w in enumerate(weights[axis]))
         # the lowest producing variable sets the value, the others must agree
-        value = produced[np.arange(len(block)), producers.argmax(axis=1)]
+        value = produced[np.arange(size), producers.argmax(axis=1)]
         limit = consistency_tol * (1.0 + np.maximum(np.abs(value)[:, None], np.abs(produced)))
         disagree = producers & (np.abs(produced - value[:, None]) > limit)
         failing = np.flatnonzero(~producers.any(axis=1) | disagree.any(axis=1))
         if failing.size:
             # report the first failing entry in degree-lex order
             r = failing[0]
-            idx = tuple(int(e) for e in block[r])
+            idx = tuple(basis_array(seq.dim, t)[start + r].tolist())
             if not producers[r].any():
                 raise InsufficientInitialDataError(idx)
             other = produced[r, disagree[r].argmax()]
             raise InconsistentRecurrenceError(idx, float(value[r]), float(other))
-        values[part] = value
+        values[start : start + size] = value
     return TruncatedSequence(seq.dim, target_degree, values)
 
 

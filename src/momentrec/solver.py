@@ -24,6 +24,7 @@ also names the offending expansion coefficient when there is one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -101,8 +102,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank", "psd", "imag", "weight", "residual"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"tolerance '{name}' must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"tolerance '{name}' must be finite and positive, got {value}")
 
     def to_dict(self) -> dict:
         return {

@@ -210,6 +210,30 @@ def test_tolerance_flags(capsys, tmp_path, pair_moments):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerances_exit_one(capsys, pair_moments, value):
+    """NaN or inf tolerances are input errors, for solve and for psd alike."""
+    for argv in (
+        ["solve", "--in", pair_moments, "--tol-rank", value],
+        ["solve", "--in", pair_moments, "--tol-psd", value],
+        ["psd", "--in", pair_moments, "--order", "1", "--tol-psd", value],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and positive" in captured.err
+
+
+def test_non_finite_constraint_coefficient_exits_one(capsys, tmp_path, pair_moments):
+    """A NaN constraint coefficient is reported at its exponent, not as bad data."""
+    q = {"dim": 2, "terms": [{"idx": [1, 0], "coef": 1.0}, {"idx": [0, 0], "coef": float("nan")}]}
+    path = write_json(tmp_path, "k_nan.json", {"constraints": [q]})
+    assert main(["solve-k", "--in", pair_moments, "--constraints", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coefficient of (0, 0) is not finite" in captured.err
+
+
 def test_bad_inputs_exit_one(capsys, tmp_path, pair_moments):
     """Missing files, bad JSON, and schema violations all exit 1."""
     assert run(capsys, "solve", "--in", str(tmp_path / "absent.json"))[0] == 1

@@ -1,11 +1,13 @@
 """Moment matrices, localizing matrices, PSD/rank analysis, bilinear forms."""
 
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from momentrec.binet import AtomicMeasure, evaluate_moments
+from momentrec import indexing
+from momentrec.binet import AtomicMeasure, evaluate_moments, multivariate_binet
 from momentrec.indexing import enumerate_basis, iter_basis
 from momentrec.moments import (
     MomentMatrix,
@@ -19,6 +21,7 @@ from momentrec.moments import (
     shift_sequence,
 )
 from momentrec.polynomials import MultivariatePoly
+from momentrec.recurrence import detect_characteristic_system, extend_sequence
 from momentrec.sampling import sample_instance
 
 ONES_D2 = TruncatedSequence(2, 2, {idx: 1.0 for idx in iter_basis(2, 2)})
@@ -339,6 +342,55 @@ def test_moment_matrix_memory_follows_the_basis():
         tracemalloc.stop()
     assert matrix.size == 66
     assert peak < 10 * 2**20
+
+
+def test_moment_matrix_transient_is_int32():
+    """Building M(16) in 3-D (969^2 entries) peaks near three int32 tables."""
+    seq = TruncatedSequence(3, 32, np.ones(6545))
+    build_moment_matrix(seq, 1)  # the 3-D rank tables and small plans, outside the count
+    tracemalloc.start()
+    try:
+        matrix = build_moment_matrix(seq, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.size == 969
+    # int64 ranks needed about 18 MB here, the float entries alone 7.5 MB
+    assert peak < 14 * 2**20
+
+
+def _plan_outputs(seq):
+    """Every array a solve gathers through plans, for one sequence."""
+    system = detect_characteristic_system(seq)
+    target = 2 * (system.tau + 1) + 2
+    ext = extend_sequence(seq, system, max(target, seq.max_degree))
+    x1 = MultivariatePoly.variable(seq.dim, 0)
+    q = MultivariatePoly.constant(seq.dim, 4.0) - x1 * x1
+    outputs = [np.array([p.coeffs for p in system.polys], dtype=object), ext.array]
+    outputs += [build_moment_matrix(ext, k).entries for k in range(system.tau + 2)]
+    outputs.append(shift_sequence(ext, q).array)
+    outputs.append(build_localizing_matrix(ext, max_localizing_order(ext, q), q).entries)
+    outputs.append(multivariate_binet(system, ext).coefficients)
+    return outputs
+
+
+def test_cold_and_warm_plans_agree(monkeypatch):
+    """Fresh, reused and never-kept plans give bit-identical gathers in 1-4 D."""
+    rng = np.random.default_rng(11)
+    seqs = [sample_instance(rng, dim=dim).moments for dim in (1, 2, 3, 4) for _ in range(2)]
+    monkeypatch.setattr(indexing, "_plans", OrderedDict())
+    monkeypatch.setattr(indexing, "_plans_entries", 0)
+    cold = [_plan_outputs(seq) for seq in seqs]
+    assert indexing._plans
+    warm = [_plan_outputs(seq) for seq in seqs]
+    monkeypatch.setattr(indexing, "PLAN_RETAIN_LIMIT", 0)
+    monkeypatch.setattr(indexing, "_plans", OrderedDict())
+    unkept = [_plan_outputs(seq) for seq in seqs]
+    assert not indexing._plans
+    for first, second, third in zip(cold, warm, unkept):
+        assert len(first) == len(second) == len(third)
+        for a, b, c in zip(first, second, third):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_matrix_json_rejects_asymmetric_and_non_finite():

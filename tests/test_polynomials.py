@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from momentrec.polynomials import (
-    MultivariatePoly,
-    UnivariatePoly,
-    poly_roots,
-    univariate_gcd,
-    univariate_lcm,
-)
+from momentrec.polynomials import MultivariatePoly, UnivariatePoly, poly_roots
+
+from euclid import univariate_gcd, univariate_lcm
 
 X_MINUS_1 = UnivariatePoly((-1.0, 1.0))
 X_MINUS_2 = UnivariatePoly((-2.0, 1.0))
@@ -193,3 +189,12 @@ def test_serialization_roundtrip():
         MultivariatePoly.from_dict(
             {"dim": 1, "terms": [{"idx": [1], "coef": 1.0}, {"idx": [1], "coef": 2.0}]}
         )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_multivariate_rejects_non_finite_coefficients(value):
+    """A NaN or infinite coefficient is refused, naming its exponent tuple."""
+    with pytest.raises(ValueError, match=r"coefficient of \(0, 2\) is not finite"):
+        MultivariatePoly(2, {(1, 0): 1.0, (0, 2): value})
+    with pytest.raises(ValueError, match="not finite"):
+        MultivariatePoly.from_dict({"dim": 1, "terms": [{"idx": [1], "coef": value}]})

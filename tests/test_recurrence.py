@@ -11,7 +11,7 @@ from momentrec.errors import (
 )
 from momentrec.indexing import iter_basis
 from momentrec.moments import TruncatedSequence, build_moment_matrix
-from momentrec.polynomials import UnivariatePoly, univariate_lcm
+from momentrec.polynomials import UnivariatePoly
 from momentrec.recurrence import (
     CharacteristicSystem,
     detect_characteristic_system,
@@ -20,6 +20,8 @@ from momentrec.recurrence import (
     verify_annihilation,
 )
 from momentrec.sampling import sample_instance
+
+from euclid import univariate_lcm
 
 ONES_D2 = TruncatedSequence(2, 4, {idx: 1.0 for idx in iter_basis(2, 4)})
 PAIR = AtomicMeasure(dim=2, points=((0.0, 0.0), (1.0, 1.0)), weights=(1.0, 1.0))

@@ -263,6 +263,14 @@ def test_tolerances_must_be_positive():
         Tolerances(residual=-1e-6)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["rank", "psd", "imag", "weight", "residual"])
+def test_tolerances_must_be_finite(name, value):
+    """NaN passes every `<= 0` test and inf disables a gate: both are rejected."""
+    with pytest.raises(ValueError, match=f"tolerance '{name}' must be finite"):
+        Tolerances(**{name: value})
+
+
 def test_report_serialization_pairs_values_with_tolerances():
     """Every numeric block in the JSON names the tolerance used against it."""
     constraint = MultivariatePoly.variable(2, 0)
