@@ -19,7 +19,8 @@ used by the solver's extraction identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -127,26 +128,31 @@ def _simple_roots(poly: UnivariatePoly, axis: int) -> tuple[complex, ...]:
     return tuple(root for root, _ in roots)
 
 
-def _vandermonde(roots: Sequence[complex], rows: int | None = None) -> np.ndarray:
-    """Row k holds root ** k, for k below ``rows`` (default: one per root)."""
+def _power_table(roots: Sequence[complex], degree: int) -> np.ndarray:
+    """Row k holds root ** k for k = 0..degree.
+
+    Its first len(roots) rows are the square Vandermonde matrix of the roots.
+    """
     roots = np.asarray(roots, dtype=complex)
-    v = np.empty((len(roots) if rows is None else rows, len(roots)), dtype=complex)
-    v[0] = 1.0
-    for k in range(1, len(v)):
-        v[k] = v[k - 1] * roots
-    return v
+    table = np.empty((degree + 1, len(roots)), dtype=complex)
+    table[0] = 1.0
+    for k in range(1, degree + 1):
+        table[k] = table[k - 1] * roots
+    return table
 
 
-def _mode_apply(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(tensor, axis, 0)
-    flat = matrix @ moved.reshape(moved.shape[0], -1)
-    return np.moveaxis(flat.reshape((matrix.shape[0],) + moved.shape[1:]), 0, axis)
+def _by_mode(
+    tensor: np.ndarray, operations: Sequence[Callable[[np.ndarray], np.ndarray]]
+) -> np.ndarray:
+    """Apply operations[l] to mode l, for l = 0..d-1 in turn.
 
-
-def _mode_solve(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(tensor, axis, 0)
-    flat = np.linalg.solve(matrix, moved.reshape(moved.shape[0], -1))
-    return np.moveaxis(flat.reshape(moved.shape), 0, axis)
+    Each acts on the (rows, rest) unfolding of the leading mode, which then
+    moves to the back, so the modes end in their original order.
+    """
+    for operate in operations:
+        flat = operate(tensor.reshape(tensor.shape[0], -1))
+        tensor = flat.T.reshape(tensor.shape[1:] + flat.shape[:1])
+    return tensor
 
 
 def univariate_binet(
@@ -165,22 +171,22 @@ def univariate_binet(
             f"need exactly {m} initial terms, got {len(initial)}"
         )
     roots = _simple_roots(poly, axis=0)
-    coef = np.linalg.solve(_vandermonde(roots), np.asarray(initial, dtype=complex))
+    coef = np.linalg.solve(_power_table(roots, m - 1), np.asarray(initial, dtype=complex))
     return [(roots[i], complex(coef[i])) for i in range(m)]
 
 
 def multivariate_binet(
-    system: CharacteristicSystem,
-    seq: TruncatedSequence,
-    mode_order: Sequence[int] | None = None,
+    system: CharacteristicSystem, seq: TruncatedSequence
 ) -> BinetExpansion:
     """Coefficient tensor over the root grid of a characteristic system.
 
-    The initial block prod_l {0..deg p_l - 1} of the sequence is solved
-    against one Vandermonde matrix per variable, one mode at a time
-    (``mode_order`` only permutes the numerically equivalent solve order).
-    The residual is the maximum relative reconstruction error over every
-    entry of ``seq``, not just the initial block.
+    Each variable l gets one power table P_l[k, s] = root_{l,s} ** k for
+    k <= max_degree. The initial block prod_l {0..deg p_l - 1} of the
+    sequence is solved against the leading square block of P_l along mode l,
+    for l = 0..d-1 in that fixed order (the result does not depend on it
+    beyond rounding). The whole tables rebuild the rectangle containing every
+    entry of ``seq``; the residual is the maximum relative reconstruction
+    error over all of them, not just the initial block.
     """
     if system.dim != seq.dim:
         raise ValueError("dimension mismatch between system and sequence")
@@ -194,18 +200,10 @@ def multivariate_binet(
             f"initial block needs moments to degree {block_degree}, "
             f"only {seq.max_degree} available"
         )
-    order = list(mode_order) if mode_order is not None else list(range(seq.dim))
-    if sorted(order) != list(range(seq.dim)):
-        raise ValueError("mode_order must be a permutation of the axes")
-    # the initial block, solved in place one mode at a time
-    coefficients = seq.array[grid_plan(shape)].astype(complex)
-    for axis in order:
-        coefficients = _mode_solve(_vandermonde(roots[axis]), coefficients, axis)
-
-    # reconstruct the full rectangle containing all known entries
-    recon = coefficients
-    for axis in order:
-        recon = _mode_apply(_vandermonde(roots[axis], seq.max_degree + 1), recon, axis)
+    tables = [_power_table(r, seq.max_degree) for r in roots]
+    solves = [partial(np.linalg.solve, t[:m]) for t, m in zip(tables, shape)]
+    coefficients = _by_mode(seq.array[grid_plan(shape)].astype(complex), solves)
+    recon = _by_mode(coefficients, [partial(np.matmul, t) for t in tables])
     exponents = basis_array(seq.dim, seq.max_degree)
     err = np.abs(recon[tuple(exponents.T)] - seq.array) / (1.0 + np.abs(seq.array))
     residual = float(err.max())

@@ -185,7 +185,13 @@ class MomentMatrix:
         for key in ("order", "labels", "entries"):
             if key not in data:
                 raise ValueError(f"matrix JSON is missing '{key}'")
+        order = int(data["order"])
         labels = tuple(tuple(int(e) for e in idx) for idx in data["labels"])
+        dim = len(labels[0]) if labels else 0
+        # the count goes first, so the basis built to compare is no larger than the input
+        counted = dim >= 1 and len(labels) == basis_size(dim, order)
+        if not (counted and labels == basis_labels(dim, order)):
+            raise ValueError(f"matrix labels must be the degree-lex basis of order {order}")
         entries = np.array(data["entries"], dtype=float)
         if entries.shape != (len(labels), len(labels)):
             raise ValueError("matrix entries do not match the label count")
@@ -196,7 +202,7 @@ class MomentMatrix:
         if data.get("localizer") is not None:
             localizer = MultivariatePoly.from_dict(data["localizer"])
         return cls(
-            order=int(data["order"]),
+            order=order,
             labels=labels,
             entries=entries,
             kind=str(data.get("kind", "plain")),

@@ -25,6 +25,8 @@ __all__ = [
     "poly_roots",
 ]
 
+ROOT_CLUSTER_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class UnivariatePoly:
@@ -116,12 +118,12 @@ class UnivariatePoly:
         return cls(tuple(float(c) for c in coeffs))
 
 
-def poly_roots(p: UnivariatePoly, cluster_tol: float = 1e-7) -> list[tuple[complex, int]]:
+def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
     """Roots with multiplicities via companion-matrix eigenvalues.
 
-    Eigenvalues closer than ``cluster_tol * (1 + max |root|)`` are merged into
-    one root (their mean) with the cluster size as multiplicity. Returned
-    sorted by (real, imag).
+    Eigenvalues closer than ``ROOT_CLUSTER_TOL * (1 + max |root|)`` are merged
+    into one root (their mean) with the cluster size as multiplicity.
+    Returned sorted by (real, imag).
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined roots")
@@ -130,7 +132,7 @@ def poly_roots(p: UnivariatePoly, cluster_tol: float = 1e-7) -> list[tuple[compl
         return []
     raw = np.roots(np.asarray(monic.coeffs)[::-1])
     raw = sorted(raw, key=lambda z: (z.real, z.imag))
-    threshold = cluster_tol * (1.0 + float(np.max(np.abs(raw))))
+    threshold = ROOT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(raw))))
     clusters: list[list[complex]] = []
     for z in raw:
         if clusters and abs(z - np.mean(clusters[-1])) <= threshold:

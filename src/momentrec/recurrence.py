@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_FIT_TOL = 1e-6
-DEFAULT_CONSISTENCY_TOL = 1e-7
+CONSISTENCY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,14 @@ def detect_characteristic_system(
 
 
 def extend_sequence(
-    seq: TruncatedSequence,
-    system: CharacteristicSystem,
-    target_degree: int,
-    consistency_tol: float = DEFAULT_CONSISTENCY_TOL,
+    seq: TruncatedSequence, system: CharacteristicSystem, target_degree: int
 ) -> TruncatedSequence:
     """Fill the sequence up to target_degree using the recurrences.
 
     Entries are produced in ascending total degree (degree-lex within each
     block) by the lowest-index variable whose recurrence window is available;
     any other applicable variable recomputes the value as a consistency check
-    within ``consistency_tol`` (relative). Entries reachable by no variable
+    within ``CONSISTENCY_TOL`` (relative). Entries reachable by no variable
     raise InsufficientInitialDataError.
     """
     if system.dim != seq.dim:
@@ -176,7 +173,7 @@ def extend_sequence(
             produced[rows, axis] = sum(w * window[:, k] for k, w in enumerate(weights[axis]))
         # the lowest producing variable sets the value, the others must agree
         value = produced[np.arange(size), producers.argmax(axis=1)]
-        limit = consistency_tol * (1.0 + np.maximum(np.abs(value)[:, None], np.abs(produced)))
+        limit = CONSISTENCY_TOL * (1.0 + np.maximum(np.abs(value)[:, None], np.abs(produced)))
         disagree = producers & (np.abs(produced - value[:, None]) > limit)
         failing = np.flatnonzero(~producers.any(axis=1) | disagree.any(axis=1))
         if failing.size:

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .binet import (
+    DEFAULT_IMAG_TOL,
+    DEFAULT_WEIGHT_TOL,
     AtomicMeasure,
     BinetExpansion,
     evaluate_moments,
@@ -47,6 +48,8 @@ from .errors import (
     RepeatedRootsError,
 )
 from .moments import (
+    DEFAULT_PSD_TOL,
+    DEFAULT_RANK_TOL,
     MomentMatrix,
     TruncatedSequence,
     build_localizing_matrix,
@@ -57,6 +60,7 @@ from .moments import (
 )
 from .polynomials import MultivariatePoly
 from .recurrence import (
+    DEFAULT_FIT_TOL,
     CharacteristicSystem,
     detect_characteristic_system,
     extend_sequence,
@@ -94,11 +98,11 @@ STATUS_SUPPORT_VIOLATION = "SupportViolation"
 class Tolerances:
     """Relative tolerances used across one solve."""
 
-    rank: float = 1e-8
-    psd: float = 1e-8
-    imag: float = 1e-7
-    weight: float = 1e-8
-    residual: float = 1e-6
+    rank: float = DEFAULT_RANK_TOL
+    psd: float = DEFAULT_PSD_TOL
+    imag: float = DEFAULT_IMAG_TOL
+    weight: float = DEFAULT_WEIGHT_TOL
+    residual: float = DEFAULT_FIT_TOL
 
     def __post_init__(self):
         for name in ("rank", "psd", "imag", "weight", "residual"):
@@ -240,7 +244,7 @@ def verify_measure(measure: AtomicMeasure, seq: TruncatedSequence) -> float:
 
 
 def count_atoms_in_zero_set(
-    measure: AtomicMeasure, q: MultivariatePoly, tol: float = 1e-6
+    measure: AtomicMeasure, q: MultivariatePoly, tol: float = DEFAULT_FIT_TOL
 ) -> int:
     """Atoms with |q(atom)| <= tol * (1 + max |coefficient of q|)."""
     if measure.dim != q.dim:
@@ -320,14 +324,8 @@ def _constraint_stage(
 
 
 def _solve(
-    seq: TruncatedSequence,
-    constraints: SemialgebraicSet | None,
-    tolerances: Tolerances,
-    variable_order: Sequence[int] | None,
+    seq: TruncatedSequence, constraints: SemialgebraicSet | None, tolerances: Tolerances
 ) -> SolveReport:
-    order = list(variable_order) if variable_order is not None else list(range(seq.dim))
-    if sorted(order) != list(range(seq.dim)):
-        raise ValueError("variable_order must be a permutation of the axes")
     base = SolveReport(status=STATUS_SUCCESS, dim=seq.dim, tolerances=tolerances)
 
     try:
@@ -353,7 +351,7 @@ def _solve(
     measure: AtomicMeasure | None = None
     stage_error: Exception | None = None
     try:
-        expansion = multivariate_binet(system, ext, mode_order=order)
+        expansion = multivariate_binet(system, ext)
         measure = expansion_to_measure(expansion, tolerances.imag, tolerances.weight)
     except (
         RepeatedRootsError,
@@ -407,25 +405,16 @@ def _solve(
 
 
 def solve_full(
-    seq: TruncatedSequence,
-    tolerances: Tolerances = Tolerances(),
-    variable_order: Sequence[int] | None = None,
+    seq: TruncatedSequence, tolerances: Tolerances = Tolerances()
 ) -> SolveReport:
-    """Recover the unique representing measure of a recursive sequence.
-
-    ``variable_order`` permutes the expansion's per-variable solve order; it
-    exists as a reproducibility probe and never changes the result beyond
-    rounding. Detection needs no order: each variable's recurrence is fit
-    independently of the others.
-    """
-    return _solve(seq, None, tolerances, variable_order)
+    """Recover the unique representing measure of a recursive sequence."""
+    return _solve(seq, None, tolerances)
 
 
 def solve_constrained(
     seq: TruncatedSequence,
     constraints: SemialgebraicSet,
     tolerances: Tolerances = Tolerances(),
-    variable_order: Sequence[int] | None = None,
 ) -> SolveReport:
     """solve_full plus localizing and support checks for each constraint.
 
@@ -434,7 +423,7 @@ def solve_constrained(
     stores the localizing rank, the atom count in its zero set, the
     cardinality-law comparison, and the minimum of q over the atoms.
     """
-    return _solve(seq, constraints, tolerances, variable_order)
+    return _solve(seq, constraints, tolerances)
 
 
 def flat_extension_check(

@@ -118,16 +118,6 @@ def test_multivariate_product_with_sign():
     assert exp.coefficients[0, 0, 1] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_mode_order_is_immaterial():
-    """Any axis permutation yields the same coefficient tensor."""
-    system = detect_characteristic_system(PAIR_SEQ)
-    default = multivariate_binet(system, PAIR_SEQ)
-    flipped = multivariate_binet(system, PAIR_SEQ, mode_order=(1, 0))
-    assert np.allclose(default.coefficients, flipped.coefficients, atol=1e-12)
-    with pytest.raises(ValueError):
-        multivariate_binet(system, PAIR_SEQ, mode_order=(0, 0))
-
-
 def test_residual_covers_entries_outside_the_block():
     """A doctored high-degree entry shows up in the reconstruction residual."""
     values = dict(PAIR_SEQ.values)

@@ -278,6 +278,22 @@ def test_psd_rejects_asymmetric_matrix(capsys, tmp_path):
     assert "exactly symmetric" in captured.err
 
 
+def test_psd_rejects_labels_outside_the_basis(capsys, tmp_path, pair_moments):
+    """Matrix labels must be the degree-lex basis of the order; `matrix` output loads."""
+    payload = {"order": 3, "labels": [[7, 7], [1]], "entries": [[1, 0], [0, 1]]}
+    path = write_json(tmp_path, "labels.json", payload)
+    assert main(["psd", "--in", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree-lex basis of order 3" in captured.err
+    q_path = write_json(tmp_path, "x1.json", X1)
+    for localize in ([], ["--localize", q_path]):
+        matrix_path = str(tmp_path / "m.json")
+        argv = ["matrix", "--in", pair_moments, "--order", "1", "--out", matrix_path]
+        assert main(argv + localize) == 0
+        assert main(["psd", "--in", matrix_path]) == 0
+
+
 def _round_trip(command, tmp_path, env=None):
     """Synthesize seed 3 with ``command``, solve it, and expect Success."""
     synth = subprocess.run(

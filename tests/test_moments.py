@@ -394,7 +394,14 @@ def test_cold_and_warm_plans_agree(monkeypatch):
 
 
 def test_matrix_json_rejects_asymmetric_and_non_finite():
-    """Only exactly symmetric, finite entries load; eigvalsh reads one triangle."""
+    """Only degree-lex labels and exactly symmetric, finite entries load."""
+    # wrong order, wrong order of labels, negative order, no labels, mixed lengths
+    bad = [(2, [[0], [1]]), (1, [[1], [0]]), (-1, [[0]]), (0, []), (1, [[0, 0], [1], [0, 1]])]
+    for order, labels in bad:
+        data = {"order": order, "labels": labels, "entries": np.eye(len(labels)).tolist()}
+        with pytest.raises(ValueError, match="degree-lex basis"):
+            MomentMatrix.from_dict(data)
+    # eigvalsh reads one triangle only
     data = {"order": 1, "labels": [[0], [1]], "entries": [[1.0, -5.0], [0.0, 1.0]]}
     with pytest.raises(ValueError, match="exactly symmetric"):
         MomentMatrix.from_dict(data)

@@ -95,22 +95,35 @@ def test_solve_full_noise_is_not_recursive():
     assert report.measure is None
 
 
-def test_solve_full_variable_order_probe():
-    """Axis permutations change nothing but rounding."""
+def test_relabelling_variables_permutes_the_atoms():
+    """Relabelled data gives the same atoms with their coordinates relabelled."""
+    # 2, 3 and 4 distinct coordinates on the axes: the root grid is 2 x 3 x 4,
+    # so a power table paired with the wrong mode cannot go unnoticed
+    uneven = AtomicMeasure(
+        dim=3,
+        points=((0.0, -1.0, 0.5), (1.0, 0.0, -0.5), (0.0, 2.0, 1.5), (1.0, -1.0, 2.5)),
+        weights=(1.0, 0.5, 2.0, 0.25),
+    )
     rng = np.random.default_rng(32)
-    for _ in range(10):
-        inst = sample_instance(rng)
-        base = solve_full(inst.moments)
-        flipped = solve_full(
-            inst.moments, variable_order=list(range(inst.moments.dim))[::-1]
+    seqs = [evaluate_moments(uneven, 8)] + [sample_instance(rng).moments for _ in range(8)]
+    for seq in seqs:
+        # variable k of the relabelled data is variable perm[k] of the original
+        perm = tuple(range(1, seq.dim)) + (0,)
+        relabelled = TruncatedSequence(
+            seq.dim,
+            seq.max_degree,
+            {tuple(idx[p] for p in perm): v for idx, v in seq.values.items()},
         )
-        assert base.status == flipped.status == STATUS_SUCCESS
-        a, b = atoms_by_point(base.measure), atoms_by_point(flipped.measure)
-        assert set(a) == set(b)
-        for point in a:
-            assert a[point] == pytest.approx(b[point], abs=1e-9)
-    with pytest.raises(ValueError):
-        solve_full(inst.moments, variable_order=[0] * inst.moments.dim)
+        base, moved = solve_full(seq), solve_full(relabelled)
+        assert base.status == moved.status == STATUS_SUCCESS
+        expected = {
+            tuple(point[p] for p in perm): w
+            for point, w in atoms_by_point(base.measure).items()
+        }
+        found = atoms_by_point(moved.measure)
+        assert set(found) == set(expected)
+        for point, weight in expected.items():
+            assert found[point] == pytest.approx(weight, abs=1e-9)
 
 
 def test_solve_full_roundtrip_property():
