@@ -47,6 +47,7 @@ __all__ = [
 
 DEFAULT_IMAG_TOL = 1e-7
 DEFAULT_WEIGHT_TOL = 1e-8
+MOMENT_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +130,12 @@ def _simple_roots(poly: UnivariatePoly, axis: int) -> tuple[complex, ...]:
 
 
 def _power_table(roots: Sequence[complex], degree: int) -> np.ndarray:
-    """Row k holds root ** k for k = 0..degree.
+    """Row k holds root ** k for k = 0..degree, in the dtype of ``roots``.
 
     Its first len(roots) rows are the square Vandermonde matrix of the roots.
     """
-    roots = np.asarray(roots, dtype=complex)
-    table = np.empty((degree + 1, len(roots)), dtype=complex)
+    roots = np.asarray(roots)
+    table = np.empty((degree + 1, len(roots)), dtype=roots.dtype)
     table[0] = 1.0
     for k in range(1, degree + 1):
         table[k] = table[k - 1] * roots
@@ -205,9 +206,13 @@ def multivariate_binet(
     coefficients = _by_mode(seq.array[grid_plan(shape)].astype(complex), solves)
     recon = _by_mode(coefficients, [partial(np.matmul, t) for t in tables])
     exponents = basis_array(seq.dim, seq.max_degree)
-    err = np.abs(recon[tuple(exponents.T)] - seq.array) / (1.0 + np.abs(seq.array))
-    residual = float(err.max())
+    residual = relative_misfit(seq.array, recon[tuple(exponents.T)])
     return BinetExpansion(roots=roots, coefficients=coefficients, source_residual=residual)
+
+
+def relative_misfit(data: np.ndarray, model: np.ndarray) -> float:
+    """max |data - model| / (1 + |data|), the reconstruction error of a sequence."""
+    return float(np.max(np.abs(data - model) / (1.0 + np.abs(data))))
 
 
 def expansion_to_measure(
@@ -256,17 +261,25 @@ def expansion_to_measure(
 
 
 def evaluate_moments(measure: AtomicMeasure, degree: int) -> TruncatedSequence:
-    """Moments beta_i = sum w * point^i for all |i| <= degree."""
+    """Moments beta_i = sum_s w_s prod_l x_{l,s} ** i_l for all |i| <= degree.
+
+    Gathers from one power table per variable, as the Binet expansion uses,
+    about MOMENT_BLOCK_ENTRIES (row, atom) products (256 KB) at a time.
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     exponents = basis_array(measure.dim, degree)
-    points = np.array(measure.points).reshape(measure.atom_count, measure.dim)
-    # powers[a, l, e] = x_l^e at atom a
-    powers = np.power(points[:, :, None], np.arange(degree + 1))
-    values = np.zeros(len(exponents))
-    # one atom at a time keeps memory at one row of monomials, not atoms x rows
-    for weight, table in zip(measure.weights, powers):
-        values += weight * table[np.arange(measure.dim), exponents].prod(axis=1)
+    points = np.array(measure.points, dtype=float).reshape(measure.atom_count, measure.dim)
+    tables = [_power_table(axis, degree) for axis in points.T]
+    weights = np.array(measure.weights, dtype=float)
+    values = np.empty(len(exponents))
+    step = max(1, MOMENT_BLOCK_ENTRIES // max(1, measure.atom_count))
+    for start in range(0, len(exponents), step):
+        rows = exponents[start : start + step].T
+        products = tables[0][rows[0]]
+        for table, column in zip(tables[1:], rows[1:]):
+            products *= table[column]
+        values[start : start + step] = products @ weights
     return TruncatedSequence(measure.dim, degree, values)
 
 

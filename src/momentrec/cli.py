@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +104,10 @@ def _load_constraints(data) -> SemialgebraicSet:
 
 def _tolerances(args) -> Tolerances:
     overrides = {}
-    for name in ("rank", "psd", "imag", "weight", "residual"):
-        value = getattr(args, f"tol_{name}", None)
+    for field in fields(Tolerances):
+        value = getattr(args, f"tol_{field.name}", None)
         if value is not None:
-            overrides[name] = value
+            overrides[field.name] = value
     try:
         return replace(Tolerances(), **overrides)
     except ValueError as exc:
@@ -239,14 +239,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     tol_flags = _Parser(add_help=False)
-    for name in ("rank", "psd", "imag", "weight", "residual"):
+    for field in fields(Tolerances):
         tol_flags.add_argument(
-            f"--tol-{name}",
+            f"--tol-{field.name}",
             type=float,
             default=None,
-            dest=f"tol_{name}",
+            dest=f"tol_{field.name}",
             metavar="T",
-            help=f"override the {name} tolerance",
+            help=f"override the {field.name} tolerance",
         )
 
     out_flag = _Parser(add_help=False)

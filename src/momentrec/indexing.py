@@ -9,7 +9,8 @@ Every gather the package makes from a degree-lex array (moment matrices,
 shifted sequences, recurrence windows, extension steps, the Binet initial
 block) reads a *plan*: a read-only int32 array of positions that depends only
 on the shape (dimension, degrees, axis, exponents of q), never on the data.
-The basis arrays behind them are kept the same way, as intp exponents.
+The basis arrays behind them, which numpy builds one degree block at a time
+from the basis in one variable fewer, are kept the same way as intp exponents.
 Each plan is computed once per process and kept for later solves, unless it
 holds more than ``PLAN_RETAIN_LIMIT`` = 2^18 entries: such a plan is built
 for its call and dropped. Retained plans together hold at most
@@ -62,27 +63,14 @@ def _check_int32(dim: int, degree: int) -> None:
         )
 
 
-def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
-    # descending first exponent, then recurse: the degree-lex block order
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def iter_basis(dim: int, degree: int) -> Iterator[MultiIndex]:
-    """Yield all exponent tuples with total degree <= degree, degree-lex order."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    for t in range(degree + 1):
-        yield from _compositions(t, dim)
+    """Iterate over all exponent tuples with total degree <= degree, degree-lex order."""
+    return iter(basis_labels(dim, degree))
 
 
 def enumerate_basis(dim: int, degree: int) -> list[MultiIndex]:
     """Degree-lex ordered list of all exponent tuples of total degree <= degree."""
-    return list(iter_basis(dim, degree))
+    return list(basis_labels(dim, degree))
 
 
 @lru_cache(maxsize=64)
@@ -172,19 +160,26 @@ def _plan(build):
 
 @_plan
 def basis_array(dim: int, degree: int) -> np.ndarray:
-    """enumerate_basis as an (n, dim) array; lower degrees are prefixes.
+    """The degree-lex basis as an (n, dim) array; lower degrees are prefixes.
 
-    These are exponents, not positions: they stay intp, because numpy casts
-    any other index dtype on every gather (int32 exponents made
-    evaluate_moments about 40% slower).
+    Block t stacks (t - |j|, j) over the (dim - 1)-variable basis j of degree
+    <= t. Exponents stay intp: numpy casts any other index dtype on every
+    gather (int32 exponents made evaluate_moments about 40% slower).
     """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
     _check_int32(dim, degree)
-    return np.array(enumerate_basis(dim, degree), dtype=np.intp).reshape(-1, dim)
+    if dim == 1:
+        return np.arange(degree + 1, dtype=np.intp)[:, None]
+    rest = basis_array(dim - 1, degree)
+    rest_degree = rest.sum(axis=1)
+    block, row = np.nonzero(rest_degree <= np.arange(degree + 1)[:, None])
+    return np.column_stack((block - rest_degree[row], rest[row]))
 
 
 @_plan
 def basis_labels(dim: int, degree: int) -> tuple[MultiIndex, ...]:
-    """enumerate_basis as a tuple: the labels of M(degree), the keys of a sequence."""
+    """basis_array as tuples: the labels of M(degree), the keys of a sequence."""
     return tuple(map(tuple, basis_array(dim, degree).tolist()))
 
 
@@ -222,7 +217,7 @@ def extension_plan(
     Returns (rows, ranks): the positions within the block of the tuples i
     with i_axis >= order, and for each the ranks of i - k*e_axis, k = 1 .. order.
     """
-    block = np.array(list(_compositions(degree, dim)), dtype=np.intp)
+    block = basis_array(dim, degree)[basis_size(dim, degree - 1) :]
     rows = np.flatnonzero(block[:, axis] >= order).astype(np.int32)
     steps = np.outer(np.arange(1, order + 1), np.eye(dim, dtype=np.intp)[axis])
     return rows, degree_lex_pair_ranks(block[rows], -steps)

@@ -143,12 +143,15 @@ class MomentMatrix:
     order: int
     labels: tuple[MultiIndex, ...]
     entries: np.ndarray
-    kind: str = "plain"
     localizer: MultivariatePoly | None = None
 
     @property
     def dim(self) -> int:
         return len(self.labels[0])
+
+    @property
+    def kind(self) -> str:
+        return "plain" if self.localizer is None else "localizing"
 
     @property
     def size(self) -> int:
@@ -192,6 +195,8 @@ class MomentMatrix:
         counted = dim >= 1 and len(labels) == basis_size(dim, order)
         if not (counted and labels == basis_labels(dim, order)):
             raise ValueError(f"matrix labels must be the degree-lex basis of order {order}")
+        if int(data.get("dim", dim)) != dim:
+            raise ValueError(f"matrix dim {data['dim']} does not match labels of length {dim}")
         entries = np.array(data["entries"], dtype=float)
         if entries.shape != (len(labels), len(labels)):
             raise ValueError("matrix entries do not match the label count")
@@ -201,13 +206,10 @@ class MomentMatrix:
         localizer = None
         if data.get("localizer") is not None:
             localizer = MultivariatePoly.from_dict(data["localizer"])
-        return cls(
-            order=order,
-            labels=labels,
-            entries=entries,
-            kind=str(data.get("kind", "plain")),
-            localizer=localizer,
-        )
+        matrix = cls(order=order, labels=labels, entries=entries, localizer=localizer)
+        if data.get("kind", matrix.kind) != matrix.kind:
+            raise ValueError(f"matrix kind {data['kind']!r} does not match its localizer")
+        return matrix
 
 
 def build_moment_matrix(seq: TruncatedSequence, order: int) -> MomentMatrix:
@@ -257,7 +259,7 @@ def build_localizing_matrix(
             f"to degree {2 * order + poly.degree}, only {seq.max_degree} available"
         )
     base = build_moment_matrix(shift_sequence(seq, poly), order)
-    return replace(base, kind="localizing", localizer=poly)
+    return replace(base, localizer=poly)
 
 
 @dataclass(frozen=True)

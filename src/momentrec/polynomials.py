@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .indexing import MultiIndex, basis_size, degree_lex_rank, total_degree
+from .indexing import MultiIndex, basis_size, degree_lex_rank, degree_lex_ranks, total_degree
 
 __all__ = [
     "UnivariatePoly",
@@ -222,8 +222,8 @@ class MultivariatePoly:
                 f"polynomial degree {self.degree} exceeds basis order {order}"
             )
         vec = np.zeros(basis_size(self.dim, order))
-        for idx, coef in self.terms.items():
-            vec[degree_lex_rank(idx)] = coef
+        exponents = np.array(list(self.terms), dtype=np.intp).reshape(-1, self.dim)
+        vec[degree_lex_ranks(exponents)] = list(self.terms.values())
         return vec
 
     @classmethod
@@ -253,7 +253,7 @@ class MultivariatePoly:
         return cls(dim, terms)
 
     def to_dict(self) -> dict:
-        ordered = sorted(self.terms, key=lambda idx: (total_degree(idx), degree_lex_rank(idx)))
+        ordered = sorted(self.terms, key=degree_lex_rank)
         return {
             "dim": self.dim,
             "terms": [{"idx": list(idx), "coef": self.terms[idx]} for idx in ordered],

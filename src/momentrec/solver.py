@@ -25,7 +25,7 @@ also names the offending expansion coefficient when there is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .binet import (
     evaluate_moments,
     expansion_to_measure,
     multivariate_binet,
+    relative_misfit,
 )
 from .errors import (
     ComplexAtomError,
@@ -105,19 +106,13 @@ class Tolerances:
     residual: float = DEFAULT_FIT_TOL
 
     def __post_init__(self):
-        for name in ("rank", "psd", "imag", "weight", "residual"):
+        for name in (field.name for field in fields(self)):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"tolerance '{name}' must be finite and positive, got {value}")
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "psd": self.psd,
-            "imag": self.imag,
-            "weight": self.weight,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -239,8 +234,7 @@ def verify_measure(measure: AtomicMeasure, seq: TruncatedSequence) -> float:
     """Max over |i| <= max_degree of |beta_i - moment_i| / (1 + |beta_i|)."""
     if measure.dim != seq.dim:
         raise ValueError("dimension mismatch between measure and sequence")
-    recon = evaluate_moments(measure, seq.max_degree)
-    return float(np.max(np.abs(seq.array - recon.array) / (1.0 + np.abs(seq.array))))
+    return relative_misfit(seq.array, evaluate_moments(measure, seq.max_degree).array)
 
 
 def count_atoms_in_zero_set(

@@ -1,9 +1,14 @@
 """Power-sum expansions over root grids and their conversion to measures."""
 
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from momentrec.binet import (
+    MOMENT_BLOCK_ENTRIES,
     AtomicMeasure,
     BinetExpansion,
     evaluate_moments,
@@ -18,7 +23,7 @@ from momentrec.errors import (
     NegativeWeightError,
     RepeatedRootsError,
 )
-from momentrec.indexing import iter_basis
+from momentrec.indexing import basis_size, iter_basis
 from momentrec.moments import TruncatedSequence, build_moment_matrix, bilinear_form
 from momentrec.polynomials import MultivariatePoly, UnivariatePoly
 from momentrec.recurrence import CharacteristicSystem, detect_characteristic_system
@@ -219,6 +224,40 @@ def test_evaluate_moments_examples():
     assert all(v == 0.0 for v in empty.values.values())
     with pytest.raises(ValueError):
         evaluate_moments(PAIR, -1)
+
+
+def test_evaluate_moments_matches_direct_power_sums():
+    """Every moment equals sum_s w_s prod_l x_l**i_l, computed atom by atom."""
+    rng = np.random.default_rng(8)
+    spread = AtomicMeasure(2, rng.uniform(-1.5, 1.5, (300, 2)), rng.uniform(0.1, 1.0, 300))
+    solid = AtomicMeasure(3, rng.uniform(-1.0, 1.0, (7, 3)), rng.uniform(0.1, 1.0, 7))
+    # 231 rows x 300 atoms: the rows run through several blocks
+    assert basis_size(2, 20) * spread.atom_count > 2 * MOMENT_BLOCK_ENTRIES
+    for measure, degree in ((AtomicMeasure(2, (), ()), 6), (spread, 20), (solid, 9)):
+        seq = evaluate_moments(measure, degree)
+        for idx, value in seq.values.items():
+            terms = [
+                w * math.prod(x**e for x, e in zip(point, idx))
+                for point, w in zip(measure.points, measure.weights)
+            ]
+            # product rounding grows with the degree, summation with the atom count
+            tol = (degree + measure.atom_count) * np.finfo(float).eps * sum(map(abs, terms))
+            assert abs(value - math.fsum(terms)) <= tol, idx
+
+
+def test_evaluate_moments_memory_follows_the_block():
+    """The 6^3 grid at degree 32 stays far below one rows x atoms array (11.3 MB)."""
+    axis = np.linspace(-1.0, 1.0, 6)
+    points = tuple(itertools.product(axis, axis, axis))
+    grid = AtomicMeasure(3, points, tuple(1.0 + 0.01 * i for i in range(len(points))))
+    tracemalloc.start()
+    try:
+        seq = evaluate_moments(grid, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seq.array.size * grid.atom_count * 8 > 11 * 10**6
+    assert peak < 4 * 10**6
 
 
 def test_roundtrip_measure_to_moments_to_measure():

@@ -279,13 +279,21 @@ def test_psd_rejects_asymmetric_matrix(capsys, tmp_path):
 
 
 def test_psd_rejects_labels_outside_the_basis(capsys, tmp_path, pair_moments):
-    """Matrix labels must be the degree-lex basis of the order; `matrix` output loads."""
-    payload = {"order": 3, "labels": [[7, 7], [1]], "entries": [[1, 0], [0, 1]]}
-    path = write_json(tmp_path, "labels.json", payload)
-    assert main(["psd", "--in", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "degree-lex basis of order 3" in captured.err
+    """Labels must be the degree-lex basis, and dim and kind must agree with them.
+
+    `matrix` output, plain and localizing, still loads.
+    """
+    identity = {"labels": [[0], [1]], "entries": [[1, 0], [0, 1]]}
+    bad = [
+        ({**identity, "order": 3, "labels": [[7, 7], [1]]}, "degree-lex basis of order 3"),
+        ({"dim": 5, "order": 1, "kind": "banana", **identity}, "matrix dim 5"),
+        ({"dim": 1, "order": 1, "kind": "localizing", **identity}, "kind 'localizing'"),
+    ]
+    for payload, message in bad:
+        assert main(["psd", "--in", write_json(tmp_path, "bad.json", payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
     q_path = write_json(tmp_path, "x1.json", X1)
     for localize in ([], ["--localize", q_path]):
         matrix_path = str(tmp_path / "m.json")

@@ -75,7 +75,7 @@ def test_enumerate_basis_small_cases():
 
 def test_enumerate_matches_brute_force():
     """The enumerator agrees with the independent sort oracle everywhere."""
-    for dim in range(1, 5):
+    for dim in range(1, 6):
         for degree in range(0, 7):
             assert list(enumerate_basis(dim, degree)) == brute_force_basis(dim, degree)
 

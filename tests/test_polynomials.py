@@ -167,6 +167,8 @@ def test_multivariate_product_degree_and_zero():
     y = MultivariatePoly.variable(2, 1)
     assert (x * y).degree == 2
     assert (x - x).degree == -1
+    assert (x * y - y).coefficient_vector(2).tolist() == [0, 0, -1, 0, 1, 0]
+    assert (x - x).coefficient_vector(2).tolist() == [0] * 6
     assert MultivariatePoly(2, {(1, 0): 0.0}).terms == {}
 
 
