@@ -18,6 +18,7 @@ used by the solver's extraction identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -72,7 +73,7 @@ class BinetExpansion:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finitely many point masses with strictly positive weights."""
+    """Finitely many point masses at finite points with finite positive weights."""
 
     dim: int
     points: tuple[tuple[float, ...], ...]
@@ -84,11 +85,14 @@ class AtomicMeasure:
         weights = tuple(float(w) for w in self.weights)
         if len(points) != len(weights):
             raise ValueError("points and weights differ in length")
-        for p in points:
+        for k, (p, w) in enumerate(zip(points, weights)):
             if len(p) != self.dim:
                 raise ValueError(f"point {p} does not have dimension {self.dim}")
-        if any(w <= 0.0 for w in weights):
-            raise ValueError("weights must be strictly positive")
+            if not (0.0 < w < math.inf and all(map(math.isfinite, p))):
+                raise ValueError(
+                    f"atom {k} at {p} has weight {w}: coordinates must be finite "
+                    "and weights finite and strictly positive"
+                )
         if len(set(points)) != len(points):
             raise ValueError("atoms must be pairwise distinct")
         object.__setattr__(self, "points", points)

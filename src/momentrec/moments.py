@@ -30,7 +30,6 @@ from .indexing import (
     basis_labels,
     basis_size,
     degree_lex_ranks,
-    iter_basis,
     moment_plan,
     shift_plan,
 )
@@ -130,9 +129,6 @@ class TruncatedSequence:
             if idx in values:
                 raise ValueError(f"duplicate moment index {idx}")
             values[idx] = float(entry["value"])
-        missing = [idx for idx in iter_basis(dim, degree) if idx not in values]
-        if missing:
-            raise ValueError(f"missing moment index {missing[0]}")
         return cls(dim, degree, values)
 
 

@@ -2,30 +2,31 @@
 
 ``solve_full`` runs: recurrence detection -> extension to degree 2(tau+1) ->
 PSD checks of M(tau) and M(tau+1) -> power-sum expansion -> measure
-conversion -> moment verification. ``solve_constrained`` appends, for each
-constraint polynomial q, a localizing-matrix analysis plus a pointwise sign
-check of q on the recovered atoms.
+conversion -> moment verification. ``solve_constrained`` refuses a zero or
+wrong-dimension constraint with ValueError before the first stage, and adds,
+for each constraint q, a localizing-matrix analysis and a sign check of q on
+the recovered atoms.
 
-Every stage is recorded in a SolveReport; no failure aborts without one. The
-status is the first failing stage in pipeline order:
+One solve builds one SolveReport, at whichever exit it reaches. Its status is
+the first failing stage in pipeline order:
 
-    NotRecursive   detection/extension failed, or the recovered measure does
-                   not reproduce the data within tolerance
-    NotPositive    M(tau) or M(tau+1) has a significantly negative eigenvalue
-                   (a repeated characteristic root is reported here too,
-                   since it certifies the same obstruction)
-    NegativeWeight / ComplexAtom   propagated from the measure conversion
-    SupportViolation               some atom leaves the semialgebraic set
+    NotRecursive      detection/extension failed, or the recovered measure
+                      does not reproduce the data within tolerance
+    NotPositive       M(tau) or M(tau+1) has a significantly negative eigenvalue
+    stage error       the expansion or measure conversion raised: RepeatedRoots
+                      -> NotPositive (it certifies the same obstruction),
+                      NegativeWeight -> NegativeWeight, ComplexAtom ->
+                      ComplexAtom, any other error -> NotRecursive
+    SupportViolation  some atom leaves the semialgebraic set
 
-When a PSD check fails the later stages still run in diagnostic mode and
-their findings are appended to the report detail, so a signed-data report
-also names the offending expansion coefficient when there is one.
+A failed PSD check takes precedence over a stage error; a negative weight or
+complex atom found after it is named in the detail as the expansion witness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .binet import (
     DEFAULT_IMAG_TOL,
     DEFAULT_WEIGHT_TOL,
     AtomicMeasure,
-    BinetExpansion,
     evaluate_moments,
     expansion_to_measure,
     multivariate_binet,
@@ -94,6 +94,13 @@ STATUS_NEGATIVE_WEIGHT = "NegativeWeight"
 STATUS_COMPLEX_ATOM = "ComplexAtom"
 STATUS_SUPPORT_VIOLATION = "SupportViolation"
 
+# status of an expansion-stage error; any other stage error is NotRecursive
+_STAGE_STATUS = {
+    RepeatedRootsError: STATUS_NOT_POSITIVE,
+    NegativeWeightError: STATUS_NEGATIVE_WEIGHT,
+    ComplexAtomError: STATUS_COMPLEX_ATOM,
+}
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -134,7 +141,7 @@ class SemialgebraicSet:
 
 @dataclass(frozen=True)
 class PsdRecord:
-    """PSD and rank diagnostics for one moment matrix."""
+    """PSD and rank diagnostics for one moment or localizing matrix."""
 
     order: int
     min_eigenvalue: float
@@ -143,14 +150,10 @@ class PsdRecord:
 
 
 @dataclass(frozen=True)
-class ConstraintRecord:
-    """Localizing-matrix and pointwise diagnostics for one constraint."""
+class ConstraintRecord(PsdRecord):
+    """A localizing matrix's PSD record plus pointwise checks of its constraint."""
 
     polynomial: MultivariatePoly
-    order: int
-    min_eigenvalue: float
-    is_psd: bool
-    rank: int
     atoms_in_zero_set: int
     min_over_atoms: float | None
     violated: bool
@@ -166,6 +169,17 @@ class FlatExtension:
     rank_next: int
 
 
+def _psd_fields(record: PsdRecord, tol: Tolerances) -> dict:
+    return {
+        "order": record.order,
+        "min_eigenvalue": record.min_eigenvalue,
+        "is_psd": record.is_psd,
+        "psd_tolerance": tol.psd,
+        "rank": record.rank,
+        "rank_tolerance": tol.rank,
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Everything one pipeline run computed, plus the final status."""
@@ -174,7 +188,6 @@ class SolveReport:
     dim: int
     tolerances: Tolerances
     system: CharacteristicSystem | None = None
-    tau: int | None = None
     psd_records: tuple[PsdRecord, ...] = ()
     expansion_residual: float | None = None
     measure: AtomicMeasure | None = None
@@ -182,41 +195,30 @@ class SolveReport:
     constraint_records: tuple[ConstraintRecord, ...] = ()
     detail: str | None = None
 
+    @property
+    def tau(self) -> int | None:
+        return None if self.system is None else self.system.tau
+
     def to_dict(self) -> dict:
         tol = self.tolerances
-        out = {
+
+        def residual(value: float | None) -> dict | None:
+            return None if value is None else {"value": value, "tolerance": tol.residual}
+
+        return {
             "status": self.status,
             "detail": self.detail,
             "dim": self.dim,
             "tau": self.tau,
             "system": self.system.to_dict() if self.system else None,
-            "psd": [
-                {
-                    "order": r.order,
-                    "min_eigenvalue": r.min_eigenvalue,
-                    "is_psd": r.is_psd,
-                    "psd_tolerance": tol.psd,
-                    "rank": r.rank,
-                    "rank_tolerance": tol.rank,
-                }
-                for r in self.psd_records
-            ],
-            "expansion_residual": None
-            if self.expansion_residual is None
-            else {"value": self.expansion_residual, "tolerance": tol.residual},
+            "psd": [_psd_fields(r, tol) for r in self.psd_records],
+            "expansion_residual": residual(self.expansion_residual),
             "measure": self.measure.to_dict() if self.measure else None,
-            "moment_residual": None
-            if self.moment_residual is None
-            else {"value": self.moment_residual, "tolerance": tol.residual},
+            "moment_residual": residual(self.moment_residual),
             "constraints": [
                 {
                     "polynomial": r.polynomial.to_dict(),
-                    "order": r.order,
-                    "min_eigenvalue": r.min_eigenvalue,
-                    "is_psd": r.is_psd,
-                    "psd_tolerance": tol.psd,
-                    "rank": r.rank,
-                    "rank_tolerance": tol.rank,
+                    **_psd_fields(r, tol),
                     "atoms_in_zero_set": r.atoms_in_zero_set,
                     "min_over_atoms": r.min_over_atoms,
                     "support_tolerance": tol.residual,
@@ -227,7 +229,6 @@ class SolveReport:
             ],
             "tolerances": tol.to_dict(),
         }
-        return out
 
 
 def verify_measure(measure: AtomicMeasure, seq: TruncatedSequence) -> float:
@@ -247,155 +248,107 @@ def count_atoms_in_zero_set(
     return sum(1 for p in measure.points if abs(q.evaluate(p)) <= threshold)
 
 
-def _psd_record(matrix: MomentMatrix, tol: Tolerances) -> PsdRecord:
+def _psd_record(matrix: MomentMatrix, tol: Tolerances, scale: float | None = None) -> PsdRecord:
     check = psd_check(matrix, tol.psd)
-    return PsdRecord(
-        order=matrix.order,
-        min_eigenvalue=check.min_eigenvalue,
-        is_psd=check.is_psd,
-        rank=numeric_rank(matrix, tol.rank),
-    )
+    rank = numeric_rank(matrix, tol.rank, scale=scale)
+    return PsdRecord(matrix.order, check.min_eigenvalue, check.is_psd, rank)
 
 
-def _constraint_stage(
-    report: SolveReport,
-    ext: TruncatedSequence,
-    parent: MomentMatrix,
-    constraints: SemialgebraicSet,
+def _run_stages(
+    seq: TruncatedSequence,
+    polys: tuple[MultivariatePoly, ...],
     tol: Tolerances,
-) -> SolveReport:
-    measure = report.measure
-    rank_full = report.psd_records[-1].rank
-    noise_scale = float(np.abs(parent.eigenvalues).max())
+    found: dict,
+) -> tuple[str, str | None]:
+    """Run the pipeline into ``found`` (SolveReport fields); return status, detail."""
+    try:
+        system = found["system"] = detect_characteristic_system(seq, tol.residual)
+        extra = max((q.degree for q in polys), default=0)
+        ext = extend_sequence(seq, system, max(seq.max_degree, 2 * (system.tau + 1) + extra))
+    except (NoRecurrenceError, InconsistentRecurrenceError, InsufficientInitialDataError) as exc:
+        return STATUS_NOT_RECURSIVE, str(exc)
+
+    # M(tau) is the leading block of M(tau+1), which the constraint checks reuse
+    full = build_moment_matrix(ext, system.tau + 1)
+    psd_records = tuple(_psd_record(m, tol) for m in (full.truncate(system.tau), full))
+    found["psd_records"] = psd_records
+
+    stage_error: Exception | None = None
+    try:
+        expansion = multivariate_binet(system, ext)
+        found["expansion_residual"] = expansion.source_residual
+        measure = expansion_to_measure(expansion, tol.imag, tol.weight)
+    except (*_STAGE_STATUS, InsufficientDataError, np.linalg.LinAlgError) as exc:
+        stage_error = exc
+
+    failing = [
+        f"M({r.order}) has min eigenvalue {r.min_eigenvalue:.6g}"
+        for r in psd_records
+        if not r.is_psd
+    ]
+    if failing:
+        detail = "moment matrix not PSD: " + ", ".join(failing)
+        if isinstance(stage_error, (NegativeWeightError, ComplexAtomError)):
+            detail += f"; expansion witness: {stage_error}"
+        return STATUS_NOT_POSITIVE, detail
+    if stage_error is not None:
+        return _STAGE_STATUS.get(type(stage_error), STATUS_NOT_RECURSIVE), str(stage_error)
+
+    found["measure"] = measure
+    residual = found["moment_residual"] = verify_measure(measure, seq)
+    if residual > tol.residual:
+        return STATUS_NOT_RECURSIVE, (
+            f"recovered measure misses the data: residual {residual:.3e} > {tol.residual:.3e}"
+        )
+    if not polys:
+        return STATUS_SUCCESS, None
+
+    # localizing and support checks; the first violated constraint names the status
+    noise_scale = float(np.abs(full.eigenvalues).max())
+    rank_full = psd_records[-1].rank
     records = []
-    first_violation: str | None = None
-    for k, q in enumerate(constraints.constraints):
-        if q.dim != ext.dim:
-            raise ValueError("constraint dimension does not match the sequence")
-        if q.degree < 0:
-            raise ValueError("the zero polynomial is not a usable constraint")
-        order = max_localizing_order(ext, q)
-        matrix = build_localizing_matrix(ext, order, q)
-        check = psd_check(matrix, tol.psd)
+    violation: str | None = None
+    for k, q in enumerate(polys):
+        matrix = build_localizing_matrix(ext, max_localizing_order(ext, q), q)
         # a constraint vanishing on every atom makes this matrix zero up to
         # roundoff; its own sigma_max is then noise, so the rank cutoff is
         # floored at the parent matrix's scale times the coefficient size
-        rank = numeric_rank(
-            matrix, tol.rank, scale=noise_scale * (1.0 + q.max_coefficient)
-        )
+        psd = _psd_record(matrix, tol, scale=noise_scale * (1.0 + q.max_coefficient))
         in_zero = count_atoms_in_zero_set(measure, q, tol.residual)
-        support_threshold = tol.residual * (1.0 + q.max_coefficient)
-        if measure.atom_count:
-            values = [q.evaluate(p) for p in measure.points]
-            min_value = min(values)
-            violated = min_value < -support_threshold
-        else:
-            min_value = None
-            violated = False
+        threshold = tol.residual * (1.0 + q.max_coefficient)
+        values = [q.evaluate(p) for p in measure.points]
+        min_value = min(values, default=None)
+        violated = min_value is not None and min_value < -threshold
         records.append(
             ConstraintRecord(
+                **vars(psd),
                 polynomial=q,
-                order=order,
-                min_eigenvalue=check.min_eigenvalue,
-                is_psd=check.is_psd,
-                rank=rank,
                 atoms_in_zero_set=in_zero,
                 min_over_atoms=min_value,
                 violated=violated,
-                cardinality_ok=in_zero == rank_full - rank,
+                cardinality_ok=in_zero == rank_full - psd.rank,
             )
         )
-        if violated and first_violation is None:
-            worst = measure.points[int(np.argmin(values))]
-            first_violation = (
-                f"constraint {k} has q(atom) = {min_value:.6g} < "
-                f"-{support_threshold:.3g} at atom {worst}"
+        if violated and violation is None:
+            violation = (
+                f"constraint {k} has q(atom) = {min_value:.6g} < -{threshold:.3g} "
+                f"at atom {measure.points[values.index(min_value)]}"
             )
-    out = replace(report, constraint_records=tuple(records))
-    if first_violation is not None:
-        out = replace(out, status=STATUS_SUPPORT_VIOLATION, detail=first_violation)
-    return out
+    found["constraint_records"] = tuple(records)
+    return (STATUS_SUPPORT_VIOLATION if violation else STATUS_SUCCESS), violation
 
 
 def _solve(
     seq: TruncatedSequence, constraints: SemialgebraicSet | None, tolerances: Tolerances
 ) -> SolveReport:
-    base = SolveReport(status=STATUS_SUCCESS, dim=seq.dim, tolerances=tolerances)
-
-    try:
-        system = detect_characteristic_system(seq, tolerances.residual)
-    except NoRecurrenceError as exc:
-        return replace(base, status=STATUS_NOT_RECURSIVE, detail=str(exc))
-    base = replace(base, system=system, tau=system.tau)
-
-    q_degrees = [q.degree for q in constraints.constraints] if constraints else []
-    target = max(seq.max_degree, 2 * (system.tau + 1) + max(q_degrees, default=0))
-    try:
-        ext = extend_sequence(seq, system, target)
-    except (InconsistentRecurrenceError, InsufficientInitialDataError) as exc:
-        return replace(base, status=STATUS_NOT_RECURSIVE, detail=str(exc))
-
-    # M(tau) is the leading block of M(tau+1), which the constraint stage reuses
-    full = build_moment_matrix(ext, system.tau + 1)
-    psd_records = tuple(_psd_record(m, tolerances) for m in (full.truncate(system.tau), full))
-    base = replace(base, psd_records=psd_records)
-    psd_ok = all(r.is_psd for r in psd_records)
-
-    expansion: BinetExpansion | None = None
-    measure: AtomicMeasure | None = None
-    stage_error: Exception | None = None
-    try:
-        expansion = multivariate_binet(system, ext)
-        measure = expansion_to_measure(expansion, tolerances.imag, tolerances.weight)
-    except (
-        RepeatedRootsError,
-        InsufficientDataError,
-        NegativeWeightError,
-        ComplexAtomError,
-        np.linalg.LinAlgError,
-    ) as exc:
-        stage_error = exc
-    if expansion is not None:
-        base = replace(base, expansion_residual=expansion.source_residual)
-
-    if not psd_ok:
-        failing = ", ".join(
-            f"M({r.order}) has min eigenvalue {r.min_eigenvalue:.6g}"
-            for r in psd_records
-            if not r.is_psd
-        )
-        detail = f"moment matrix not PSD: {failing}"
-        if isinstance(stage_error, (NegativeWeightError, ComplexAtomError)):
-            detail += f"; expansion witness: {stage_error}"
-        return replace(base, status=STATUS_NOT_POSITIVE, detail=detail)
-
-    if isinstance(stage_error, RepeatedRootsError):
-        # a genuinely repeated characteristic root certifies the same
-        # obstruction as a failed PSD check
-        return replace(base, status=STATUS_NOT_POSITIVE, detail=str(stage_error))
-    if isinstance(stage_error, NegativeWeightError):
-        return replace(base, status=STATUS_NEGATIVE_WEIGHT, detail=str(stage_error))
-    if isinstance(stage_error, ComplexAtomError):
-        return replace(base, status=STATUS_COMPLEX_ATOM, detail=str(stage_error))
-    if stage_error is not None:
-        return replace(base, status=STATUS_NOT_RECURSIVE, detail=str(stage_error))
-
-    base = replace(base, measure=measure)
-    residual = verify_measure(measure, seq)
-    base = replace(base, moment_residual=residual)
-    if residual > tolerances.residual:
-        return replace(
-            base,
-            status=STATUS_NOT_RECURSIVE,
-            detail=(
-                f"recovered measure misses the data: residual {residual:.3e} "
-                f"> {tolerances.residual:.3e}"
-            ),
-        )
-
-    if constraints is not None and constraints.constraints:
-        base = _constraint_stage(base, ext, full, constraints, tolerances)
-    return base
+    polys = () if constraints is None else constraints.constraints
+    if polys and constraints.dim != seq.dim:
+        raise ValueError("constraint dimension does not match the sequence")
+    if any(q.degree < 0 for q in polys):
+        raise ValueError("the zero polynomial is not a usable constraint")
+    found: dict = {}
+    status, detail = _run_stages(seq, polys, tolerances, found)
+    return SolveReport(status, seq.dim, tolerances, detail=detail, **found)
 
 
 def solve_full(
@@ -412,10 +365,11 @@ def solve_constrained(
 ) -> SolveReport:
     """solve_full plus localizing and support checks for each constraint.
 
-    The extension is pushed to degree 2(tau+1) + max deg q so every
-    localizing matrix reaches at least order tau+1; each constraint record
-    stores the localizing rank, the atom count in its zero set, the
-    cardinality-law comparison, and the minimum of q over the atoms.
+    Invalid constraints raise ValueError before any stage runs. The
+    extension is pushed to degree 2(tau+1) + max deg q so every localizing
+    matrix reaches at least order tau+1; each constraint record stores the
+    localizing rank, the atom count in its zero set, the cardinality-law
+    comparison, and the minimum of q over the atoms.
     """
     return _solve(seq, constraints, tolerances)
 

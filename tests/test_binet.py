@@ -339,6 +339,10 @@ def test_measure_validation_and_serialization():
         AtomicMeasure(2, ((0.0, 0.0), (0.0, 0.0)), (1.0, 1.0))
     with pytest.raises(ValueError):
         AtomicMeasure(2, ((0.0,),), (1.0,))
+    with pytest.raises(ValueError, match="atom 0"):
+        AtomicMeasure(1, ((0.5,),), (math.nan,))
+    with pytest.raises(ValueError, match="atom 0"):
+        AtomicMeasure(1, ((math.inf,),), (1.0,))
     again = AtomicMeasure.from_dict(PAIR.to_dict())
     assert again.points == PAIR.points
     assert again.weights == PAIR.weights

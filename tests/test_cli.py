@@ -234,6 +234,17 @@ def test_non_finite_constraint_coefficient_exits_one(capsys, tmp_path, pair_mome
     assert "coefficient of (0, 0) is not finite" in captured.err
 
 
+def test_invalid_constraint_exits_one_on_failing_data(capsys, tmp_path):
+    """A zero constraint is an input error even where the data would fail."""
+    signed = TruncatedSequence(1, 4, [0.0, -1.0, -1.0, -1.0, -1.0])
+    moments = write_json(tmp_path, "signed.json", signed.to_dict())
+    zero = write_json(tmp_path, "k_zero.json", {"constraints": [{"dim": 1, "terms": []}]})
+    assert main(["solve-k", "--in", moments, "--constraints", zero]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zero polynomial" in captured.err
+
+
 def test_bad_inputs_exit_one(capsys, tmp_path, pair_moments):
     """Missing files, bad JSON, and schema violations all exit 1."""
     assert run(capsys, "solve", "--in", str(tmp_path / "absent.json"))[0] == 1
@@ -255,7 +266,7 @@ def test_bad_inputs_exit_one(capsys, tmp_path, pair_moments):
 
 
 def test_non_finite_moments_exit_one(capsys, tmp_path, pair_moments):
-    """NaN or overflowing moments are input errors naming the index."""
+    """Non-finite moments or weights are input errors naming the index or atom."""
     data = json.loads(Path(pair_moments).read_text())
     data["moments"][4]["value"] = float("nan")
     path = write_json(tmp_path, "nan.json", data)
@@ -266,6 +277,11 @@ def test_non_finite_moments_exit_one(capsys, tmp_path, pair_moments):
     with np.errstate(over="ignore"):
         assert main(["synthesize", "--measure", measure, "--degree", "2"]) == 1
     assert "moment (2,) is not finite" in capsys.readouterr().err
+    weights = PAIR.to_dict()
+    weights["atoms"][1]["weight"] = float("nan")
+    measure = write_json(tmp_path, "nan_measure.json", weights)
+    assert main(["verify", "--in", pair_moments, "--measure", measure]) == 1
+    assert "atom 1" in capsys.readouterr().err
 
 
 def test_psd_rejects_asymmetric_matrix(capsys, tmp_path):

@@ -62,7 +62,7 @@ def test_sequence_rejects_non_finite_values():
 
 
 def test_sequence_serialization():
-    """Round trip, plus rejection of missing and duplicate indices."""
+    """Round trip, plus cheap rejection of missing and duplicate indices."""
     again = TruncatedSequence.from_dict(PAIR_SEQ.to_dict())
     assert again.values == PAIR_SEQ.values
     data = PAIR_SEQ.to_dict()
@@ -73,6 +73,15 @@ def test_sequence_serialization():
     dup["moments"].append({"idx": [0, 0], "value": 5.0})
     with pytest.raises(ValueError):
         TruncatedSequence.from_dict(dup)
+    # a short file claiming a high degree is refused at a cost set by its size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="not dense"):
+            TruncatedSequence.from_dict({"dim": 3, "degree": 150, "moments": []})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_moment_matrix_all_ones():

@@ -1,5 +1,7 @@
 """End-to-end solver pipelines, reports, and certificate bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from momentrec.polynomials import MultivariatePoly, UnivariatePoly
 from momentrec.recurrence import CharacteristicSystem
 from momentrec.sampling import sample_instance
 from momentrec.solver import (
+    STATUS_COMPLEX_ATOM,
+    STATUS_NEGATIVE_WEIGHT,
     STATUS_NOT_POSITIVE,
     STATUS_NOT_RECURSIVE,
     STATUS_SUCCESS,
@@ -29,6 +33,7 @@ PAIR = AtomicMeasure(dim=2, points=((0.0, 0.0), (1.0, 1.0)), weights=(1.0, 1.0))
 PAIR_SEQ = evaluate_moments(PAIR, 4)
 SPIKE = AtomicMeasure(dim=2, points=((1.0, 1.0),), weights=(1.0,))
 SPIKE_SEQ = evaluate_moments(SPIKE, 4)
+SIGNED_PAIR = TruncatedSequence(1, 4, [0.0, -1.0, -1.0, -1.0, -1.0])
 
 
 def atoms_by_point(measure):
@@ -74,6 +79,23 @@ def test_solve_full_signed_sequence():
     assert first.min_eigenvalue == pytest.approx((-1.0 - np.sqrt(5.0)) / 2.0, abs=1e-9)
     assert not first.is_psd
     assert "expansion witness" in report.detail
+
+
+@pytest.mark.parametrize(
+    "values, status, detail",
+    [
+        ([0.0, -1.0, -1.0, -1.0, -1.0], STATUS_NEGATIVE_WEIGHT, "negative weight -1"),
+        ([2.0 * math.cos(0.7 * k) for k in range(5)], STATUS_COMPLEX_ATOM, "non-real"),
+        ([float(k) for k in range(5)], STATUS_NOT_POSITIVE, "multiplicity 2"),
+    ],
+)
+def test_stage_error_statuses(values, status, detail):
+    """With the PSD gate loosened, the expansion stage's error names the status."""
+    report = solve_full(TruncatedSequence(1, 4, values), Tolerances(psd=1e3))
+    assert all(r.is_psd for r in report.psd_records)
+    assert report.status == status
+    assert detail in report.detail
+    assert report.measure is None
 
 
 def test_solve_full_zero_sequence():
@@ -183,9 +205,13 @@ def test_solve_constrained_empty_set_matches_full():
 
 
 def test_solve_constrained_zero_polynomial_rejected():
-    """The zero polynomial cannot define a usable constraint."""
+    """A zero or wrong-dimension constraint is refused, whatever the data."""
     with pytest.raises(ValueError):
         solve_constrained(PAIR_SEQ, SemialgebraicSet((MultivariatePoly.zero(2),)))
+    # refused before the solve, so failing data cannot mask a bad constraint
+    for q in (MultivariatePoly.zero(1), MultivariatePoly.variable(3, 0)):
+        with pytest.raises(ValueError):
+            solve_constrained(SIGNED_PAIR, SemialgebraicSet((q,)))
 
 
 def test_solve_constrained_cardinality_property():
