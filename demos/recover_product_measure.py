@@ -29,8 +29,10 @@ def main() -> None:
         printable = tuple(round(c, 6) for c in poly.coeffs)
         print(f"  variable {axis}: {printable}")
     for record in report.psd_records:
+        # large matrices report a certified lower bound instead of eigvalsh's value
+        label = "certified lower bound on min eigenvalue" if record.certified else "min eigenvalue"
         print(
-            f"M({record.order}): min eigenvalue {record.min_eigenvalue:+.3e}, "
+            f"M({record.order}): {label} {record.min_eigenvalue:+.3e}, "
             f"rank {record.rank}, psd={record.is_psd}"
         )
 

@@ -165,12 +165,15 @@ def _cmd_psd(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{args.in_path}: {exc}") from exc
     tol = _tolerances(args).psd
+    # the spectrum of this one matrix, not the certificate's lower bound;
+    # psd_check then reads the same exact eigenvalues
+    lowest = float(matrix.eigenvalues[0])
     check = psd_check(matrix, tol)
     _emit(
         {
             "order": matrix.order,
             "kind": matrix.kind,
-            "min_eigenvalue": check.min_eigenvalue,
+            "min_eigenvalue": lowest,
             "threshold": check.threshold,
             "is_psd": check.is_psd,
         },

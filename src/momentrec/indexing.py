@@ -29,10 +29,14 @@ import numpy as np
 
 MultiIndex = tuple[int, ...]
 
-# A plan above this many entries is built for its call and dropped. There
-# the n^3 eigendecompositions dwarf the n^2 index work (3-D 6^3 grid, one
-# thread: about 18 ms for the ranks of M(16) against 115 ms for eigvalsh of
-# M(15) and M(16)), and one 5-D 3^5 solve would otherwise pin a 76 MB table.
+# A plan above this many entries is built for its call and dropped, so one
+# 5-D 3^5 solve does not pin a 76 MB table. The rebuild is no longer small
+# next to the PSD and rank checks, which certify M(tau) and M(tau+1) with a
+# pivoted Cholesky (one thread: moment_plan(3, 16), 938,961 entries, takes
+# 31 ms of a 3-D 6^3 grid solve of about 70 ms; moment_plan(4, 9) 13 ms of
+# a 4-D 3^4 one). Keeping such plans (a limit of 2^20) cuts that solve to
+# about 52 ms but raises the grid benchmark's peak RSS from 69 to 75 MB,
+# above the 70 MB it had when those checks ran eigvalsh.
 PLAN_RETAIN_LIMIT = 1 << 18
 # All retained plans together, in entries: 4 bytes each, 8 in basis arrays.
 PLAN_STORE_LIMIT = 1 << 22

@@ -10,13 +10,29 @@ polynomial q is the moment matrix of the shifted sequence
 (q * beta)_a = sum_g q_g beta_{g+a}.
 
 Positive semidefiniteness and numeric rank are decided with relative
-tolerances on one eigendecomposition: an eigenvalue floor of
-``-tol * (1 + |trace|)`` and a singular value (|eigenvalue|) cutoff of
-``tol * sigma_max``.
+tolerances on the eigenvalues: an eigenvalue floor of ``-tol * (1 + |trace|)``
+and a singular value (|eigenvalue|) cutoff of ``tol * sigma_max``. Each
+matrix computes at most one spectrum bracket and one eigendecomposition,
+whichever check runs first paying for them.
+
+A matrix of ``CERTIFY_MIN_SIZE`` rows or more first gets a certificate in
+place of an eigendecomposition: a pivoted Cholesky factor R, stopped once
+the largest remaining Schur diagonal is at most ``FACTOR_STOP`` times the
+largest diagonal, and as radius the Frobenius norm of the remaining Schur
+complement plus a roundoff allowance. By Weyl's inequality every eigenvalue
+lies within that radius of the spectrum of the small R R^T padded with
+zeros. The PSD verdict and the rank are read from these brackets where they
+decide. Where the lower bound falls below the PSD floor, or a bracket
+straddles the rank cutoff, eigvalsh runs and its eigenvalues are read
+instead, so every verdict and rank is eigvalsh's. The one visible difference
+is ``min_eigenvalue`` of a certified PSD matrix, which is then the
+certificate's lower bound on the smallest eigenvalue. Smaller matrices go
+straight to eigvalsh, which is the faster of the two there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -50,6 +66,19 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_PSD_TOL = 1e-8
+# Matrices with fewer rows skip the certificate and go straight to eigvalsh,
+# which is the faster of the two below about this size.
+CERTIFY_MIN_SIZE = 48
+# The pivoted Cholesky stops once the largest remaining Schur diagonal is at
+# most this times the largest diagonal of the matrix.
+FACTOR_STOP = 1e-11
+# Roundoff allowance of the certificate per row of the matrix plus row of
+# the factor R, in units of ||S||_F + ||R||_F^2 (S the Schur complement; the
+# two bound ||A||_2): a generous multiple of the unit roundoff.
+_ROUNDOFF = 4.0 * float(np.finfo(float).eps)
+# Entries of the matrix gathered at once into the Schur complement, which
+# keeps the certificate's working set below the copy eigvalsh makes.
+_GATHER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -158,6 +187,29 @@ class MomentMatrix:
         """Ascending eigenvalues; their absolute values are the singular values."""
         return np.linalg.eigvalsh(self.entries)
 
+    @cached_property
+    def _certificate(self) -> tuple[np.ndarray, float] | None:
+        return _certified_spectrum(self.entries)
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, float]:
+        """Ascending centers and a radius: eigenvalue i lies within radius of center i.
+
+        The tightest bracket known so far: the exact ``eigenvalues`` (radius 0)
+        once they are computed or the matrix is below ``CERTIFY_MIN_SIZE``
+        rows, else the pivoted-Cholesky certificate.
+        """
+        if "eigenvalues" not in self.__dict__ and len(self.labels) >= CERTIFY_MIN_SIZE:
+            certificate = self._certificate
+            if certificate is not None:
+                return certificate
+        return self.eigenvalues, 0.0
+
+    @property
+    def sigma_max(self) -> float:
+        """Largest singular value, read from ``spectrum`` (exact within its radius)."""
+        return float(np.abs(self.spectrum[0]).max(initial=0.0))
+
     def truncate(self, order: int) -> "MomentMatrix":
         """The same matrix at a lower order: its leading principal block."""
         if not 0 <= order <= self.order:
@@ -260,18 +312,31 @@ def build_localizing_matrix(
 
 @dataclass(frozen=True)
 class PsdCheck:
-    """Outcome of a tolerance-aware positive semidefiniteness test."""
+    """Outcome of a tolerance-aware positive semidefiniteness test.
+
+    ``certified`` marks ``min_eigenvalue`` as the certificate's lower bound on
+    the smallest eigenvalue rather than eigvalsh's smallest eigenvalue.
+    """
 
     is_psd: bool
     min_eigenvalue: float
     threshold: float
+    certified: bool = False
 
 
 def psd_check(matrix: MomentMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdCheck:
-    """PSD iff the smallest eigenvalue is >= -tol * (1 + |trace|)."""
-    lam_min = float(matrix.eigenvalues[0])
+    """PSD iff the smallest eigenvalue is >= -tol * (1 + |trace|).
+
+    ``min_eigenvalue`` is the certificate's lower bound on the smallest
+    eigenvalue when that bound clears the threshold, and eigvalsh's smallest
+    eigenvalue otherwise; the verdict is eigvalsh's either way.
+    """
     threshold = -tol * (1.0 + abs(float(np.trace(matrix.entries))))
-    return PsdCheck(is_psd=lam_min >= threshold, min_eigenvalue=lam_min, threshold=threshold)
+    centers, radius = matrix.spectrum
+    lowest = float(centers[0]) - radius
+    if radius and lowest < threshold:
+        lowest, radius = float(matrix.eigenvalues[0]), 0.0
+    return PsdCheck(lowest >= threshold, lowest, threshold, certified=radius > 0.0)
 
 
 def numeric_rank(
@@ -280,17 +345,88 @@ def numeric_rank(
     """Number of singular values above tol * max(sigma_max, scale).
 
     The matrix is symmetric, so its singular values are the absolute values
-    of the eigenvalues ``psd_check`` reads; no second factorization runs.
-    ``scale`` sets an external noise floor for matrices that are zero up to
-    roundoff, where sigma_max itself is noise and a purely relative cutoff
-    would count every singular value. A localizing matrix whose polynomial
-    vanishes on all atoms is the standard case; pass the parent moment
-    matrix's largest singular value there.
+    of the eigenvalues ``psd_check`` reads; the count comes from the same
+    spectrum, and from the exact eigenvalues only where a certificate's
+    bracket straddles the cutoff. ``scale`` sets an external noise floor for
+    matrices that are zero up to roundoff, where sigma_max itself is noise
+    and a purely relative cutoff would count every singular value. A
+    localizing matrix whose polynomial vanishes on all atoms is the standard
+    case; pass the parent moment matrix's largest singular value there.
     """
-    sigma = np.abs(matrix.eigenvalues)
+    rank = _bracket_rank(*matrix.spectrum, tol, scale)
+    if rank is None:
+        rank = _bracket_rank(matrix.eigenvalues, 0.0, tol, scale)
+    return rank
+
+
+def _bracket_rank(
+    centers: np.ndarray, radius: float, tol: float, scale: float | None
+) -> int | None:
+    """The rank every spectrum in the bracket gives, or None if they differ."""
+    sigma = np.abs(centers)
     sigma_max = float(sigma.max(initial=0.0))
-    reference = sigma_max if scale is None else max(sigma_max, scale)
-    return int(np.count_nonzero(sigma > tol * reference))
+    floor = 0.0 if scale is None else scale
+    low = tol * max(sigma_max - radius, floor)
+    high = tol * max(sigma_max + radius, floor)
+    above = int(np.count_nonzero(sigma > high + radius))
+    if radius and above + np.count_nonzero(sigma <= low - radius) < sigma.size:
+        return None
+    return above
+
+
+def _certified_spectrum(entries: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Eigenvalue centers and radius from a pivoted Cholesky; None if not finite.
+
+    Rows R of the factor are taken greedily at the largest remaining Schur
+    diagonal until it falls to ``FACTOR_STOP`` times the largest diagonal,
+    so A = R^T R + E. The spectrum of R^T R is that of the small R R^T
+    padded with zeros, and by Weyl's inequality each eigenvalue of A lies
+    within ||E||_2 <= ||E||_F of its counterpart there. E is the Schur
+    complement S on the unpivoted rows, computed explicitly, plus roundoff
+    on the pivoted ones; the ``_ROUNDOFF`` allowance bounds that roundoff,
+    the roundoff of forming S and R R^T, and the backward error of eigvalsh
+    itself, so a bracket that decides a question decides it as eigvalsh's
+    eigenvalues would.
+    """
+    n = entries.shape[0]
+    schur = entries.diagonal().copy()
+    stop = max(FACTOR_STOP * float(schur.max()), 0.0)
+    rows = np.empty((n, n))  # pages are touched only for the rows written
+    pivots = np.empty(n, dtype=np.intp)
+    k = 0
+    while k < n:
+        p = int(schur.argmax())
+        pivot = schur[p]
+        if not pivot > stop:
+            break
+        row = rows[k]
+        np.subtract(entries[p], rows[:k, p] @ rows[:k], out=row)
+        row *= 1.0 / math.sqrt(pivot)
+        row[pivots[:k]] = 0.0  # the factor is triangular in pivot order
+        schur -= row * row
+        schur[p] = -np.inf
+        pivots[k] = p
+        k += 1
+    factor = rows[:k]
+    free = np.flatnonzero(schur != -np.inf)
+    rest = factor.take(free, 1)
+    # ||S||_F^2 of the symmetric Schur complement S, a band of rows at a
+    # time from its diagonal block rightward: off-diagonal entries count twice
+    squares = 0.0
+    step = max(1, _GATHER_BLOCK // n)
+    for start in range(0, free.size, step):
+        band = entries[free[start : start + step]].take(free[start:], 1)
+        band -= rest[:, start : start + step].T @ rest[:, start:]
+        diagonal = band[:, :step]
+        squares += 2.0 * float(np.vdot(band, band)) - float(np.vdot(diagonal, diagonal))
+    gram = factor @ factor.T
+    schur_norm = math.sqrt(squares)
+    radius = schur_norm + _ROUNDOFF * (n + k) * (schur_norm + float(np.trace(gram)))
+    if not math.isfinite(radius):
+        return None
+    centers = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(n - k)])
+    centers.sort()
+    return centers, radius
 
 
 def bilinear_form(

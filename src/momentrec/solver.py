@@ -26,7 +26,7 @@ complex atom found after it is named in the detail as the expansion witness.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -141,12 +141,17 @@ class SemialgebraicSet:
 
 @dataclass(frozen=True)
 class PsdRecord:
-    """PSD and rank diagnostics for one moment or localizing matrix."""
+    """PSD and rank diagnostics for one moment or localizing matrix.
+
+    ``min_eigenvalue`` is a certified lower bound on the smallest eigenvalue
+    where ``certified`` is set (see ``psd_check``), else eigvalsh's value.
+    """
 
     order: int
     min_eigenvalue: float
     is_psd: bool
     rank: int
+    certified: bool = field(default=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,9 @@ def count_atoms_in_zero_set(
 def _psd_record(matrix: MomentMatrix, tol: Tolerances, scale: float | None = None) -> PsdRecord:
     check = psd_check(matrix, tol.psd)
     rank = numeric_rank(matrix, tol.rank, scale=scale)
-    return PsdRecord(matrix.order, check.min_eigenvalue, check.is_psd, rank)
+    return PsdRecord(
+        matrix.order, check.min_eigenvalue, check.is_psd, rank, certified=check.certified
+    )
 
 
 def _run_stages(
@@ -304,7 +311,7 @@ def _run_stages(
         return STATUS_SUCCESS, None
 
     # localizing and support checks; the first violated constraint names the status
-    noise_scale = float(np.abs(full.eigenvalues).max())
+    noise_scale = full.sigma_max
     rank_full = psd_records[-1].rank
     records = []
     violation: str | None = None

@@ -14,7 +14,7 @@ import momentrec
 from momentrec.binet import AtomicMeasure, evaluate_moments
 from momentrec.cli import main
 from momentrec.indexing import iter_basis
-from momentrec.moments import TruncatedSequence
+from momentrec.moments import TruncatedSequence, build_moment_matrix
 
 PAIR = AtomicMeasure(dim=2, points=((0.0, 0.0), (1.0, 1.0)), weights=(1.0, 1.0))
 X1 = {"dim": 2, "terms": [{"idx": [1, 0], "coef": 1.0}]}
@@ -109,6 +109,22 @@ def test_psd_command_negative_verdict(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["is_psd"] is False
     assert payload["min_eigenvalue"] == pytest.approx((-1.0 - np.sqrt(5.0)) / 2.0)
+
+
+def test_psd_command_reports_the_exact_spectrum(capsys, tmp_path):
+    """Above the certificate's size floor, psd still prints eigvalsh's lambda_min."""
+    axis = np.linspace(-1.0, 1.0, 5)
+    points = tuple((x, y, z) for x in axis for y in axis for z in axis)
+    grid = AtomicMeasure(3, points, tuple(1.0 + 0.01 * i for i in range(len(points))))
+    seq = evaluate_moments(grid, 26)
+    entries = build_moment_matrix(seq, 13).entries
+    assert entries.shape == (560, 560)
+    code, out = run(capsys, "psd", "--in", write_json(tmp_path, "grid.json", seq.to_dict()),
+                    "--order", "13")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["is_psd"] is True
+    assert payload["min_eigenvalue"] == float(np.linalg.eigvalsh(entries)[0])
 
 
 def test_recurrence_command(capsys, tmp_path, pair_moments):

@@ -1,5 +1,6 @@
 """Moment matrices, localizing matrices, PSD/rank analysis, bilinear forms."""
 
+import itertools
 import tracemalloc
 from collections import OrderedDict
 
@@ -23,6 +24,7 @@ from momentrec.moments import (
 from momentrec.polynomials import MultivariatePoly
 from momentrec.recurrence import detect_characteristic_system, extend_sequence
 from momentrec.sampling import sample_instance
+from momentrec.solver import STATUS_SUCCESS, solve_full
 
 ONES_D2 = TruncatedSequence(2, 2, {idx: 1.0 for idx in iter_basis(2, 2)})
 PAIR = AtomicMeasure(dim=2, points=((0.0, 0.0), (1.0, 1.0)), weights=(1.0, 1.0))
@@ -436,3 +438,111 @@ def test_truncate_restricts_degree():
     assert len(cut.values) == 6
     with pytest.raises(ValueError):
         cut.truncate(3)
+
+
+def _labelled(entries):
+    """A fresh MomentMatrix (nothing cached) over the given symmetric entries."""
+    n = entries.shape[0]
+    return MomentMatrix(order=0, labels=tuple((k,) for k in range(n)), entries=entries)
+
+
+def _reference(entries, tol, scale):
+    """eigvalsh's verdict, smallest eigenvalue and rank: what the certificate must reproduce."""
+    lam = np.linalg.eigvalsh(entries)
+    sigma = np.abs(lam)
+    reference = sigma.max() if scale is None else max(sigma.max(), scale)
+    is_psd = lam[0] >= -tol * (1.0 + abs(np.trace(entries)))
+    return is_psd, lam, int(np.count_nonzero(sigma > tol * reference))
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """Row counts of every matrix numpy.linalg.eigvalsh receives."""
+    sizes = []
+    original = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+def _check_against_eigvalsh(entries):
+    """Verdict and rank equal eigvalsh's for three tolerance pairs; count certified checks."""
+    n = entries.shape[0]
+    certified = 0
+    for tol, scale in ((1e-8, None), (1e-8, 1e3), (1e-3, 0.5)):
+        is_psd, lam, rank = _reference(entries, tol, scale)
+        matrix = _labelled(entries)
+        check = psd_check(matrix, tol)
+        assert check.is_psd == is_psd
+        assert numeric_rank(matrix, tol, scale=scale) == rank
+        if check.certified:
+            certified += 1
+            # a lower bound: never above the smallest eigenvalue beyond roundoff
+            assert check.is_psd
+            assert check.min_eigenvalue <= lam[0] + 8 * n * np.finfo(float).eps * np.abs(lam).max()
+        else:
+            assert check.min_eigenvalue == lam[0]
+    return certified
+
+
+def test_certified_psd_and_rank_match_eigvalsh():
+    """Random low-rank PSD matrices of 40-200 rows: eigvalsh's verdict and rank."""
+    rng = np.random.default_rng(2026)
+    certified = 0
+    for n in (40, 48, 64, 97, 130, 200):
+        for rank in (0, 1, 5, n // 4, n // 2, n):
+            basis = rng.standard_normal((n, rank)) * 10.0 ** rng.uniform(-3, 3, size=rank)
+            entries = basis @ basis.T
+            entries = (entries + entries.T) / 2.0
+            certified += _check_against_eigvalsh(entries)
+    # the certificate, not the eigvalsh fallback, decided most of them
+    assert certified >= 60
+
+
+def test_indefinite_matrices_match_eigvalsh():
+    """Indefinite matrices report eigvalsh's verdict, rank and smallest eigenvalue."""
+    rng = np.random.default_rng(7)
+    for n in (50, 120):
+        for negative in (1, 3, n // 3):
+            basis = rng.standard_normal((n, n // 2))
+            signs = np.ones(n // 2)
+            signs[:negative] = -1.0
+            entries = (basis * signs) @ basis.T
+            entries = (entries + entries.T) / 2.0
+            _check_against_eigvalsh(entries)
+            assert not psd_check(_labelled(entries)).is_psd
+
+
+def test_eigenvalue_on_the_rank_cutoff_falls_back(eigvalsh_sizes):
+    """A bracket straddling tol * sigma_max sends numeric_rank to eigvalsh."""
+    rng = np.random.default_rng(3)
+    n, tol = 80, 1e-8
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spectrum = np.zeros(n)
+    spectrum[:6] = (1.0, 0.5, 0.1, 1e-3, 1e-6, tol)  # the last one sits on the cutoff
+    entries = (basis * spectrum) @ basis.T
+    entries = (entries + entries.T) / 2.0
+    matrix = _labelled(entries)
+    assert psd_check(matrix, tol).is_psd
+    assert n not in eigvalsh_sizes  # the verdict alone was certified
+    assert numeric_rank(matrix, tol) == _reference(entries, tol, None)[2]
+    assert n in eigvalsh_sizes
+
+
+@pytest.mark.parametrize("dim, nodes", [(3, 5), (4, 3)])
+def test_solver_certifies_the_large_moment_matrices(eigvalsh_sizes, dim, nodes):
+    """solve_full on a product grid runs no eigvalsh on M(tau) or M(tau+1)."""
+    axis = np.linspace(-1.0, 1.0, nodes)
+    points = tuple(itertools.product(*([tuple(axis)] * dim)))
+    weights = tuple(1.0 + 0.01 * i for i in range(len(points)))
+    tau = dim * (nodes - 1)
+    seq = evaluate_moments(AtomicMeasure(dim, points, weights), 2 * (tau + 1))
+    report = solve_full(seq)
+    assert report.status == STATUS_SUCCESS and report.tau == tau
+    sizes = {indexing.basis_size(dim, tau), indexing.basis_size(dim, tau + 1)}
+    assert sizes in ({455, 560}, {495, 715})
+    assert not sizes & set(eigvalsh_sizes)
