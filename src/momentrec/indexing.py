@@ -30,16 +30,18 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 # A plan above this many entries is built for its call and dropped, so one
-# 5-D 3^5 solve does not pin a 76 MB table. The rebuild is no longer small
-# next to the PSD and rank checks, which certify M(tau) and M(tau+1) with a
-# pivoted Cholesky (one thread: moment_plan(3, 16), 938,961 entries, takes
-# 31 ms of a 3-D 6^3 grid solve of about 70 ms; moment_plan(4, 9) 13 ms of
-# a 4-D 3^4 one). Keeping such plans (a limit of 2^20) cuts that solve to
-# about 52 ms but raises the grid benchmark's peak RSS from 69 to 75 MB,
-# above the 70 MB it had when those checks ran eigvalsh.
+# 5-D 3^5 solve does not pin a 76 MB table. The rebuild is small next to the
+# PSD and rank checks, which certify M(tau) and M(tau+1) with a pivoted
+# Cholesky (one thread: moment_plan(3, 16), 938,961 entries, takes 4 ms of a
+# 3-D 6^3 grid solve of about 64 ms, the two certificates 33 ms of it;
+# moment_plan(4, 9) 3 ms of a 4-D 3^4 one). Keeping such plans (a limit of
+# 2^20) would save at most the rebuild, and it raised the grid benchmark's
+# peak RSS from 69 to 75 MB.
 PLAN_RETAIN_LIMIT = 1 << 18
 # All retained plans together, in entries: 4 bytes each, 8 in basis arrays.
 PLAN_STORE_LIMIT = 1 << 22
+# degree_lex_pair_ranks sums keys and gathers this many (i, j) pairs at a time.
+PAIR_BLOCK_ENTRIES = 1 << 15
 # Positions are int32, so a basis of 2^31 monomials or more is refused.
 _INT32_BASIS = 1 << 31
 
@@ -97,16 +99,44 @@ def _rank_terms(dim: int, top: int) -> np.ndarray:
 def degree_lex_pair_ranks(left, right) -> np.ndarray:
     """(n, m) int32 degree-lex positions of left[i] + right[j] for (n, d) and (m, d) inputs.
 
-    Suffix sums add, so term c is one lookup at s_c(left[i]) + s_c(right[j]):
-    memory stays near three int32 (n, m) arrays, not n * m * d summed
-    exponents. A negative exponent is allowed where the sum stays a valid tuple.
+    The position of a tuple is sum_c terms[c, s_c] over its suffix sums s_c,
+    and suffix sums add. So does a mixed-radix key over the suffix sums of a
+    group of consecutive axes, and one table indexed by that key holds the
+    group's summed terms: a group costs one key sum and one gather per pair.
+    Each group is as wide as its table allows within n * m entries, so a
+    moment plan in 1-3 variables is one gather and no table outgrows the
+    result; keys are formed PAIR_BLOCK_ENTRIES pairs at a time, so the result
+    is the only (n, m) array. A negative exponent is allowed where every sum
+    is a valid tuple.
     """
     a = np.cumsum(np.asarray(left, dtype=np.intp)[:, ::-1], axis=1)[:, ::-1]
     b = np.cumsum(np.asarray(right, dtype=np.intp)[:, ::-1], axis=1)[:, ::-1]
     terms = _rank_terms(a.shape[1], int(a[:, 0].max(initial=0) + b[:, 0].max(initial=0)))
     rank = np.zeros((len(a), len(b)), dtype=np.int32)
-    for c, table in enumerate(terms):
-        rank += table[np.add.outer(a[:, c], b[:, c], dtype=np.int32)]
+    if rank.size == 0:
+        return rank
+    a_low, b_low = a.min(axis=0), b.min(axis=0)
+    a -= a_low
+    b -= b_low
+    low = (a_low + b_low).tolist()
+    width = (a.max(axis=0) + b.max(axis=0) + 1).tolist()
+    step = max(1, PAIR_BLOCK_ENTRIES // len(b))
+    start = 0
+    while start < len(width):
+        stop, entries = start + 1, width[start]
+        while stop < len(width) and entries * width[stop] <= rank.size:
+            entries *= width[stop]
+            stop += 1
+        # Every sum s_c lies in low[c] .. low[c] + width[c] - 1, one digit of the key.
+        table = terms[start, low[start] : low[start] + width[start]]
+        for c in range(start + 1, stop):
+            table = np.add.outer(table, terms[c, low[c] : low[c] + width[c]])
+        radix = np.cumprod([1] + width[stop - 1 : start : -1])[::-1]
+        table = table.ravel()
+        row_keys, column_keys = a[:, start:stop] @ radix, b[:, start:stop] @ radix
+        for row in range(0, len(a), step):
+            rank[row : row + step] += table[np.add.outer(row_keys[row : row + step], column_keys)]
+        start = stop
     return rank
 
 

@@ -98,7 +98,7 @@ def test_rank_rejects_bad_indices():
 
 def test_ranks_of_sums_match_positions():
     """Ranks of pairwise sums, tabulated or summed first, equal list positions."""
-    for dim in (1, 2, 3, 5):
+    for dim in (1, 2, 3, 5, 6, 10):
         labels = enumerate_basis(dim, 3)
         position = {idx: pos for pos, idx in enumerate(enumerate_basis(dim, 6))}
         expected = [
@@ -106,6 +106,8 @@ def test_ranks_of_sums_match_positions():
             for x in labels
         ]
         assert degree_lex_pair_ranks(labels, labels).tolist() == expected
+        for r, x in enumerate(labels):
+            assert degree_lex_pair_ranks([x], [labels[-1 - r]]).tolist() == [[expected[r][-1 - r]]]
         assert degree_lex_ranks(labels).tolist() == list(range(len(labels)))
         grid = np.array(labels)
         assert degree_lex_ranks(grid[:, None] + grid[None, :]).tolist() == expected
@@ -161,6 +163,15 @@ def test_plans_match_direct_ranks(empty_store):
         assert grid.shape == shape
         for idx in itertools.product(*map(range, shape)):
             assert grid[idx] == degree_lex_rank(idx)
+    # extension_plan's right operands are negative: -k * e_axis, k = 1 .. order
+    for dim in (1, 2, 3, 6):
+        position = {idx: pos for pos, idx in enumerate(enumerate_basis(dim, 6))}
+        basis = np.array(enumerate_basis(dim, 5))
+        for axis in range(dim):
+            steps = -np.outer(np.arange(1, 4), np.eye(dim, dtype=int)[axis])
+            rows = basis[basis[:, axis] >= 3]
+            expected = [[position[tuple(row + step)] for step in steps] for row in rows]
+            assert degree_lex_pair_ranks(rows, steps).tolist() == expected
     # positions are int32; basis_array holds exponents and stays intp
     for (name, *_), plan in empty_store.items():
         for array in (plan,) if isinstance(plan, np.ndarray) else plan:
@@ -249,7 +260,10 @@ def test_int32_guard_allocates_nothing_large():
             degree_lex_pair_ranks([[2000, 0, 0]], [[1000, 0, 0]])
         with pytest.raises(ValueError, match="int32"):
             basis_array(3, 3000)
+        # passes the guard with wide suffix sums: tables stay within the 1 x 1 result
+        rank = degree_lex_pair_ranks([[1000, 0, 0]], [[900, 0, 0]])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert rank.tolist() == [[degree_lex_rank((1900, 0, 0))]]

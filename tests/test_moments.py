@@ -356,7 +356,7 @@ def test_moment_matrix_memory_follows_the_basis():
 
 
 def test_moment_matrix_transient_is_int32():
-    """Building M(16) in 3-D (969^2 entries) peaks near three int32 tables."""
+    """Building M(16) in 3-D (969^2 entries) peaks at the int32 plan plus its key sums or entries."""
     seq = TruncatedSequence(3, 32, np.ones(6545))
     build_moment_matrix(seq, 1)  # the 3-D rank tables and small plans, outside the count
     tracemalloc.start()
