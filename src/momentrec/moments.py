@@ -13,27 +13,33 @@ Positive semidefiniteness and numeric rank are decided with relative
 tolerances on the eigenvalues: an eigenvalue floor of ``-tol * (1 + |trace|)``
 and a singular value (|eigenvalue|) cutoff of ``tol * sigma_max``. Each
 matrix computes at most one spectrum bracket and one eigendecomposition,
-whichever check runs first paying for them.
+whichever check runs first paying for them. A matrix and the leading blocks
+``truncate`` cuts from it share one pivoted Cholesky factorization, computed
+when the first of them needs a bracket.
 
 A matrix of ``CERTIFY_MIN_SIZE`` rows or more first gets a certificate in
-place of an eigendecomposition: a pivoted Cholesky factor R, stopped once
-the largest remaining Schur diagonal is at most ``FACTOR_STOP`` times the
-largest diagonal, and as radius the Frobenius norm of the remaining Schur
-complement plus a roundoff allowance. By Weyl's inequality every eigenvalue
-lies within that radius of the spectrum of the small R R^T padded with
-zeros. The PSD verdict and the rank are read from these brackets where they
-decide. Where the lower bound falls below the PSD floor, or a bracket
-straddles the rank cutoff, eigvalsh runs and its eigenvalues are read
-instead, so every verdict and rank is eigvalsh's. The one visible difference
-is ``min_eigenvalue`` of a certified PSD matrix, which is then the
-certificate's lower bound on the smallest eigenvalue. Smaller matrices go
-straight to eigvalsh, which is the faster of the two there.
+place of an eigendecomposition. The matrix a block was cut from (or the
+matrix itself) is factored as A = R^T R + E by a pivoted Cholesky, stopped
+once the largest remaining Schur diagonal is at most ``FACTOR_STOP`` times
+the largest diagonal; R has k rows, and E is the remaining Schur complement
+plus roundoff. Every leading n-row block is then R'^T R' + E' with R' the
+first n columns of R, so by Weyl's inequality each of its eigenvalues lies
+within a radius of the spectrum of the smaller of R' R'^T and R'^T R',
+padded with zeros. The radius is the Frobenius norm of E' (one band pass
+over the Schur complement gives it for every block ``truncate`` can cut)
+plus a roundoff allowance. The PSD verdict and the rank are read from these
+brackets where they decide. Where the lower bound falls below the PSD floor,
+or a bracket straddles the rank cutoff, eigvalsh runs and its eigenvalues
+are read instead, so every verdict and rank is eigvalsh's. The one visible
+difference is ``min_eigenvalue`` of a certified PSD matrix, which is then
+the certificate's lower bound on the smallest eigenvalue. Smaller matrices
+go straight to eigvalsh, which is the faster of the two there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -72,9 +78,9 @@ CERTIFY_MIN_SIZE = 48
 # The pivoted Cholesky stops once the largest remaining Schur diagonal is at
 # most this times the largest diagonal of the matrix.
 FACTOR_STOP = 1e-11
-# Roundoff allowance of the certificate per row of the matrix plus row of
-# the factor R, in units of ||S||_F + ||R||_F^2 (S the Schur complement; the
-# two bound ||A||_2): a generous multiple of the unit roundoff.
+# Roundoff allowance of a certificate per row of the block plus row of the
+# factor R, in units of ||S||_F + ||R||_F^2 over the block (S the Schur
+# complement; the two bound ||A||_2): a generous multiple of the unit roundoff.
 _ROUNDOFF = 4.0 * float(np.finfo(float).eps)
 # Entries of the matrix gathered at once into the Schur complement, which
 # keeps the certificate's working set below the copy eigvalsh makes.
@@ -169,6 +175,8 @@ class MomentMatrix:
     labels: tuple[MultiIndex, ...]
     entries: np.ndarray
     localizer: MultivariatePoly | None = None
+    # the matrix ``truncate`` cut this one from, whose factorization it reads
+    _source: MomentMatrix | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -188,8 +196,17 @@ class MomentMatrix:
         return np.linalg.eigvalsh(self.entries)
 
     @cached_property
+    def _factorization(self) -> tuple[np.ndarray, dict[int, float]]:
+        # the blocks ``truncate`` can cut that are large enough to be certified
+        sizes = {basis_size(self.dim, order) for order in range(self.order + 1)}
+        blocks = sorted(n for n in sizes | {self.size} if n >= CERTIFY_MIN_SIZE)
+        return _pivoted_cholesky(self.entries, blocks)
+
+    @cached_property
     def _certificate(self) -> tuple[np.ndarray, float] | None:
-        return _certified_spectrum(self.entries)
+        source = self if self._source is None else self._source
+        factor, schur_squares = source._factorization
+        return _leading_spectrum(factor, schur_squares[self.size], self.size)
 
     @property
     def spectrum(self) -> tuple[np.ndarray, float]:
@@ -197,7 +214,10 @@ class MomentMatrix:
 
         The tightest bracket known so far: the exact ``eigenvalues`` (radius 0)
         once they are computed or the matrix is below ``CERTIFY_MIN_SIZE``
-        rows, else the pivoted-Cholesky certificate.
+        rows, else the pivoted-Cholesky certificate. A block from ``truncate``
+        reads its certificate off the factorization of the matrix it was cut
+        from, which is computed once, on whichever of the two is checked first;
+        the bracket is the same either way.
         """
         if "eigenvalues" not in self.__dict__ and len(self.labels) >= CERTIFY_MIN_SIZE:
             certificate = self._certificate
@@ -211,13 +231,18 @@ class MomentMatrix:
         return float(np.abs(self.spectrum[0]).max(initial=0.0))
 
     def truncate(self, order: int) -> "MomentMatrix":
-        """The same matrix at a lower order: its leading principal block."""
+        """The same matrix at a lower order: its leading principal block.
+
+        The block keeps the matrix it was cut from (for a block of a block,
+        the first one) and is certified from that matrix's pivoted Cholesky,
+        so a matrix and all its blocks are factored once.
+        """
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
         n = basis_size(self.dim, order)
-        return replace(
-            self, order=order, labels=self.labels[:n], entries=self.entries[:n, :n]
-        )
+        source = self if self._source is None else self._source
+        entries = self.entries[:n, :n]
+        return replace(self, order=order, labels=self.labels[:n], entries=entries, _source=source)
 
     def to_dict(self) -> dict:
         out = {
@@ -374,19 +399,18 @@ def _bracket_rank(
     return above
 
 
-def _certified_spectrum(entries: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Eigenvalue centers and radius from a pivoted Cholesky; None if not finite.
+def _pivoted_cholesky(
+    entries: np.ndarray, blocks: list[int]
+) -> tuple[np.ndarray, dict[int, float]]:
+    """Pivoted Cholesky factor R of A and the Schur complement's norm in leading blocks.
 
-    Rows R of the factor are taken greedily at the largest remaining Schur
-    diagonal until it falls to ``FACTOR_STOP`` times the largest diagonal,
-    so A = R^T R + E. The spectrum of R^T R is that of the small R R^T
-    padded with zeros, and by Weyl's inequality each eigenvalue of A lies
-    within ||E||_2 <= ||E||_F of its counterpart there. E is the Schur
-    complement S on the unpivoted rows, computed explicitly, plus roundoff
-    on the pivoted ones; the ``_ROUNDOFF`` allowance bounds that roundoff,
-    the roundoff of forming S and R R^T, and the backward error of eigvalsh
-    itself, so a bracket that decides a question decides it as eigvalsh's
-    eigenvalues would.
+    Rows of R are taken greedily at the largest remaining Schur diagonal
+    until it falls to ``FACTOR_STOP`` times the largest diagonal, so
+    A = R^T R + E, with R of shape (k, N) in A's own column order. E is the
+    Schur complement S on the unpivoted rows, computed explicitly, plus
+    roundoff on the pivoted ones. Every leading n-row block of A is then
+    R[:, :n]^T R[:, :n] + E[:n, :n]. The second value maps each row count n
+    in ``blocks`` to the squared Frobenius norm of S's part in that block.
     """
     n = entries.shape[0]
     schur = entries.diagonal().copy()
@@ -407,24 +431,58 @@ def _certified_spectrum(entries: np.ndarray) -> tuple[np.ndarray, float] | None:
         schur[p] = -np.inf
         pivots[k] = p
         k += 1
-    factor = rows[:k]
+    # a copy, so the matrix and its blocks keep k rows, not the N x N buffer,
+    # which is released before the band pass
+    factor = rows[:k].copy()
+    rows = row = None
     free = np.flatnonzero(schur != -np.inf)
     rest = factor.take(free, 1)
-    # ||S||_F^2 of the symmetric Schur complement S, a band of rows at a
-    # time from its diagonal block rightward: off-diagonal entries count twice
-    squares = 0.0
+    # S a band of rows at a time, from the band's diagonal block rightward;
+    # an entry right of that block stands for its mirror image too. A block
+    # whose boundary lies past the band takes the band's squares left of the
+    # boundary; one whose boundary falls inside the band takes the part of
+    # the diagonal block before it.
+    schur_squares = dict.fromkeys(blocks, 0.0)
+    cuts = free.searchsorted(blocks).tolist()
     step = max(1, _GATHER_BLOCK // n)
     for start in range(0, free.size, step):
-        band = entries[free[start : start + step]].take(free[start:], 1)
-        band -= rest[:, start : start + step].T @ rest[:, start:]
-        diagonal = band[:, :step]
-        squares += 2.0 * float(np.vdot(band, band)) - float(np.vdot(diagonal, diagonal))
-    gram = factor @ factor.T
-    schur_norm = math.sqrt(squares)
+        end = min(start + step, free.size)
+        band = entries[free[start:end]].take(free[start:], 1)
+        band -= rest[:, start:end].T @ rest[:, start:]
+        running = np.einsum("ij,ij->j", band, band).cumsum()
+        diagonal = running[end - start - 1]
+        for size, cut in zip(blocks, cuts):
+            if cut >= end:
+                schur_squares[size] += float(2.0 * running[cut - start - 1] - diagonal)
+            elif cut > start:
+                head = band[: cut - start, : cut - start]
+                schur_squares[size] += float(np.einsum("ij,ij->", head, head))
+    return factor, schur_squares
+
+
+def _leading_spectrum(
+    factor: np.ndarray, schur_squares: float, n: int
+) -> tuple[np.ndarray, float] | None:
+    """Eigenvalue centers and radius of the leading n-row block; None if not finite.
+
+    With R' = R[:, :n] of ``_pivoted_cholesky`` and ``schur_squares`` the
+    squared norm of the Schur complement's part in the block, the spectrum of
+    R'^T R' is that of the smaller of R' R'^T and R'^T R', padded with zeros,
+    and by Weyl's inequality each eigenvalue of the block lies within
+    ||E[:n, :n]||_2 <= ||E[:n, :n]||_F of its counterpart there. The
+    ``_ROUNDOFF`` allowance bounds the roundoff on the pivoted rows, that of
+    forming S and the Gram matrix, and the backward error of eigvalsh itself,
+    so a bracket that decides a question decides it as eigvalsh's
+    eigenvalues would.
+    """
+    head = factor[:, :n]
+    k = head.shape[0]
+    gram = head @ head.T if k <= n else head.T @ head
+    schur_norm = math.sqrt(schur_squares)
     radius = schur_norm + _ROUNDOFF * (n + k) * (schur_norm + float(np.trace(gram)))
     if not math.isfinite(radius):
         return None
-    centers = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(n - k)])
+    centers = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(n - len(gram))])
     centers.sort()
     return centers, radius
 

@@ -7,7 +7,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from momentrec import indexing
+from momentrec import indexing, moments
 from momentrec.binet import AtomicMeasure, evaluate_moments, multivariate_binet
 from momentrec.indexing import enumerate_basis, iter_basis
 from momentrec.moments import (
@@ -24,7 +24,7 @@ from momentrec.moments import (
 from momentrec.polynomials import MultivariatePoly
 from momentrec.recurrence import detect_characteristic_system, extend_sequence
 from momentrec.sampling import sample_instance
-from momentrec.solver import STATUS_SUCCESS, solve_full
+from momentrec.solver import STATUS_SUCCESS, flat_extension_check, solve_full
 
 ONES_D2 = TruncatedSequence(2, 2, {idx: 1.0 for idx in iter_basis(2, 2)})
 PAIR = AtomicMeasure(dim=2, points=((0.0, 0.0), (1.0, 1.0)), weights=(1.0, 1.0))
@@ -469,13 +469,16 @@ def eigvalsh_sizes(monkeypatch):
     return sizes
 
 
-def _check_against_eigvalsh(entries):
-    """Verdict and rank equal eigvalsh's for three tolerance pairs; count certified checks."""
+def _check_against_eigvalsh(entries, fresh=None):
+    """Verdict and rank equal eigvalsh's for three tolerance pairs; count certified checks.
+
+    ``fresh()`` makes the matrix checked, with nothing cached, over these entries.
+    """
     n = entries.shape[0]
     certified = 0
     for tol, scale in ((1e-8, None), (1e-8, 1e3), (1e-3, 0.5)):
         is_psd, lam, rank = _reference(entries, tol, scale)
-        matrix = _labelled(entries)
+        matrix = _labelled(entries) if fresh is None else fresh()
         check = psd_check(matrix, tol)
         assert check.is_psd == is_psd
         assert numeric_rank(matrix, tol, scale=scale) == rank
@@ -533,16 +536,118 @@ def test_eigenvalue_on_the_rank_cutoff_falls_back(eigvalsh_sizes):
     assert n in eigvalsh_sizes
 
 
-@pytest.mark.parametrize("dim, nodes", [(3, 5), (4, 3)])
-def test_solver_certifies_the_large_moment_matrices(eigvalsh_sizes, dim, nodes):
-    """solve_full on a product grid runs no eigvalsh on M(tau) or M(tau+1)."""
+@pytest.fixture
+def factored_sizes(monkeypatch):
+    """Row counts of every matrix the pivoted Cholesky factors."""
+    sizes = []
+    original = moments._pivoted_cholesky
+
+    def recording(entries, blocks):
+        sizes.append(entries.shape[0])
+        return original(entries, blocks)
+
+    monkeypatch.setattr(moments, "_pivoted_cholesky", recording)
+    return sizes
+
+
+def _grid_sequence(dim, nodes, degree):
     axis = np.linspace(-1.0, 1.0, nodes)
     points = tuple(itertools.product(*([tuple(axis)] * dim)))
     weights = tuple(1.0 + 0.01 * i for i in range(len(points)))
+    return evaluate_moments(AtomicMeasure(dim, points, weights), degree)
+
+
+@pytest.mark.parametrize("dim, nodes", [(3, 5), (4, 3)])
+def test_solver_certifies_the_large_moment_matrices(
+    eigvalsh_sizes, factored_sizes, dim, nodes
+):
+    """solve_full on a product grid factors M(tau+1) once, M(tau) from it, with no eigvalsh."""
     tau = dim * (nodes - 1)
-    seq = evaluate_moments(AtomicMeasure(dim, points, weights), 2 * (tau + 1))
+    seq = _grid_sequence(dim, nodes, 2 * (tau + 1))
     report = solve_full(seq)
     assert report.status == STATUS_SUCCESS and report.tau == tau
     sizes = {indexing.basis_size(dim, tau), indexing.basis_size(dim, tau + 1)}
     assert sizes in ({455, 560}, {495, 715})
+    assert factored_sizes == [max(sizes)]
+    assert all(record.certified for record in report.psd_records)
+    flat = flat_extension_check(seq, report.system, tau)
+    assert factored_sizes == [max(sizes)] * 2
+    assert (flat.rank_n, flat.rank_next) == tuple(r.rank for r in report.psd_records)
     assert not sizes & set(eigvalsh_sizes)
+
+
+def _random_atoms(rng, dim, count, degree):
+    points = tuple(tuple(p) for p in rng.uniform(-1.0, 1.0, size=(count, dim)))
+    weights = tuple(rng.uniform(0.5, 1.5, size=count))
+    return evaluate_moments(AtomicMeasure(dim, points, weights), degree)
+
+
+def test_leading_blocks_are_certified_from_their_source():
+    """Blocks of flat and non-flat M(n) give eigvalsh's verdicts and ranks from one factor."""
+    rng = np.random.default_rng(10)
+    inputs = [(_grid_sequence(3, 3, 14), 7), (_grid_sequence(2, 6, 20), 10)]
+    for dim, count, n in ((3, 20, 5), (3, 60, 7), (3, 140, 7), (2, 40, 10), (2, 70, 11)):
+        inputs.append((_random_atoms(rng, dim, count, 2 * n), n))
+    certified = non_flat = wide = 0
+    for seq, n in inputs:
+        full = build_moment_matrix(seq, n)
+        rank_full = numeric_rank(full)
+        for j in range(n + 1):
+            block = full.truncate(j)
+            certified += _check_against_eigvalsh(
+                block.entries, lambda: build_moment_matrix(seq, n).truncate(j)
+            )
+            if block.size >= moments.CERTIFY_MIN_SIZE:
+                non_flat += numeric_rank(block) < rank_full
+                wide += full._factorization[0].shape[0] > block.size
+            # the bracket does not depend on which of the two is checked first
+            source = build_moment_matrix(seq, n)
+            block_first = source.truncate(j).spectrum
+            source.spectrum
+            other = build_moment_matrix(seq, n)
+            other.spectrum
+            source_first = other.truncate(j).spectrum
+            assert np.array_equal(block_first[0], source_first[0])
+            assert block_first[1] == source_first[1]
+    # the certificate decided most of them, among them non-flat and wide blocks
+    assert certified >= 40 and non_flat >= 5 and wide >= 3
+
+
+def test_one_band_pass_gives_the_schur_norm_of_every_block():
+    """The factorization reports ||(A - R^T R)[:n, :n]||_F^2 for every block asked for."""
+    rng = np.random.default_rng(8)
+    n = 300
+    # 40 positive directions over a negative definite rest: pivoting stops
+    # within the 40 and leaves a Schur complement far above roundoff
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spectrum = np.concatenate([np.logspace(0, -3, 40), -rng.uniform(1e-4, 1e-3, n - 40)])
+    entries = (basis * spectrum) @ basis.T
+    entries = (entries + entries.T) / 2.0
+    blocks = [48, 100, 217, 219, 231, 232, 250, 299, n]
+    factor, squares = moments._pivoted_cholesky(entries, blocks)
+    # more unpivoted rows than one band of 65536 // 300 = 218 holds
+    assert n - factor.shape[0] > 218
+    assert sorted(squares) == blocks
+    remainder = entries - factor.T @ factor
+    total = np.vdot(remainder, remainder)
+    for size in blocks:
+        reference = np.vdot(remainder[:size, :size], remainder[:size, :size])
+        # on the pivoted rows the remainder is roundoff, far below the Schur complement
+        assert abs(squares[size] - reference) <= 1e-10 * total
+
+
+def test_block_certificates_keep_only_the_factor():
+    """A matrix and its block, both checked, retain far less than one N x N array."""
+    full = build_moment_matrix(_random_atoms(np.random.default_rng(4), 3, 20, 24), 12)
+    block = full.truncate(10)
+    tracemalloc.start()
+    try:
+        for matrix in (block, full):
+            check = psd_check(matrix)
+            numeric_rank(matrix)
+            assert check.certified
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert full.size == 455
+    assert retained < full.entries.nbytes / 8
