@@ -33,7 +33,7 @@ from .errors import (
 )
 from .indexing import basis_array, grid_plan
 from .moments import TruncatedSequence
-from .polynomials import MultivariatePoly, UnivariatePoly, poly_roots
+from .polynomials import MultivariatePoly, UnivariatePoly, monomials, poly_roots, power_table
 from .recurrence import CharacteristicSystem
 
 __all__ = [
@@ -133,19 +133,6 @@ def _simple_roots(poly: UnivariatePoly, axis: int) -> tuple[complex, ...]:
     return tuple(root for root, _ in roots)
 
 
-def _power_table(roots: Sequence[complex], degree: int) -> np.ndarray:
-    """Row k holds root ** k for k = 0..degree, in the dtype of ``roots``.
-
-    Its first len(roots) rows are the square Vandermonde matrix of the roots.
-    """
-    roots = np.asarray(roots)
-    table = np.empty((degree + 1, len(roots)), dtype=roots.dtype)
-    table[0] = 1.0
-    for k in range(1, degree + 1):
-        table[k] = table[k - 1] * roots
-    return table
-
-
 def _by_mode(
     tensor: np.ndarray, operations: Sequence[Callable[[np.ndarray], np.ndarray]]
 ) -> np.ndarray:
@@ -176,7 +163,7 @@ def univariate_binet(
             f"need exactly {m} initial terms, got {len(initial)}"
         )
     roots = _simple_roots(poly, axis=0)
-    coef = np.linalg.solve(_power_table(roots, m - 1), np.asarray(initial, dtype=complex))
+    coef = np.linalg.solve(power_table(roots, m - 1), np.asarray(initial, dtype=complex))
     return [(roots[i], complex(coef[i])) for i in range(m)]
 
 
@@ -205,7 +192,7 @@ def multivariate_binet(
             f"initial block needs moments to degree {block_degree}, "
             f"only {seq.max_degree} available"
         )
-    tables = [_power_table(r, seq.max_degree) for r in roots]
+    tables = [power_table(r, seq.max_degree) for r in roots]
     solves = [partial(np.linalg.solve, t[:m]) for t, m in zip(tables, shape)]
     coefficients = _by_mode(seq.array[grid_plan(shape)].astype(complex), solves)
     recon = _by_mode(coefficients, [partial(np.matmul, t) for t in tables])
@@ -274,16 +261,12 @@ def evaluate_moments(measure: AtomicMeasure, degree: int) -> TruncatedSequence:
         raise ValueError("degree must be nonnegative")
     exponents = basis_array(measure.dim, degree)
     points = np.array(measure.points, dtype=float).reshape(measure.atom_count, measure.dim)
-    tables = [_power_table(axis, degree) for axis in points.T]
+    tables = [power_table(axis, degree) for axis in points.T]
     weights = np.array(measure.weights, dtype=float)
     values = np.empty(len(exponents))
     step = max(1, MOMENT_BLOCK_ENTRIES // max(1, measure.atom_count))
     for start in range(0, len(exponents), step):
-        rows = exponents[start : start + step].T
-        products = tables[0][rows[0]]
-        for table, column in zip(tables[1:], rows[1:]):
-            products *= table[column]
-        values[start : start + step] = products @ weights
+        values[start : start + step] = monomials(tables, exponents[start : start + step]) @ weights
     return TruncatedSequence(measure.dim, degree, values)
 
 

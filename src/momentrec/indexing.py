@@ -19,6 +19,7 @@ for its call and dropped. Retained plans together hold at most
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -30,13 +31,10 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 # A plan above this many entries is built for its call and dropped, so one
-# 5-D 3^5 solve does not pin a 76 MB table. The rebuild is small next to the
-# PSD and rank checks, which certify M(tau) and M(tau+1) with a pivoted
-# Cholesky (one thread: moment_plan(3, 16), 938,961 entries, takes 4 ms of a
-# 3-D 6^3 grid solve of about 64 ms, the two certificates 33 ms of it;
-# moment_plan(4, 9) 3 ms of a 4-D 3^4 one). Keeping such plans (a limit of
-# 2^20) would save at most the rebuild, and it raised the grid benchmark's
-# peak RSS from 69 to 75 MB.
+# 5-D 3^5 solve does not pin a 76 MB table. A solve builds such moment plans
+# only where the recovered measure's bracket leaves a check to eigvalsh
+# (``moments.moment_bracket``); keeping them (a limit of 2^20) raised the
+# grid benchmark's peak RSS from 69 to 75 MB when every solve built M(tau+1).
 PLAN_RETAIN_LIMIT = 1 << 18
 # All retained plans together, in entries: 4 bytes each, 8 in basis arrays.
 PLAN_STORE_LIMIT = 1 << 22
@@ -222,6 +220,29 @@ def moment_plan(dim: int, order: int) -> np.ndarray:
     """M(order)'s positions: entry (r, c) is the rank of label r + label c."""
     labels = basis_array(dim, order)
     return degree_lex_pair_ranks(labels, labels)
+
+
+@_plan
+def pair_counts(dim: int, order: int) -> np.ndarray:
+    """How often each t of degree <= 2 * order is a + b over M(order)'s labels.
+
+    So ||[x_{a+b}]||_F^2 = sum_t counts[t] x_t^2 for any sequence x. counts[t]
+    is F(t, order) - F(t, |t| - order - 1), with F(t, k) the number of a <= t
+    with |a| <= k: by inclusion-exclusion over the axes S where a_l > t_l,
+    F(t, k) = sum_S (-1)^|S| basis_size(dim, k - sum_{l in S} (t_l + 1)).
+    """
+    exponents = basis_array(dim, 2 * order)
+    degree = exponents.sum(axis=1)
+    # sizes[m + 1] = basis_size(dim, m); every m below 0 reads sizes[0] = 0
+    sizes = np.array([0] + [basis_size(dim, m) for m in range(order + 1)], dtype=np.intp)
+    counts = np.zeros(len(exponents), dtype=np.intp)
+    for size in range(min(dim, order) + 1):
+        for axes in itertools.combinations(range(dim), size):
+            shift = exponents[:, axes].sum(axis=1) + size
+            term = sizes[np.maximum(order - shift, -1) + 1]
+            term -= sizes[np.maximum(degree - order - 1 - shift, -1) + 1]
+            counts += -term if size % 2 else term
+    return counts
 
 
 @_plan

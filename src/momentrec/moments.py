@@ -11,35 +11,22 @@ polynomial q is the moment matrix of the shifted sequence
 
 Positive semidefiniteness and numeric rank are decided with relative
 tolerances on the eigenvalues: an eigenvalue floor of ``-tol * (1 + |trace|)``
-and a singular value (|eigenvalue|) cutoff of ``tol * sigma_max``. Each
-matrix computes at most one spectrum bracket and one eigendecomposition,
-whichever check runs first paying for them. A matrix and the leading blocks
-``truncate`` cuts from it share one pivoted Cholesky factorization, computed
-when the first of them needs a bracket.
+and a singular value (|eigenvalue|) cutoff of ``tol * sigma_max``. A matrix
+computes one eigendecomposition (eigvalsh), on whichever check runs first.
 
-A matrix of ``CERTIFY_MIN_SIZE`` rows or more first gets a certificate in
-place of an eigendecomposition. The matrix a block was cut from (or the
-matrix itself) is factored as A = R^T R + E by a pivoted Cholesky, stopped
-once the largest remaining Schur diagonal is at most ``FACTOR_STOP`` times
-the largest diagonal; R has k rows, and E is the remaining Schur complement
-plus roundoff. Every leading n-row block is then R'^T R' + E' with R' the
-first n columns of R, so by Weyl's inequality each of its eigenvalues lies
-within a radius of the spectrum of the smaller of R' R'^T and R'^T R',
-padded with zeros. The radius is the Frobenius norm of E' (one band pass
-over the Schur complement gives it for every block ``truncate`` can cut)
-plus a roundoff allowance. The PSD verdict and the rank are read from these
-brackets where they decide. Where the lower bound falls below the PSD floor,
-or a bracket straddles the rank cutoff, eigvalsh runs and its eigenvalues
-are read instead, so every verdict and rank is eigvalsh's. The one visible
-difference is ``min_eigenvalue`` of a certified PSD matrix, which is then
-the certificate's lower bound on the smallest eigenvalue. Smaller matrices
-go straight to eigvalsh, which is the faster of the two there.
+Data that an r-atomic measure nearly represents need no matrix: the
+measure's M(n) is V^T W V with V[s, i] = x_s^{a_i}, its localizing matrix
+V^T diag(w q(x)) V, and the data's matrix adds the matrix E of the misfit
+sequence. ``moment_bracket`` puts every eigenvalue of the data's matrix
+within a radius (||E||_F plus roundoff, by Weyl's inequality) of the r x r
+Gram spectrum of the factor, and ``bracket_check`` reads the PSD verdict and
+the rank from that bracket where it decides them as eigvalsh would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -53,9 +40,10 @@ from .indexing import (
     basis_size,
     degree_lex_ranks,
     moment_plan,
+    pair_counts,
     shift_plan,
 )
-from .polynomials import MultivariatePoly
+from .polynomials import MultivariatePoly, monomials, power_table
 
 __all__ = [
     "TruncatedSequence",
@@ -67,24 +55,19 @@ __all__ = [
     "max_localizing_order",
     "psd_check",
     "numeric_rank",
+    "moment_bracket",
+    "bracket_check",
     "bilinear_form",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_PSD_TOL = 1e-8
-# Matrices with fewer rows skip the certificate and go straight to eigvalsh,
-# which is the faster of the two below about this size.
+# The solver brackets matrices of this many rows or more from the measure's
+# factor; smaller ones are built and go to eigvalsh, which is cheap there.
 CERTIFY_MIN_SIZE = 48
-# The pivoted Cholesky stops once the largest remaining Schur diagonal is at
-# most this times the largest diagonal of the matrix.
-FACTOR_STOP = 1e-11
-# Roundoff allowance of a certificate per row of the block plus row of the
-# factor R, in units of ||S||_F + ||R||_F^2 over the block (S the Schur
-# complement; the two bound ||A||_2): a generous multiple of the unit roundoff.
+# Roundoff allowance of a bracket per unit of the lengths in
+# ``moment_bracket``'s proof: a generous multiple of the unit roundoff.
 _ROUNDOFF = 4.0 * float(np.finfo(float).eps)
-# Entries of the matrix gathered at once into the Schur complement, which
-# keeps the certificate's working set below the copy eigvalsh makes.
-_GATHER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -175,8 +158,6 @@ class MomentMatrix:
     labels: tuple[MultiIndex, ...]
     entries: np.ndarray
     localizer: MultivariatePoly | None = None
-    # the matrix ``truncate`` cut this one from, whose factorization it reads
-    _source: MomentMatrix | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -195,54 +176,12 @@ class MomentMatrix:
         """Ascending eigenvalues; their absolute values are the singular values."""
         return np.linalg.eigvalsh(self.entries)
 
-    @cached_property
-    def _factorization(self) -> tuple[np.ndarray, dict[int, float]]:
-        # the blocks ``truncate`` can cut that are large enough to be certified
-        sizes = {basis_size(self.dim, order) for order in range(self.order + 1)}
-        blocks = sorted(n for n in sizes | {self.size} if n >= CERTIFY_MIN_SIZE)
-        return _pivoted_cholesky(self.entries, blocks)
-
-    @cached_property
-    def _certificate(self) -> tuple[np.ndarray, float] | None:
-        source = self if self._source is None else self._source
-        factor, schur_squares = source._factorization
-        return _leading_spectrum(factor, schur_squares[self.size], self.size)
-
-    @property
-    def spectrum(self) -> tuple[np.ndarray, float]:
-        """Ascending centers and a radius: eigenvalue i lies within radius of center i.
-
-        The tightest bracket known so far: the exact ``eigenvalues`` (radius 0)
-        once they are computed or the matrix is below ``CERTIFY_MIN_SIZE``
-        rows, else the pivoted-Cholesky certificate. A block from ``truncate``
-        reads its certificate off the factorization of the matrix it was cut
-        from, which is computed once, on whichever of the two is checked first;
-        the bracket is the same either way.
-        """
-        if "eigenvalues" not in self.__dict__ and len(self.labels) >= CERTIFY_MIN_SIZE:
-            certificate = self._certificate
-            if certificate is not None:
-                return certificate
-        return self.eigenvalues, 0.0
-
-    @property
-    def sigma_max(self) -> float:
-        """Largest singular value, read from ``spectrum`` (exact within its radius)."""
-        return float(np.abs(self.spectrum[0]).max(initial=0.0))
-
     def truncate(self, order: int) -> "MomentMatrix":
-        """The same matrix at a lower order: its leading principal block.
-
-        The block keeps the matrix it was cut from (for a block of a block,
-        the first one) and is certified from that matrix's pivoted Cholesky,
-        so a matrix and all its blocks are factored once.
-        """
+        """The same matrix at a lower order: its leading principal block."""
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
         n = basis_size(self.dim, order)
-        source = self if self._source is None else self._source
-        entries = self.entries[:n, :n]
-        return replace(self, order=order, labels=self.labels[:n], entries=entries, _source=source)
+        return replace(self, order=order, labels=self.labels[:n], entries=self.entries[:n, :n])
 
     def to_dict(self) -> dict:
         out = {
@@ -339,8 +278,8 @@ def build_localizing_matrix(
 class PsdCheck:
     """Outcome of a tolerance-aware positive semidefiniteness test.
 
-    ``certified`` marks ``min_eigenvalue`` as the certificate's lower bound on
-    the smallest eigenvalue rather than eigvalsh's smallest eigenvalue.
+    ``certified`` marks ``min_eigenvalue`` as a bracket's lower bound on the
+    smallest eigenvalue rather than eigvalsh's smallest eigenvalue.
     """
 
     is_psd: bool
@@ -350,18 +289,10 @@ class PsdCheck:
 
 
 def psd_check(matrix: MomentMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdCheck:
-    """PSD iff the smallest eigenvalue is >= -tol * (1 + |trace|).
-
-    ``min_eigenvalue`` is the certificate's lower bound on the smallest
-    eigenvalue when that bound clears the threshold, and eigvalsh's smallest
-    eigenvalue otherwise; the verdict is eigvalsh's either way.
-    """
+    """PSD iff eigvalsh's smallest eigenvalue is >= -tol * (1 + |trace|)."""
+    lowest = float(matrix.eigenvalues[0])
     threshold = -tol * (1.0 + abs(float(np.trace(matrix.entries))))
-    centers, radius = matrix.spectrum
-    lowest = float(centers[0]) - radius
-    if radius and lowest < threshold:
-        lowest, radius = float(matrix.eigenvalues[0]), 0.0
-    return PsdCheck(lowest >= threshold, lowest, threshold, certified=radius > 0.0)
+    return PsdCheck(lowest >= threshold, lowest, threshold)
 
 
 def numeric_rank(
@@ -370,18 +301,14 @@ def numeric_rank(
     """Number of singular values above tol * max(sigma_max, scale).
 
     The matrix is symmetric, so its singular values are the absolute values
-    of the eigenvalues ``psd_check`` reads; the count comes from the same
-    spectrum, and from the exact eigenvalues only where a certificate's
-    bracket straddles the cutoff. ``scale`` sets an external noise floor for
-    matrices that are zero up to roundoff, where sigma_max itself is noise
-    and a purely relative cutoff would count every singular value. A
-    localizing matrix whose polynomial vanishes on all atoms is the standard
-    case; pass the parent moment matrix's largest singular value there.
+    of the eigenvalues ``psd_check`` reads. ``scale`` sets an external noise
+    floor for matrices that are zero up to roundoff, where sigma_max itself
+    is noise and a purely relative cutoff would count every singular value.
+    A localizing matrix whose polynomial vanishes on all atoms is the
+    standard case; pass the parent moment matrix's largest singular value
+    there.
     """
-    rank = _bracket_rank(*matrix.spectrum, tol, scale)
-    if rank is None:
-        rank = _bracket_rank(matrix.eigenvalues, 0.0, tol, scale)
-    return rank
+    return _bracket_rank(matrix.eigenvalues, 0.0, tol, scale)
 
 
 def _bracket_rank(
@@ -399,92 +326,88 @@ def _bracket_rank(
     return above
 
 
-def _pivoted_cholesky(
-    entries: np.ndarray, blocks: list[int]
-) -> tuple[np.ndarray, dict[int, float]]:
-    """Pivoted Cholesky factor R of A and the Schur complement's norm in leading blocks.
-
-    Rows of R are taken greedily at the largest remaining Schur diagonal
-    until it falls to ``FACTOR_STOP`` times the largest diagonal, so
-    A = R^T R + E, with R of shape (k, N) in A's own column order. E is the
-    Schur complement S on the unpivoted rows, computed explicitly, plus
-    roundoff on the pivoted ones. Every leading n-row block of A is then
-    R[:, :n]^T R[:, :n] + E[:n, :n]. The second value maps each row count n
-    in ``blocks`` to the squared Frobenius norm of S's part in that block.
-    """
-    n = entries.shape[0]
-    schur = entries.diagonal().copy()
-    stop = max(FACTOR_STOP * float(schur.max()), 0.0)
-    rows = np.empty((n, n))  # pages are touched only for the rows written
-    pivots = np.empty(n, dtype=np.intp)
-    k = 0
-    while k < n:
-        p = int(schur.argmax())
-        pivot = schur[p]
-        if not pivot > stop:
-            break
-        row = rows[k]
-        np.subtract(entries[p], rows[:k, p] @ rows[:k], out=row)
-        row *= 1.0 / math.sqrt(pivot)
-        row[pivots[:k]] = 0.0  # the factor is triangular in pivot order
-        schur -= row * row
-        schur[p] = -np.inf
-        pivots[k] = p
-        k += 1
-    # a copy, so the matrix and its blocks keep k rows, not the N x N buffer,
-    # which is released before the band pass
-    factor = rows[:k].copy()
-    rows = row = None
-    free = np.flatnonzero(schur != -np.inf)
-    rest = factor.take(free, 1)
-    # S a band of rows at a time, from the band's diagonal block rightward;
-    # an entry right of that block stands for its mirror image too. A block
-    # whose boundary lies past the band takes the band's squares left of the
-    # boundary; one whose boundary falls inside the band takes the part of
-    # the diagonal block before it.
-    schur_squares = dict.fromkeys(blocks, 0.0)
-    cuts = free.searchsorted(blocks).tolist()
-    step = max(1, _GATHER_BLOCK // n)
-    for start in range(0, free.size, step):
-        end = min(start + step, free.size)
-        band = entries[free[start:end]].take(free[start:], 1)
-        band -= rest[:, start:end].T @ rest[:, start:]
-        running = np.einsum("ij,ij->j", band, band).cumsum()
-        diagonal = running[end - start - 1]
-        for size, cut in zip(blocks, cuts):
-            if cut >= end:
-                schur_squares[size] += float(2.0 * running[cut - start - 1] - diagonal)
-            elif cut > start:
-                head = band[: cut - start, : cut - start]
-                schur_squares[size] += float(np.einsum("ij,ij->", head, head))
-    return factor, schur_squares
-
-
-def _leading_spectrum(
-    factor: np.ndarray, schur_squares: float, n: int
+def moment_bracket(
+    points, weights, misfit: TruncatedSequence, order: int, poly: MultivariatePoly | None = None
 ) -> tuple[np.ndarray, float] | None:
-    """Eigenvalue centers and radius of the leading n-row block; None if not finite.
+    """Ascending centers and a radius for the spectrum of the data's M(order).
 
-    With R' = R[:, :n] of ``_pivoted_cholesky`` and ``schur_squares`` the
-    squared norm of the Schur complement's part in the block, the spectrum of
-    R'^T R' is that of the smaller of R' R'^T and R'^T R', padded with zeros,
-    and by Weyl's inequality each eigenvalue of the block lies within
-    ||E[:n, :n]||_2 <= ||E[:n, :n]||_F of its counterpart there. The
-    ``_ROUNDOFF`` allowance bounds the roundoff on the pivoted rows, that of
-    forming S and the Gram matrix, and the backward error of eigvalsh itself,
-    so a bracket that decides a question decides it as eigvalsh's
-    eigenvalues would.
+    The data are the moments of the atomic measure (``points`` (r, dim),
+    ``weights``) plus ``misfit``; with ``poly`` = q the matrix is the
+    localizing M_q(order), and ``misfit`` must reach degree 2 * order +
+    deg q. Eigenvalue i of the matrix lies within the radius of center i.
+    None if the factor overflows.
+
+    Proof. Take q = 1 for M(order). Let N be the row count, u the unit
+    roundoff, V[s, i] = x_s^{a_i}, d_s = w_s q(x_s) as computed,
+    m_s = |w_s| sum_g |q_g x_s^g| and T = sum_s m_s ||v_s||^2. The data's
+    matrix is A = V^T D V + E exactly, with D = diag(d) and
+    E_ij = (q * e)_{a_i + a_j} for the exact misfit e. Split D = D+ - D-:
+    the nonzero eigenvalues of V^T D+ V are those of the Gram matrix
+    G = D+^1/2 V V^T D+^1/2 (r x r, or its N x N twin when r > N), V^T D- V
+    is PSD with norm at most its trace sum_s d-_s ||v_s||^2, and as
+    |q * e| <= |q| * |e| entrywise, ||E||_F^2 is at most
+    sum_t pair_counts[t] (|q| * |e|)_t^2. By Weyl's inequality every
+    eigenvalue of A lies within the sum of these norms of the spectrum of G
+    padded with zeros. With L = N + r + 2 order + deg q + (terms of q),
+    roundoff moves the centers by at most L u T (the powers, the weights d,
+    Gram sums of N products, and eigvalsh's backward error of about
+    r u ||G|| <= r u T); the misfit norm by at most L u T (the measure's
+    moments, sums of r products) plus (L + W) u times itself (subtractions,
+    the shift and the sum over W = basis_size(dim, 2 order) entries); and
+    eigvalsh's answer for A, which the bracket must contain, by at most
+    N u ||A|| <= N u (T + ||E||_F). ``_ROUNDOFF`` is 8 u, so the radius
+    below covers every item at least twice, and a bracket that decides a
+    question decides it as eigvalsh's eigenvalues of A would.
     """
-    head = factor[:, :n]
-    k = head.shape[0]
-    gram = head @ head.T if k <= n else head.T @ head
-    schur_norm = math.sqrt(schur_squares)
-    radius = schur_norm + _ROUNDOFF * (n + k) * (schur_norm + float(np.trace(gram)))
+    dim = misfit.dim
+    points = np.asarray(points, dtype=float).reshape(len(weights), dim)
+    weights = np.asarray(weights, dtype=float)
+    poly = MultivariatePoly.constant(dim, 1.0) if poly is None else poly
+    degree = max(poly.degree, 0)
+    tables = [power_table(axis, max(order, degree)) for axis in points.T]
+    at_points = monomials(tables, np.array(tuple(poly.terms), dtype=np.intp).reshape(-1, dim))
+    coefficients = np.array(list(poly.terms.values()), dtype=float)
+    scaled = weights * (coefficients @ at_points)
+    magnitude = np.abs(weights) * (np.abs(coefficients) @ np.abs(at_points))
+    # |q| * |e| bounds q * e entry by entry, so its norm bounds ||E||_F
+    bound = MultivariatePoly(dim, {g: abs(c) for g, c in poly.terms.items()})
+    sizes = shift_sequence(TruncatedSequence(dim, misfit.max_degree, np.abs(misfit.array)), bound)
+    window = sizes.array[: basis_size(dim, 2 * order)]
+    misfit_norm = math.sqrt(float(pair_counts(dim, order) @ (window * window)))
+    factor = monomials(tables, basis_array(dim, order))  # V^T, (N, r)
+    n, r = factor.shape
+    norms = np.einsum("is,is->s", factor, factor)
+    length = n + r + 2 * order + degree + len(coefficients)
+    radius = misfit_norm * (1.0 + _ROUNDOFF * (length + window.size)) + float(
+        np.maximum(-scaled, 0.0) @ norms + _ROUNDOFF * length * (magnitude @ norms)
+    )
     if not math.isfinite(radius):
         return None
+    factor *= np.sqrt(np.maximum(scaled, 0.0))
+    gram = factor.T @ factor if r <= n else factor @ factor.T
     centers = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(n - len(gram))])
     centers.sort()
     return centers, radius
+
+
+def bracket_check(
+    seq: TruncatedSequence, order: int, bracket: tuple, psd_tol: float, rank_tol: float, scale=None
+) -> tuple[PsdCheck, int] | None:
+    """``psd_check`` and ``numeric_rank`` of M(order) of ``seq``, read from a bracket.
+
+    The threshold is psd_check's, from the same diagonal summed the same
+    way. None unless the bracket certifies the matrix PSD and decides its
+    rank: a failing verdict reports eigvalsh's smallest eigenvalue, so it
+    needs the matrix.
+    """
+    centers, radius = bracket
+    diagonal = degree_lex_ranks(2 * basis_array(seq.dim, order))
+    threshold = -psd_tol * (1.0 + abs(float(seq.array[diagonal].sum())))
+    lowest = float(centers[0]) - radius
+    rank = _bracket_rank(centers, radius, rank_tol, scale)
+    if rank is None or lowest < threshold:
+        return None
+    return PsdCheck(True, lowest, threshold, certified=True), rank
 
 
 def bilinear_form(

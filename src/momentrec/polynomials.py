@@ -23,6 +23,8 @@ __all__ = [
     "UnivariatePoly",
     "MultivariatePoly",
     "poly_roots",
+    "power_table",
+    "monomials",
 ]
 
 ROOT_CLUSTER_TOL = 1e-7
@@ -131,8 +133,12 @@ def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
     if monic.degree == 0:
         return []
     raw = np.roots(np.asarray(monic.coeffs)[::-1])
-    raw = sorted(raw, key=lambda z: (z.real, z.imag))
+    raw = raw[np.lexsort((raw.imag, raw.real))]
     threshold = ROOT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(raw))))
+    # the loop compares each root with its neighbour's cluster: if no two
+    # neighbours are that close, each root is a cluster of one, its own mean
+    if np.all(np.abs(np.diff(raw)) > threshold):
+        return [(complex(z), 1) for z in raw.tolist()]
     clusters: list[list[complex]] = []
     for z in raw:
         if clusters and abs(z - np.mean(clusters[-1])) <= threshold:
@@ -140,6 +146,24 @@ def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
         else:
             clusters.append([z])
     return [(complex(np.mean(c)), len(c)) for c in clusters]
+
+
+def power_table(values, degree: int) -> np.ndarray:
+    """Row k holds values ** k for k = 0..degree, by repeated products, in their dtype."""
+    values = np.asarray(values)
+    table = np.empty((degree + 1, len(values)), dtype=values.dtype)
+    table[0] = 1.0
+    for k in range(1, degree + 1):
+        table[k] = table[k - 1] * values
+    return table
+
+
+def monomials(tables, exponents: np.ndarray) -> np.ndarray:
+    """Row i holds x^exponents[i] at every point, from the points' per-axis ``power_table``s."""
+    out = tables[0][exponents[:, 0]]
+    for table, column in zip(tables[1:], exponents.T[1:]):
+        out *= table[column]
+    return out
 
 
 @dataclass(frozen=True)

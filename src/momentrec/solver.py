@@ -1,14 +1,20 @@
 """End-to-end recovery pipelines and their reports.
 
 ``solve_full`` runs: recurrence detection -> extension to degree 2(tau+1) ->
-PSD checks of M(tau) and M(tau+1) -> power-sum expansion -> measure
-conversion -> moment verification. ``solve_constrained`` refuses a zero or
+power-sum expansion -> measure conversion -> PSD checks of M(tau) and
+M(tau+1) -> moment verification. ``solve_constrained`` refuses a zero or
 wrong-dimension constraint with ValueError before the first stage, and adds,
 for each constraint q, a localizing-matrix analysis and a sign check of q on
 the recovered atoms.
 
+The PSD checks follow the expansion because they read its measure, whose
+moments to the extension's degree give both the data's misfit and the moment
+residual. A matrix of ``CERTIFY_MIN_SIZE`` rows or more is checked from the
+measure's factor (``moments.moment_bracket``) and built for eigvalsh only
+where that cannot certify it; smaller ones always go to eigvalsh.
+
 One solve builds one SolveReport, at whichever exit it reaches. Its status is
-the first failing stage in pipeline order:
+the first failing check in this order:
 
     NotRecursive      detection/extension failed, or the recovered measure
                       does not reproduce the data within tolerance
@@ -27,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -48,16 +56,21 @@ from .errors import (
     NoRecurrenceError,
     RepeatedRootsError,
 )
+from .indexing import basis_size
 from .moments import (
+    CERTIFY_MIN_SIZE,
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
     MomentMatrix,
     TruncatedSequence,
+    bracket_check,
     build_localizing_matrix,
     build_moment_matrix,
     max_localizing_order,
+    moment_bracket,
     numeric_rank,
     psd_check,
+    shift_sequence,
 )
 from .polynomials import MultivariatePoly
 from .recurrence import (
@@ -144,7 +157,7 @@ class PsdRecord:
     """PSD and rank diagnostics for one moment or localizing matrix.
 
     ``min_eigenvalue`` is a certified lower bound on the smallest eigenvalue
-    where ``certified`` is set (see ``psd_check``), else eigvalsh's value.
+    where ``certified`` is set (see ``moments.bracket_check``), else eigvalsh's value.
     """
 
     order: int
@@ -253,12 +266,35 @@ def count_atoms_in_zero_set(
     return sum(1 for p in measure.points if abs(q.evaluate(p)) <= threshold)
 
 
-def _psd_record(matrix: MomentMatrix, tol: Tolerances, scale: float | None = None) -> PsdRecord:
-    check = psd_check(matrix, tol.psd)
-    rank = numeric_rank(matrix, tol.rank, scale=scale)
-    return PsdRecord(
-        matrix.order, check.min_eigenvalue, check.is_psd, rank, certified=check.certified
-    )
+def _psd_record(
+    data: TruncatedSequence,
+    order: int,
+    tol: Tolerances,
+    factor: tuple | None,
+    build: Callable[[], MomentMatrix],
+    poly: MultivariatePoly | None = None,
+    scale: float | None = None,
+) -> tuple[PsdRecord, float, MomentMatrix | None]:
+    """The data's M(order) (M_q(order) for ``poly``): record, sigma_max, any matrix built.
+
+    With a measure ``factor`` (points, weights, misfit) and at least
+    CERTIFY_MIN_SIZE rows, the record comes from the measure's bracket where
+    that certifies it; otherwise ``build()`` makes the matrix for eigvalsh.
+    """
+    decided = bracket = matrix = None
+    if factor is not None and basis_size(data.dim, order) >= CERTIFY_MIN_SIZE:
+        bracket = moment_bracket(*factor, order, poly)
+    if bracket is not None:
+        shifted = data if poly is None else shift_sequence(data, poly)
+        decided = bracket_check(shifted, order, bracket, tol.psd, tol.rank, scale)
+    if decided is not None:
+        (check, rank), spectrum = decided, bracket[0]
+    else:
+        matrix = build()
+        check, rank = psd_check(matrix, tol.psd), numeric_rank(matrix, tol.rank, scale=scale)
+        spectrum = matrix.eigenvalues
+    record = PsdRecord(order, check.min_eigenvalue, check.is_psd, rank, certified=check.certified)
+    return record, float(np.abs(spectrum).max(initial=0.0)), matrix
 
 
 def _run_stages(
@@ -275,18 +311,28 @@ def _run_stages(
     except (NoRecurrenceError, InconsistentRecurrenceError, InsufficientInitialDataError) as exc:
         return STATUS_NOT_RECURSIVE, str(exc)
 
-    # M(tau) is the leading block of M(tau+1), which the constraint checks reuse
-    full = build_moment_matrix(ext, system.tau + 1)
-    psd_records = tuple(_psd_record(m, tol) for m in (full.truncate(system.tau), full))
-    found["psd_records"] = psd_records
-
     stage_error: Exception | None = None
+    factor = None
     try:
         expansion = multivariate_binet(system, ext)
         found["expansion_residual"] = expansion.source_residual
         measure = expansion_to_measure(expansion, tol.imag, tol.weight)
     except (*_STAGE_STATUS, InsufficientDataError, np.linalg.LinAlgError) as exc:
         stage_error = exc
+    else:
+        # one evaluation serves the brackets' misfit and the moment check
+        moments = evaluate_moments(measure, ext.max_degree).array
+        if np.isfinite(moments).all():
+            misfit = TruncatedSequence(ext.dim, ext.max_degree, ext.array - moments)
+            factor = (np.array(measure.points).reshape(-1, ext.dim), measure.weights, misfit)
+
+    # M(tau) is the leading block of M(tau+1): cut it from there if that was built
+    tau = system.tau
+    build = partial(build_moment_matrix, ext, tau + 1)
+    high, noise_scale, full = _psd_record(ext, tau + 1, tol, factor, build)
+    build = partial(build_moment_matrix, ext, tau) if full is None else partial(full.truncate, tau)
+    low, _, _ = _psd_record(ext, tau, tol, factor, build)
+    psd_records = found["psd_records"] = (low, high)
 
     failing = [
         f"M({r.order}) has min eigenvalue {r.min_eigenvalue:.6g}"
@@ -302,7 +348,7 @@ def _run_stages(
         return _STAGE_STATUS.get(type(stage_error), STATUS_NOT_RECURSIVE), str(stage_error)
 
     found["measure"] = measure
-    residual = found["moment_residual"] = verify_measure(measure, seq)
+    residual = found["moment_residual"] = relative_misfit(seq.array, moments[: seq.array.size])
     if residual > tol.residual:
         return STATUS_NOT_RECURSIVE, (
             f"recovered measure misses the data: residual {residual:.3e} > {tol.residual:.3e}"
@@ -311,16 +357,16 @@ def _run_stages(
         return STATUS_SUCCESS, None
 
     # localizing and support checks; the first violated constraint names the status
-    noise_scale = full.sigma_max
-    rank_full = psd_records[-1].rank
     records = []
     violation: str | None = None
     for k, q in enumerate(polys):
-        matrix = build_localizing_matrix(ext, max_localizing_order(ext, q), q)
         # a constraint vanishing on every atom makes this matrix zero up to
         # roundoff; its own sigma_max is then noise, so the rank cutoff is
         # floored at the parent matrix's scale times the coefficient size
-        psd = _psd_record(matrix, tol, scale=noise_scale * (1.0 + q.max_coefficient))
+        scale = noise_scale * (1.0 + q.max_coefficient)
+        order = max_localizing_order(ext, q)
+        build = partial(build_localizing_matrix, ext, order, q)
+        psd, _, _ = _psd_record(ext, order, tol, factor, build, q, scale)
         in_zero = count_atoms_in_zero_set(measure, q, tol.residual)
         threshold = tol.residual * (1.0 + q.max_coefficient)
         values = [q.evaluate(p) for p in measure.points]
@@ -333,7 +379,7 @@ def _run_stages(
                 atoms_in_zero_set=in_zero,
                 min_over_atoms=min_value,
                 violated=violated,
-                cardinality_ok=in_zero == rank_full - psd.rank,
+                cardinality_ok=in_zero == high.rank - psd.rank,
             )
         )
         if violated and violation is None:

@@ -25,6 +25,7 @@ from momentrec.indexing import (
     grid_plan,
     iter_basis,
     moment_plan,
+    pair_counts,
     shift_plan,
     total_degree,
     window_plan,
@@ -267,3 +268,16 @@ def test_int32_guard_allocates_nothing_large():
         tracemalloc.stop()
     assert peak < 2**20
     assert rank.tolist() == [[degree_lex_rank((1900, 0, 0))]]
+
+
+def test_pair_counts_give_the_frobenius_norm():
+    """pair_counts is the moment plan's bincount, so ||M||_F^2 = sum_t counts[t] * x_t^2."""
+    for dim in range(1, 6):
+        for order in range(7 if dim < 5 else 4):
+            plan = moment_plan(dim, order)
+            expected = np.bincount(plan.ravel(), minlength=basis_size(dim, 2 * order))
+            assert np.array_equal(pair_counts(dim, order), expected)
+    x = np.random.default_rng(3).standard_normal(basis_size(3, 10))
+    counts = pair_counts(3, 5)
+    assert counts.sum() == basis_size(3, 5) ** 2
+    assert math.isclose(counts @ (x * x), np.sum(x[moment_plan(3, 5)] ** 2), rel_tol=1e-13)

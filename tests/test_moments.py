@@ -7,7 +7,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from momentrec import indexing, moments
+from momentrec import indexing, moments, solver
 from momentrec.binet import AtomicMeasure, evaluate_moments, multivariate_binet
 from momentrec.indexing import enumerate_basis, iter_basis
 from momentrec.moments import (
@@ -24,7 +24,13 @@ from momentrec.moments import (
 from momentrec.polynomials import MultivariatePoly
 from momentrec.recurrence import detect_characteristic_system, extend_sequence
 from momentrec.sampling import sample_instance
-from momentrec.solver import STATUS_SUCCESS, flat_extension_check, solve_full
+from momentrec.solver import (
+    STATUS_NOT_POSITIVE,
+    STATUS_SUCCESS,
+    Tolerances,
+    flat_extension_check,
+    solve_full,
+)
 
 ONES_D2 = TruncatedSequence(2, 2, {idx: 1.0 for idx in iter_basis(2, 2)})
 PAIR = AtomicMeasure(dim=2, points=((0.0, 0.0), (1.0, 1.0)), weights=(1.0, 1.0))
@@ -469,45 +475,73 @@ def eigvalsh_sizes(monkeypatch):
     return sizes
 
 
-def _check_against_eigvalsh(entries, fresh=None):
-    """Verdict and rank equal eigvalsh's for three tolerance pairs; count certified checks.
+def _perturbed(rng, dim, count, degree, noise):
+    """Moments of a random positive measure plus relative noise, and the misfit factor.
 
-    ``fresh()`` makes the matrix checked, with nothing cached, over these entries.
+    Returns (data, factor) with factor = (points, weights, misfit) as the
+    solver passes it to ``moment_bracket``: the misfit is the data minus the
+    measure's moments, so ||E|| > 0 whenever noise > 0.
     """
-    n = entries.shape[0]
+    points = rng.uniform(-1.0, 1.0, size=(count, dim))
+    weights = rng.uniform(0.5, 1.5, size=count)
+    exact = evaluate_moments(AtomicMeasure(dim, tuple(map(tuple, points)), tuple(weights)), degree)
+    values = exact.array * (1.0 + noise * rng.standard_normal(exact.array.size))
+    data = TruncatedSequence(dim, degree, values)
+    misfit = TruncatedSequence(dim, degree, data.array - exact.array)
+    return data, (points, weights, misfit)
+
+
+def _check_against_eigvalsh(data, order, factor, poly=None):
+    """The bracket holds eigvalsh's spectrum; what it decides, it decides as eigvalsh does.
+
+    For three tolerance pairs: a decided bracket gives eigvalsh's verdict and
+    rank, and a certified min eigenvalue no higher than eigvalsh's beyond
+    roundoff. Returns the number of pairs the bracket decided.
+    """
+    if poly is None:
+        matrix, shifted = build_moment_matrix(data, order), data
+    else:
+        matrix, shifted = build_localizing_matrix(data, order, poly), shift_sequence(data, poly)
+    n = matrix.size
+    centers, radius = moments.moment_bracket(*factor, order, poly)
+    lam = np.linalg.eigvalsh(matrix.entries)
+    assert centers.shape == (n,) and radius > 0.0
+    assert np.all(np.abs(centers - lam) <= radius)
     certified = 0
     for tol, scale in ((1e-8, None), (1e-8, 1e3), (1e-3, 0.5)):
-        is_psd, lam, rank = _reference(entries, tol, scale)
-        matrix = _labelled(entries) if fresh is None else fresh()
-        check = psd_check(matrix, tol)
-        assert check.is_psd == is_psd
-        assert numeric_rank(matrix, tol, scale=scale) == rank
-        if check.certified:
+        is_psd, _, rank = _reference(matrix.entries, tol, scale)
+        decided = moments.bracket_check(shifted, order, (centers, radius), tol, tol, scale)
+        if decided is not None:
+            check, bracket_rank = decided
             certified += 1
+            assert check.certified and check.is_psd == is_psd
+            assert check.threshold == psd_check(matrix, tol).threshold
+            assert bracket_rank == rank
             # a lower bound: never above the smallest eigenvalue beyond roundoff
-            assert check.is_psd
             assert check.min_eigenvalue <= lam[0] + 8 * n * np.finfo(float).eps * np.abs(lam).max()
-        else:
-            assert check.min_eigenvalue == lam[0]
     return certified
 
 
 def test_certified_psd_and_rank_match_eigvalsh():
-    """Random low-rank PSD matrices of 40-200 rows: eigvalsh's verdict and rank."""
+    """Brackets of perturbed 1-3-D measures' M(n) and M_q(n) of 48-220 rows agree with eigvalsh."""
     rng = np.random.default_rng(2026)
-    certified = 0
-    for n in (40, 48, 64, 97, 130, 200):
-        for rank in (0, 1, 5, n // 4, n // 2, n):
-            basis = rng.standard_normal((n, rank)) * 10.0 ** rng.uniform(-3, 3, size=rank)
-            entries = basis @ basis.T
-            entries = (entries + entries.T) / 2.0
-            certified += _check_against_eigvalsh(entries)
-    # the certificate, not the eigvalsh fallback, decided most of them
-    assert certified >= 60
+    certified = checked = 0
+    for dim, order, counts in ((1, 47, (3, 20, 60)), (2, 9, (10, 40, 70)), (3, 5, (8, 30, 80))):
+        for count in counts:
+            for noise in (0.0, 1e-13, 1e-10, 1e-7):
+                data, factor = _perturbed(rng, dim, count, 2 * order + 2, noise)
+                x1 = MultivariatePoly.variable(dim, 0)
+                q = MultivariatePoly.constant(dim, 4.0) - x1 * x1
+                certified += _check_against_eigvalsh(data, order, factor)
+                certified += _check_against_eigvalsh(data, order, factor, q)
+                checked += 6
+    # the bracket, not the eigvalsh fallback, decided most of them
+    assert certified >= 0.75 * checked
 
 
 def test_indefinite_matrices_match_eigvalsh():
-    """Indefinite matrices report eigvalsh's verdict, rank and smallest eigenvalue."""
+    """Given indefinite matrices report eigvalsh's verdict, rank and smallest eigenvalue;
+    a bracket of one that changes sign on the atoms holds the spectrum but certifies nothing."""
     rng = np.random.default_rng(7)
     for n in (50, 120):
         for negative in (1, 3, n // 3):
@@ -516,138 +550,100 @@ def test_indefinite_matrices_match_eigvalsh():
             signs[:negative] = -1.0
             entries = (basis * signs) @ basis.T
             entries = (entries + entries.T) / 2.0
-            _check_against_eigvalsh(entries)
-            assert not psd_check(_labelled(entries)).is_psd
+            for tol, scale in ((1e-8, None), (1e-8, 1e3), (1e-3, 0.5)):
+                is_psd, lam, rank = _reference(entries, tol, scale)
+                check = psd_check(_labelled(entries), tol)
+                assert not check.is_psd and not is_psd
+                assert check.min_eigenvalue == lam[0] and not check.certified
+                assert numeric_rank(_labelled(entries), tol, scale=scale) == rank
+    for dim, order in ((1, 50), (2, 9), (3, 6)):
+        data, factor = _perturbed(rng, dim, 30, 2 * order + 1, 1e-12)
+        x1 = MultivariatePoly.variable(dim, 0)
+        assert _check_against_eigvalsh(data, order, factor, x1) == 0
+        assert not psd_check(build_localizing_matrix(data, order, x1)).is_psd
 
 
 def test_eigenvalue_on_the_rank_cutoff_falls_back(eigvalsh_sizes):
-    """A bracket straddling tol * sigma_max sends numeric_rank to eigvalsh."""
-    rng = np.random.default_rng(3)
-    n, tol = 80, 1e-8
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    spectrum = np.zeros(n)
-    spectrum[:6] = (1.0, 0.5, 0.1, 1e-3, 1e-6, tol)  # the last one sits on the cutoff
-    entries = (basis * spectrum) @ basis.T
-    entries = (entries + entries.T) / 2.0
-    matrix = _labelled(entries)
-    assert psd_check(matrix, tol).is_psd
-    assert n not in eigvalsh_sizes  # the verdict alone was certified
-    assert numeric_rank(matrix, tol) == _reference(entries, tol, None)[2]
-    assert n in eigvalsh_sizes
+    """A rank tolerance with an eigenvalue of M(tau+1) on the cutoff sends it to eigvalsh."""
+    seq = _grid_sequence(3, 3, 14)
+    lam = np.abs(np.linalg.eigvalsh(build_moment_matrix(seq, 7).entries))
+    tol = np.sort(lam)[-10] / lam.max()  # the tenth largest sits on tol * sigma_max
+    eigvalsh_sizes.clear()
+    report = solve_full(seq, Tolerances(rank=tol))
+    assert report.status == STATUS_SUCCESS and report.tau == 6
+    low, high = report.psd_records
+    assert low.certified and not high.certified
+    # the other calls are the brackets' 27 x 27 Gram matrices
+    assert [n for n in eigvalsh_sizes if n != 27] == [120]
+    assert high.rank == _reference(build_moment_matrix(seq, 7).entries, tol, None)[2]
 
 
-@pytest.fixture
-def factored_sizes(monkeypatch):
-    """Row counts of every matrix the pivoted Cholesky factors."""
-    sizes = []
-    original = moments._pivoted_cholesky
-
-    def recording(entries, blocks):
-        sizes.append(entries.shape[0])
-        return original(entries, blocks)
-
-    monkeypatch.setattr(moments, "_pivoted_cholesky", recording)
-    return sizes
-
-
-def _grid_sequence(dim, nodes, degree):
+def _grid_sequence(dim, nodes, degree, flip=None):
+    """Moments of a weighted product grid on [-1, 1]^dim; ``flip`` negates that atom's weight."""
     axis = np.linspace(-1.0, 1.0, nodes)
     points = tuple(itertools.product(*([tuple(axis)] * dim)))
     weights = tuple(1.0 + 0.01 * i for i in range(len(points)))
-    return evaluate_moments(AtomicMeasure(dim, points, weights), degree)
+    seq = evaluate_moments(AtomicMeasure(dim, points, weights), degree)
+    if flip is None:
+        return seq
+    spike = evaluate_moments(AtomicMeasure(dim, (points[flip],), (weights[flip],)), degree)
+    return TruncatedSequence(dim, degree, seq.array - 2.0 * spike.array)
+
+
+@pytest.fixture
+def built_orders(monkeypatch):
+    """Orders of every moment matrix the solver builds."""
+    orders = []
+    original = solver.build_moment_matrix
+
+    def recording(seq, order):
+        orders.append(order)
+        return original(seq, order)
+
+    monkeypatch.setattr(solver, "build_moment_matrix", recording)
+    return orders
 
 
 @pytest.mark.parametrize("dim, nodes", [(3, 5), (4, 3)])
-def test_solver_certifies_the_large_moment_matrices(
-    eigvalsh_sizes, factored_sizes, dim, nodes
-):
-    """solve_full on a product grid factors M(tau+1) once, M(tau) from it, with no eigvalsh."""
+def test_solver_certifies_the_large_moment_matrices(eigvalsh_sizes, built_orders, dim, nodes):
+    """solve_full on a product grid brackets M(tau) and M(tau+1): no matrix, no eigvalsh."""
     tau = dim * (nodes - 1)
     seq = _grid_sequence(dim, nodes, 2 * (tau + 1))
     report = solve_full(seq)
     assert report.status == STATUS_SUCCESS and report.tau == tau
     sizes = {indexing.basis_size(dim, tau), indexing.basis_size(dim, tau + 1)}
     assert sizes in ({455, 560}, {495, 715})
-    assert factored_sizes == [max(sizes)]
+    assert built_orders == [] and not sizes & set(eigvalsh_sizes)
     assert all(record.certified for record in report.psd_records)
+    # flat_extension_check builds M(tau+1) and reads eigvalsh: the same ranks
     flat = flat_extension_check(seq, report.system, tau)
-    assert factored_sizes == [max(sizes)] * 2
     assert (flat.rank_n, flat.rank_next) == tuple(r.rank for r in report.psd_records)
-    assert not sizes & set(eigvalsh_sizes)
+    assert sizes <= set(eigvalsh_sizes)
+    # a negative corner atom: no measure, so the matrices are built and eigvalsh reports
+    eigvalsh_sizes.clear()
+    built_orders.clear()
+    signed = _grid_sequence(dim, nodes, 2 * (tau + 1), flip=0)
+    report = solve_full(signed)
+    assert report.status == STATUS_NOT_POSITIVE and report.measure is None
+    assert built_orders == [tau + 1] and max(sizes) in eigvalsh_sizes
+    for record in report.psd_records:
+        lowest = np.linalg.eigvalsh(build_moment_matrix(signed, record.order).entries)[0]
+        assert not record.is_psd and not record.certified
+        assert record.min_eigenvalue == lowest
 
 
-def _random_atoms(rng, dim, count, degree):
-    points = tuple(tuple(p) for p in rng.uniform(-1.0, 1.0, size=(count, dim)))
-    weights = tuple(rng.uniform(0.5, 1.5, size=count))
-    return evaluate_moments(AtomicMeasure(dim, points, weights), degree)
-
-
-def test_leading_blocks_are_certified_from_their_source():
-    """Blocks of flat and non-flat M(n) give eigvalsh's verdicts and ranks from one factor."""
+def test_every_order_is_bracketed_from_one_measure():
+    """Brackets of M(0..n), flat and non-flat, from one measure's factor agree with eigvalsh."""
     rng = np.random.default_rng(10)
-    inputs = [(_grid_sequence(3, 3, 14), 7), (_grid_sequence(2, 6, 20), 10)]
+    inputs = []
     for dim, count, n in ((3, 20, 5), (3, 60, 7), (3, 140, 7), (2, 40, 10), (2, 70, 11)):
-        inputs.append((_random_atoms(rng, dim, count, 2 * n), n))
-    certified = non_flat = wide = 0
-    for seq, n in inputs:
-        full = build_moment_matrix(seq, n)
-        rank_full = numeric_rank(full)
+        inputs.append((*_perturbed(rng, dim, count, 2 * n, 1e-12), n))
+    certified = non_flat = 0
+    for data, factor, n in inputs:
+        rank_full = numeric_rank(build_moment_matrix(data, n))
         for j in range(n + 1):
-            block = full.truncate(j)
-            certified += _check_against_eigvalsh(
-                block.entries, lambda: build_moment_matrix(seq, n).truncate(j)
-            )
-            if block.size >= moments.CERTIFY_MIN_SIZE:
-                non_flat += numeric_rank(block) < rank_full
-                wide += full._factorization[0].shape[0] > block.size
-            # the bracket does not depend on which of the two is checked first
-            source = build_moment_matrix(seq, n)
-            block_first = source.truncate(j).spectrum
-            source.spectrum
-            other = build_moment_matrix(seq, n)
-            other.spectrum
-            source_first = other.truncate(j).spectrum
-            assert np.array_equal(block_first[0], source_first[0])
-            assert block_first[1] == source_first[1]
-    # the certificate decided most of them, among them non-flat and wide blocks
-    assert certified >= 40 and non_flat >= 5 and wide >= 3
-
-
-def test_one_band_pass_gives_the_schur_norm_of_every_block():
-    """The factorization reports ||(A - R^T R)[:n, :n]||_F^2 for every block asked for."""
-    rng = np.random.default_rng(8)
-    n = 300
-    # 40 positive directions over a negative definite rest: pivoting stops
-    # within the 40 and leaves a Schur complement far above roundoff
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    spectrum = np.concatenate([np.logspace(0, -3, 40), -rng.uniform(1e-4, 1e-3, n - 40)])
-    entries = (basis * spectrum) @ basis.T
-    entries = (entries + entries.T) / 2.0
-    blocks = [48, 100, 217, 219, 231, 232, 250, 299, n]
-    factor, squares = moments._pivoted_cholesky(entries, blocks)
-    # more unpivoted rows than one band of 65536 // 300 = 218 holds
-    assert n - factor.shape[0] > 218
-    assert sorted(squares) == blocks
-    remainder = entries - factor.T @ factor
-    total = np.vdot(remainder, remainder)
-    for size in blocks:
-        reference = np.vdot(remainder[:size, :size], remainder[:size, :size])
-        # on the pivoted rows the remainder is roundoff, far below the Schur complement
-        assert abs(squares[size] - reference) <= 1e-10 * total
-
-
-def test_block_certificates_keep_only_the_factor():
-    """A matrix and its block, both checked, retain far less than one N x N array."""
-    full = build_moment_matrix(_random_atoms(np.random.default_rng(4), 3, 20, 24), 12)
-    block = full.truncate(10)
-    tracemalloc.start()
-    try:
-        for matrix in (block, full):
-            check = psd_check(matrix)
-            numeric_rank(matrix)
-            assert check.certified
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert full.size == 455
-    assert retained < full.entries.nbytes / 8
+            if indexing.basis_size(data.dim, j) >= moments.CERTIFY_MIN_SIZE:
+                certified += _check_against_eigvalsh(data, j, factor)
+                non_flat += numeric_rank(build_moment_matrix(data, j)) < rank_full
+    # the bracket decided most of them, among them non-flat blocks
+    assert certified >= 20 and non_flat >= 5

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from momentrec.polynomials import MultivariatePoly, UnivariatePoly, poly_roots
+from momentrec.polynomials import ROOT_CLUSTER_TOL, MultivariatePoly, UnivariatePoly, poly_roots
 
 from euclid import univariate_gcd, univariate_lcm
 
@@ -113,6 +113,43 @@ def test_roots_multiplicity_clustering():
     p = UnivariatePoly.from_roots([1.0, 1.0, -2.0])
     out = poly_roots(p)
     assert sorted((round(z.real, 6), m) for z, m in out) == [(-2.0, 1), (1.0, 2)]
+
+
+def _clustering_loop(p):
+    """poly_roots with every input sent through its clustering loop: the reference."""
+    raw = sorted(np.roots(np.asarray(p.monic().coeffs)[::-1]), key=lambda z: (z.real, z.imag))
+    threshold = ROOT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(raw))))
+    clusters = []
+    for z in raw:
+        if clusters and abs(z - np.mean(clusters[-1])) <= threshold:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    return [(complex(np.mean(c)), len(c)) for c in clusters]
+
+
+def test_roots_fast_path_matches_the_clustering_loop():
+    """Simple roots skip the loop, and every answer is the loop's, bit for bit."""
+    polys = {
+        "simple real": UnivariatePoly.from_roots([3.0, -2.0, 0.5, 1.0, -0.25]),
+        "conjugate pair": UnivariatePoly((5.0, -2.0, 1.0)) * UnivariatePoly.from_roots([-1.0]),
+        "double root": UnivariatePoly.from_roots([1.0, 1.0, -2.0]),
+        "pair 1e-9 apart": UnivariatePoly.from_roots([1.0, 1.0 + 1e-9, 3.0]),
+    }
+    multiplicities = {
+        "simple real": [1] * 5,
+        "conjugate pair": [1, 1, 1],
+        "double root": [1, 2],
+        "pair 1e-9 apart": [2, 1],
+    }
+    rng = np.random.default_rng(4)
+    for k in range(20):
+        polys[k] = UnivariatePoly.from_roots(sorted(rng.uniform(-3.0, 3.0, size=k % 6 + 1)))
+    for name, p in polys.items():
+        out = poly_roots(p)
+        assert out == _clustering_loop(p)
+        if name in multiplicities:
+            assert [m for _, m in out] == multiplicities[name]
 
 
 def test_roots_reconstruction_roundtrip():

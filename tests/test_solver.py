@@ -1,10 +1,13 @@
 """End-to-end solver pipelines, reports, and certificate bookkeeping."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from momentrec import solver
 from momentrec.binet import AtomicMeasure, evaluate_moments
 from momentrec.errors import NoRecurrenceError
 from momentrec.indexing import iter_basis
@@ -343,3 +346,53 @@ def test_custom_tolerances_flow_through():
     loose = solve_full(seq, Tolerances(residual=1e-4))
     assert strict.status == STATUS_NOT_RECURSIVE
     assert loose.status == STATUS_SUCCESS
+
+
+def _grid_sequence(dim, nodes, degree):
+    axis = np.linspace(-1.0, 1.0, nodes)
+    points = tuple(itertools.product(*([tuple(axis)] * dim)))
+    weights = tuple(1.0 + 0.01 * i for i in range(len(points)))
+    return evaluate_moments(AtomicMeasure(dim, points, weights), degree)
+
+
+def test_cardinality_law_is_read_off_the_factor(monkeypatch):
+    """rank M(13) - rank M_q(13) = atoms in Z(q) on the 3-D 5^3 grid, from brackets alone."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a localizing matrix was built")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(solver, "build_localizing_matrix", refused)
+    x1 = MultivariatePoly.variable(3, 0)
+    one = MultivariatePoly.constant(3, 1.0)
+    constraints = SemialgebraicSet((one - x1 * x1, x1 + one))
+    report = solve_constrained(_grid_sequence(3, 5, 26), constraints)
+    assert report.status == STATUS_SUCCESS and report.tau == 12
+    assert report.psd_records[1].rank == 124
+    for record, in_zero, rank in zip(report.constraint_records, (50, 25), (74, 99)):
+        assert record.order == 13 and record.certified and record.is_psd
+        assert record.atoms_in_zero_set == in_zero and record.rank == rank
+        assert record.cardinality_ok
+    # M(13) and both M_q(13) have 560 rows; only the 125 x 125 Gram matrices reach eigvalsh
+    assert set(sizes) == {125}
+
+
+def test_solve_full_peaks_below_one_moment_matrix():
+    """A warm 3-D 6^3 solve (N(16) = 969) allocates less than one 969 x 969 float array."""
+    seq = _grid_sequence(3, 6, 32)
+    solve_full(seq)  # plans and tables are kept from here on
+    tracemalloc.start()
+    try:
+        report = solve_full(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == STATUS_SUCCESS and report.tau == 15
+    assert all(record.certified for record in report.psd_records)
+    assert peak < 969 * 969 * 8
