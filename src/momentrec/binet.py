@@ -32,8 +32,8 @@ from .errors import (
     RepeatedRootsError,
 )
 from .indexing import basis_array, grid_plan
-from .moments import TruncatedSequence
-from .polynomials import MultivariatePoly, UnivariatePoly, monomials, poly_roots, power_table
+from .moments import TruncatedSequence, moments_and_grams
+from .polynomials import MultivariatePoly, UnivariatePoly, poly_roots, power_table
 from .recurrence import CharacteristicSystem
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
 
 DEFAULT_IMAG_TOL = 1e-7
 DEFAULT_WEIGHT_TOL = 1e-8
-MOMENT_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,19 +253,12 @@ def expansion_to_measure(
 def evaluate_moments(measure: AtomicMeasure, degree: int) -> TruncatedSequence:
     """Moments beta_i = sum_s w_s prod_l x_{l,s} ** i_l for all |i| <= degree.
 
-    Gathers from one power table per variable, as the Binet expansion uses,
-    about MOMENT_BLOCK_ENTRIES (row, atom) products (256 KB) at a time.
+    The measure pass ``moments.moments_and_grams`` with no Gram sums: one
+    power table per variable, as the Binet expansion uses, gathered a block
+    of rows at a time.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    exponents = basis_array(measure.dim, degree)
     points = np.array(measure.points, dtype=float).reshape(measure.atom_count, measure.dim)
-    tables = [power_table(axis, degree) for axis in points.T]
-    weights = np.array(measure.weights, dtype=float)
-    values = np.empty(len(exponents))
-    step = max(1, MOMENT_BLOCK_ENTRIES // max(1, measure.atom_count))
-    for start in range(0, len(exponents), step):
-        values[start : start + step] = monomials(tables, exponents[start : start + step]) @ weights
+    values, _ = moments_and_grams(points, measure.weights, degree)
     return TruncatedSequence(measure.dim, degree, values)
 
 

@@ -32,9 +32,10 @@ MultiIndex = tuple[int, ...]
 
 # A plan above this many entries is built for its call and dropped, so one
 # 5-D 3^5 solve does not pin a 76 MB table. A solve builds such moment plans
-# only where the recovered measure's bracket leaves a check to eigvalsh
-# (``moments.moment_bracket``); keeping them (a limit of 2^20) raised the
-# grid benchmark's peak RSS from 69 to 75 MB when every solve built M(tau+1).
+# only where the bracket of the recovered measure's Gram sums leaves a check
+# to eigvalsh (``moments.moment_bracket``, ``bracket_check``); keeping them
+# (a limit of 2^20) raised the grid benchmark's peak RSS from 69 to 75 MB
+# when every solve built M(tau+1).
 PLAN_RETAIN_LIMIT = 1 << 18
 # All retained plans together, in entries: 4 bytes each, 8 in basis arrays.
 PLAN_STORE_LIMIT = 1 << 22

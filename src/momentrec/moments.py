@@ -17,10 +17,13 @@ computes one eigendecomposition (eigvalsh), on whichever check runs first.
 Data that an r-atomic measure nearly represents need no matrix: the
 measure's M(n) is V^T W V with V[s, i] = x_s^{a_i}, its localizing matrix
 V^T diag(w q(x)) V, and the data's matrix adds the matrix E of the misfit
-sequence. ``moment_bracket`` puts every eigenvalue of the data's matrix
-within a radius (||E||_F plus roundoff, by Weyl's inequality) of the r x r
-Gram spectrum of the factor, and ``bracket_check`` reads the PSD verdict and
-the rank from that bracket where it decides them as eigvalsh would.
+sequence. ``moments_and_grams`` evaluates the measure's moments in one
+blocked pass over the rows x^a and, from the same rows, the r x r Gram sums
+of the requested matrices; M(n) is the leading block of M(n+1), so M(n+1)'s
+sum continues M(n)'s. ``moment_bracket`` puts every eigenvalue of the data's
+matrix within a radius (||E||_F plus roundoff, by Weyl's inequality) of the
+Gram spectrum, and ``bracket_check`` reads the PSD verdict and the rank from
+that bracket where it decides them as eigvalsh would.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
     "max_localizing_order",
     "psd_check",
     "numeric_rank",
+    "GramSum",
+    "moments_and_grams",
     "moment_bracket",
     "bracket_check",
     "bilinear_form",
@@ -65,6 +70,8 @@ DEFAULT_PSD_TOL = 1e-8
 # The solver brackets matrices of this many rows or more from the measure's
 # factor; smaller ones are built and go to eigvalsh, which is cheap there.
 CERTIFY_MIN_SIZE = 48
+# The measure pass evaluates about this many (row, atom) products at a time.
+MOMENT_BLOCK_ENTRIES = 1 << 15
 # Roundoff allowance of a bracket per unit of the lengths in
 # ``moment_bracket``'s proof: a generous multiple of the unit roundoff.
 _ROUNDOFF = 4.0 * float(np.finfo(float).eps)
@@ -326,68 +333,156 @@ def _bracket_rank(
     return above
 
 
-def moment_bracket(
-    points, weights, misfit: TruncatedSequence, order: int, poly: MultivariatePoly | None = None
-) -> tuple[np.ndarray, float] | None:
+@dataclass(frozen=True, eq=False)
+class GramSum:
+    """An atomic measure's factor summed over the basis of M_q(order), for ``moment_bracket``.
+
+    With rows v_i = (x_s^{a_i})_s for |a_i| <= order, the diagonal
+    d_s = w_s q(x_s) (q = 1 where ``poly`` is None), m_s = |w_s| sum_g
+    |q_g x_s^g| and column norms n_s = sum_i v_{i,s}^2: ``gram`` is the
+    r x r matrix sum_i (d+^1/2 v_i)(d+^1/2 v_i)^T, ``negative`` is
+    sum_s max(-d_s, 0) n_s and ``total`` is T = sum_s m_s n_s.
+    """
+
+    order: int
+    poly: MultivariatePoly | None
+    gram: np.ndarray
+    negative: float
+    total: float
+
+
+def _diagonal(tables, weights: np.ndarray, poly: MultivariatePoly | None):
+    """d = w q(x) and m = |w| sum_g |q_g x^g| at the atoms of ``tables``; q = 1 for None."""
+    if poly is None:
+        return weights, np.abs(weights)
+    terms = np.array(tuple(poly.terms), dtype=np.intp).reshape(-1, len(tables))
+    at_points = monomials(tables, terms)
+    coefficients = np.array(list(poly.terms.values()), dtype=float)
+    scaled = weights * (coefficients @ at_points)
+    return scaled, np.abs(weights) * (np.abs(coefficients) @ np.abs(at_points))
+
+
+def moments_and_grams(
+    points, weights, degree: int, requests=()
+) -> tuple[np.ndarray, list[GramSum]]:
+    """Moments of an atomic measure to ``degree``, and one GramSum per request.
+
+    One pass over the degree-lex rows x^a, |a| <= degree, at the atoms
+    ``points`` (r, dim) with ``weights``: the rows are gathered from one
+    power table per variable, about MOMENT_BLOCK_ENTRIES (row, atom)
+    products (256 KB) at a time, and a block's moments are rows @ w. A
+    request (order, q), q None for M(order), adds the rows of degree <=
+    order to the sums of its diagonal w q(x). Requests with equal q share
+    one running sum, which each snapshots at its own order: M(n+1)'s Gram
+    matrix continues M(n)'s, no row is evaluated twice and no rows x atoms
+    factor is held. A block that straddles a requested row count splits
+    only its Gram sums, so the moments do not depend on the requests.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    count, dim = points.shape
+    for order, poly in requests:
+        if not 0 <= order <= degree or (poly is not None and poly.degree > degree):
+            raise ValueError(f"a Gram sum of order {order} needs rows beyond degree {degree}")
+    exponents = basis_array(dim, degree)
+    tables = [power_table(axis, degree) for axis in points.T]
+    # request k runs on sum group[k], through its first size[k] rows
+    polys: list = []
+    group = []
+    for _, poly in requests:
+        if poly not in polys:
+            polys.append(poly)
+        group.append(polys.index(poly))
+    size = [basis_size(dim, order) for order, _ in requests]
+    diagonals = [_diagonal(tables, weights, poly) for poly in polys]
+    roots = [np.sqrt(np.maximum(diagonal, 0.0)) for diagonal, _ in diagonals]
+    ends = [max(n for n, g in zip(size, group) if g == j) for j in range(len(polys))]
+    grams = [np.zeros((count, count)) for _ in polys]
+    norms = np.zeros(count)
+    cuts = sorted(set(size))
+    out: list = [None] * len(requests)
+    values = np.empty(len(exponents))
+    step = max(1, MOMENT_BLOCK_ENTRIES // max(1, count))
+    for start in range(0, len(exponents), step):
+        block = monomials(tables, exponents[start : start + step])
+        values[start : start + step] = block @ weights
+        low, stop = start, start + len(block)
+        while cuts and low < stop:
+            high = min(stop, cuts[0])
+            rows = block[low - start : high - start]
+            norms += np.einsum("is,is->s", rows, rows)
+            for root, end, gram in zip(roots, ends, grams):
+                if low < end:
+                    weighted = rows * root
+                    gram += weighted.T @ weighted
+            if high == cuts[0]:
+                cuts.pop(0)
+                for k, (order, poly) in enumerate(requests):
+                    if size[k] == high:
+                        diagonal, magnitude = diagonals[group[k]]
+                        negative = float(np.maximum(-diagonal, 0.0) @ norms)
+                        total = float(magnitude @ norms)
+                        out[k] = GramSum(order, poly, grams[group[k]].copy(), negative, total)
+            low = high
+    return values, out
+
+
+def moment_bracket(sums: GramSum, misfit: TruncatedSequence) -> tuple[np.ndarray, float] | None:
     """Ascending centers and a radius for the spectrum of the data's M(order).
 
-    The data are the moments of the atomic measure (``points`` (r, dim),
-    ``weights``) plus ``misfit``; with ``poly`` = q the matrix is the
-    localizing M_q(order), and ``misfit`` must reach degree 2 * order +
-    deg q. Eigenvalue i of the matrix lies within the radius of center i.
-    None if the factor overflows.
+    The data are the moments of an atomic measure (``sums``, from
+    ``moments_and_grams``) plus ``misfit``; with ``sums.poly`` = q the
+    matrix is the localizing M_q(order), and ``misfit`` must reach degree
+    2 * order + deg q. Eigenvalue i of the matrix lies within the radius of
+    center i. None if the sums overflow, before any eigvalsh runs.
 
-    Proof. Take q = 1 for M(order). Let N be the row count, u the unit
-    roundoff, V[s, i] = x_s^{a_i}, d_s = w_s q(x_s) as computed,
-    m_s = |w_s| sum_g |q_g x_s^g| and T = sum_s m_s ||v_s||^2. The data's
-    matrix is A = V^T D V + E exactly, with D = diag(d) and
-    E_ij = (q * e)_{a_i + a_j} for the exact misfit e. Split D = D+ - D-:
-    the nonzero eigenvalues of V^T D+ V are those of the Gram matrix
-    G = D+^1/2 V V^T D+^1/2 (r x r, or its N x N twin when r > N), V^T D- V
-    is PSD with norm at most its trace sum_s d-_s ||v_s||^2, and as
+    Proof. Take q = 1 for M(order). Let N be the row count, r the atom
+    count, u the unit roundoff, V[s, i] = x_s^{a_i}, and d, m, n_s and T as
+    in ``GramSum``, with d as computed. The data's matrix is
+    A = V^T D V + E exactly, with D = diag(d) and E_ij = (q * e)_{a_i + a_j}
+    for the exact misfit e. Split D = D+ - D-: the nonzero eigenvalues of
+    V^T D+ V are those of the r x r Gram matrix G = D+^1/2 V V^T D+^1/2,
+    V^T D- V is PSD with norm at most its trace sum_s d-_s n_s, and as
     |q * e| <= |q| * |e| entrywise, ||E||_F^2 is at most
     sum_t pair_counts[t] (|q| * |e|)_t^2. By Weyl's inequality every
     eigenvalue of A lies within the sum of these norms of the spectrum of G
-    padded with zeros. With L = N + r + 2 order + deg q + (terms of q),
-    roundoff moves the centers by at most L u T (the powers, the weights d,
-    Gram sums of N products, and eigvalsh's backward error of about
-    r u ||G|| <= r u T); the misfit norm by at most L u T (the measure's
-    moments, sums of r products) plus (L + W) u times itself (subtractions,
-    the shift and the sum over W = basis_size(dim, 2 order) entries); and
-    eigvalsh's answer for A, which the bracket must contain, by at most
-    N u ||A|| <= N u (T + ||E||_F). ``_ROUNDOFF`` is 8 u, so the radius
-    below covers every item at least twice, and a bracket that decides a
-    question decides it as eigvalsh's eigenvalues of A would.
+    padded with zeros to N values, or, when r > N, of G's N largest
+    eigenvalues (G has rank at most N, so the others are zero; Weyl's
+    inequality moves each of G's ordered eigenvalues by at most the norm of
+    a perturbation, so the computed G's N largest stand in the same
+    allowance). With L = N + r + 2 order + deg q + (terms of q), roundoff
+    moves the centers by at most L u T (the powers, the weights d, the sums
+    of N products in G and n_s, whose bound holds for any order and grouping
+    of the terms, so for the blocks of ``moments_and_grams``, and eigvalsh's
+    backward error of about r u ||G|| <= r u T); the misfit norm by at most
+    L u T (the measure's moments, sums of r products) plus (L + W) u times
+    itself (subtractions, the shift and the sum over W =
+    basis_size(dim, 2 order) entries); and eigvalsh's answer for A, which
+    the bracket must contain, by at most N u ||A|| <= N u (T + ||E||_F).
+    ``_ROUNDOFF`` is 8 u, so the radius below covers every item at least
+    twice, and a bracket that decides a question decides it as eigvalsh's
+    eigenvalues of A would.
     """
-    dim = misfit.dim
-    points = np.asarray(points, dtype=float).reshape(len(weights), dim)
-    weights = np.asarray(weights, dtype=float)
-    poly = MultivariatePoly.constant(dim, 1.0) if poly is None else poly
-    degree = max(poly.degree, 0)
-    tables = [power_table(axis, max(order, degree)) for axis in points.T]
-    at_points = monomials(tables, np.array(tuple(poly.terms), dtype=np.intp).reshape(-1, dim))
-    coefficients = np.array(list(poly.terms.values()), dtype=float)
-    scaled = weights * (coefficients @ at_points)
-    magnitude = np.abs(weights) * (np.abs(coefficients) @ np.abs(at_points))
+    dim, order = misfit.dim, sums.order
+    poly = MultivariatePoly.constant(dim, 1.0) if sums.poly is None else sums.poly
     # |q| * |e| bounds q * e entry by entry, so its norm bounds ||E||_F
     bound = MultivariatePoly(dim, {g: abs(c) for g, c in poly.terms.items()})
     sizes = shift_sequence(TruncatedSequence(dim, misfit.max_degree, np.abs(misfit.array)), bound)
     window = sizes.array[: basis_size(dim, 2 * order)]
     misfit_norm = math.sqrt(float(pair_counts(dim, order) @ (window * window)))
-    factor = monomials(tables, basis_array(dim, order))  # V^T, (N, r)
-    n, r = factor.shape
-    norms = np.einsum("is,is->s", factor, factor)
-    length = n + r + 2 * order + degree + len(coefficients)
-    radius = misfit_norm * (1.0 + _ROUNDOFF * (length + window.size)) + float(
-        np.maximum(-scaled, 0.0) @ norms + _ROUNDOFF * length * (magnitude @ norms)
+    n, r = basis_size(dim, order), len(sums.gram)
+    length = n + r + 2 * order + max(poly.degree, 0) + len(poly.terms)
+    radius = misfit_norm * (1.0 + _ROUNDOFF * (length + window.size)) + (
+        sums.negative + _ROUNDOFF * length * sums.total
     )
     if not math.isfinite(radius):
         return None
-    factor *= np.sqrt(np.maximum(scaled, 0.0))
-    gram = factor.T @ factor if r <= n else factor @ factor.T
-    centers = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(n - len(gram))])
-    centers.sort()
-    return centers, radius
+    eigenvalues = np.linalg.eigvalsh(sums.gram)
+    if r > n:
+        return eigenvalues[r - n :], radius
+    return np.sort(np.concatenate([eigenvalues, np.zeros(n - r)])), radius
 
 
 def bracket_check(

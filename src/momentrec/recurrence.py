@@ -86,16 +86,14 @@ class CharacteristicSystem:
         return cls(polys=polys, tau=tau, residual=residual)
 
 
-def _fit_order(window: np.ndarray, order: int):
+def _fit_order(a_mat: np.ndarray, b_vec: np.ndarray):
     """Joint least-squares fit of a fixed-order recurrence along one axis.
 
-    Row r of ``window`` holds beta_{i + p*e}, p = 0, 1, ..., for the r-th
-    index i with |i| + order <= max_degree: one equation
-    beta_{i + order*e} = sum_k a_k beta_{i + (order-k)*e} each. Returns the
-    weights and the relative residual ||A a - b|| / (1 + ||b||).
+    Row r of ``a_mat`` holds beta_{i + (order-k)*e}, k = 1 .. order, and
+    ``b_vec[r]`` holds beta_{i + order*e}, for the r-th index i with
+    |i| + order <= max_degree: one equation b = sum_k a_k A[:, k-1] each.
+    Returns the weights and the relative residual ||A a - b|| / (1 + ||b||).
     """
-    a_mat = np.ascontiguousarray(window[:, order - 1 :: -1])
-    b_vec = window[:, order]
     weights, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     residual = float(np.linalg.norm(a_mat @ weights - b_vec))
     residual /= 1.0 + float(np.linalg.norm(b_vec))
@@ -115,12 +113,13 @@ def detect_minimal_recurrence(
     if not 0 <= axis < seq.dim:
         raise ValueError(f"axis {axis} out of range for dimension {seq.dim}")
     max_order = seq.max_degree // 2
-    # one gather serves every order; entries past max_degree are clipped, never read
-    window = seq.array.take(window_plan(seq.dim, seq.max_degree, axis), mode="clip")
+    plan = window_plan(seq.dim, seq.max_degree, axis)
     best = np.inf
     for order in range(1, max_order + 1):
+        # an order-k fit gathers only its k + 1 columns, on rows that stay within the data
         rows = basis_size(seq.dim, seq.max_degree - order)
-        weights, residual = _fit_order(window[:rows], order)
+        a_mat = seq.array.take(plan[:rows, order - 1 :: -1])
+        weights, residual = _fit_order(a_mat, seq.array.take(plan[:rows, order]))
         if residual < tol:
             # x^order - sum_k a_k x^(order-k), lowest coefficient first
             coeffs = [-float(w) for w in weights[::-1]] + [1.0]

@@ -7,11 +7,13 @@ wrong-dimension constraint with ValueError before the first stage, and adds,
 for each constraint q, a localizing-matrix analysis and a sign check of q on
 the recovered atoms.
 
-The PSD checks follow the expansion because they read its measure, whose
-moments to the extension's degree give both the data's misfit and the moment
-residual. A matrix of ``CERTIFY_MIN_SIZE`` rows or more is checked from the
-measure's factor (``moments.moment_bracket``) and built for eigvalsh only
-where that cannot certify it; smaller ones always go to eigvalsh.
+The PSD checks follow the expansion because they read its measure. One pass
+over the measure (``moments.moments_and_grams``) gives its moments to the
+extension's degree, hence the data's misfit and the moment residual, and the
+Gram sums of M(tau), M(tau+1) and every localizing matrix of
+``CERTIFY_MIN_SIZE`` rows or more. Such a matrix is checked from its bracket
+(``moments.moment_bracket``) and built for eigvalsh only where that cannot
+certify it; smaller ones always go to eigvalsh.
 
 One solve builds one SolveReport, at whichever exit it reaches. Its status is
 the first failing check in this order:
@@ -68,6 +70,7 @@ from .moments import (
     build_moment_matrix,
     max_localizing_order,
     moment_bracket,
+    moments_and_grams,
     numeric_rank,
     psd_check,
     shift_sequence,
@@ -270,20 +273,17 @@ def _psd_record(
     data: TruncatedSequence,
     order: int,
     tol: Tolerances,
-    factor: tuple | None,
+    bracket: tuple | None,
     build: Callable[[], MomentMatrix],
     poly: MultivariatePoly | None = None,
     scale: float | None = None,
 ) -> tuple[PsdRecord, float, MomentMatrix | None]:
     """The data's M(order) (M_q(order) for ``poly``): record, sigma_max, any matrix built.
 
-    With a measure ``factor`` (points, weights, misfit) and at least
-    CERTIFY_MIN_SIZE rows, the record comes from the measure's bracket where
-    that certifies it; otherwise ``build()`` makes the matrix for eigvalsh.
+    The record comes from the measure's ``bracket`` where that certifies
+    it; otherwise ``build()`` makes the matrix for eigvalsh.
     """
-    decided = bracket = matrix = None
-    if factor is not None and basis_size(data.dim, order) >= CERTIFY_MIN_SIZE:
-        bracket = moment_bracket(*factor, order, poly)
+    decided = matrix = None
     if bracket is not None:
         shifted = data if poly is None else shift_sequence(data, poly)
         decided = bracket_check(shifted, order, bracket, tol.psd, tol.rank, scale)
@@ -311,8 +311,13 @@ def _run_stages(
     except (NoRecurrenceError, InconsistentRecurrenceError, InsufficientInitialDataError) as exc:
         return STATUS_NOT_RECURSIVE, str(exc)
 
+    # M(tau), M(tau+1) and each M_q; those of CERTIFY_MIN_SIZE rows or more
+    # are bracketed from the measure's Gram sums where there is a measure
+    tau = system.tau
+    matrices = [(tau, None), (tau + 1, None), *((max_localizing_order(ext, q), q) for q in polys)]
+    large = [k for k, (n, _) in enumerate(matrices) if basis_size(ext.dim, n) >= CERTIFY_MIN_SIZE]
     stage_error: Exception | None = None
-    factor = None
+    grams: dict = {}
     try:
         expansion = multivariate_binet(system, ext)
         found["expansion_residual"] = expansion.source_residual
@@ -320,18 +325,23 @@ def _run_stages(
     except (*_STAGE_STATUS, InsufficientDataError, np.linalg.LinAlgError) as exc:
         stage_error = exc
     else:
-        # one evaluation serves the brackets' misfit and the moment check
-        moments = evaluate_moments(measure, ext.max_degree).array
+        # one pass over the measure: its moments give the misfit and the
+        # moment check, its Gram sums the brackets
+        points = np.array(measure.points).reshape(-1, ext.dim)
+        requests = [matrices[k] for k in large]
+        moments, sums = moments_and_grams(points, measure.weights, ext.max_degree, requests)
         if np.isfinite(moments).all():
             misfit = TruncatedSequence(ext.dim, ext.max_degree, ext.array - moments)
-            factor = (np.array(measure.points).reshape(-1, ext.dim), measure.weights, misfit)
+            grams = dict(zip(large, sums))
+
+    def bracket(k: int) -> tuple | None:
+        return moment_bracket(grams[k], misfit) if k in grams else None
 
     # M(tau) is the leading block of M(tau+1): cut it from there if that was built
-    tau = system.tau
     build = partial(build_moment_matrix, ext, tau + 1)
-    high, noise_scale, full = _psd_record(ext, tau + 1, tol, factor, build)
+    high, noise_scale, full = _psd_record(ext, tau + 1, tol, bracket(1), build)
     build = partial(build_moment_matrix, ext, tau) if full is None else partial(full.truncate, tau)
-    low, _, _ = _psd_record(ext, tau, tol, factor, build)
+    low, _, _ = _psd_record(ext, tau, tol, bracket(0), build)
     psd_records = found["psd_records"] = (low, high)
 
     failing = [
@@ -364,9 +374,9 @@ def _run_stages(
         # roundoff; its own sigma_max is then noise, so the rank cutoff is
         # floored at the parent matrix's scale times the coefficient size
         scale = noise_scale * (1.0 + q.max_coefficient)
-        order = max_localizing_order(ext, q)
+        order = matrices[2 + k][0]
         build = partial(build_localizing_matrix, ext, order, q)
-        psd, _, _ = _psd_record(ext, order, tol, factor, build, q, scale)
+        psd, _, _ = _psd_record(ext, order, tol, bracket(2 + k), build, q, scale)
         in_zero = count_atoms_in_zero_set(measure, q, tol.residual)
         threshold = tol.residual * (1.0 + q.max_coefficient)
         values = [q.evaluate(p) for p in measure.points]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from momentrec.binet import (
-    MOMENT_BLOCK_ENTRIES,
     AtomicMeasure,
     BinetExpansion,
     evaluate_moments,
@@ -24,7 +23,12 @@ from momentrec.errors import (
     RepeatedRootsError,
 )
 from momentrec.indexing import basis_size, iter_basis
-from momentrec.moments import TruncatedSequence, build_moment_matrix, bilinear_form
+from momentrec.moments import (
+    MOMENT_BLOCK_ENTRIES,
+    TruncatedSequence,
+    bilinear_form,
+    build_moment_matrix,
+)
 from momentrec.polynomials import MultivariatePoly, UnivariatePoly
 from momentrec.recurrence import CharacteristicSystem, detect_characteristic_system
 from momentrec.sampling import sample_instance

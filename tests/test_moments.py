@@ -479,8 +479,9 @@ def _perturbed(rng, dim, count, degree, noise):
     """Moments of a random positive measure plus relative noise, and the misfit factor.
 
     Returns (data, factor) with factor = (points, weights, misfit) as the
-    solver passes it to ``moment_bracket``: the misfit is the data minus the
-    measure's moments, so ||E|| > 0 whenever noise > 0.
+    solver uses them: ``moments_and_grams`` runs over the points and
+    weights, and the misfit is the data minus the measure's moments, so
+    ||E|| > 0 whenever noise > 0.
     """
     points = rng.uniform(-1.0, 1.0, size=(count, dim))
     weights = rng.uniform(0.5, 1.5, size=count)
@@ -491,19 +492,26 @@ def _perturbed(rng, dim, count, degree, noise):
     return data, (points, weights, misfit)
 
 
-def _check_against_eigvalsh(data, order, factor, poly=None):
+def _gram_sums(factor, requests):
+    """The GramSums of one measure pass over ``factor``'s measure, to the misfit's degree."""
+    points, weights, misfit = factor
+    return moments.moments_and_grams(points, weights, misfit.max_degree, requests)[1]
+
+
+def _check_against_eigvalsh(data, sums, misfit):
     """The bracket holds eigvalsh's spectrum; what it decides, it decides as eigvalsh does.
 
     For three tolerance pairs: a decided bracket gives eigvalsh's verdict and
     rank, and a certified min eigenvalue no higher than eigvalsh's beyond
     roundoff. Returns the number of pairs the bracket decided.
     """
+    order, poly = sums.order, sums.poly
     if poly is None:
         matrix, shifted = build_moment_matrix(data, order), data
     else:
         matrix, shifted = build_localizing_matrix(data, order, poly), shift_sequence(data, poly)
     n = matrix.size
-    centers, radius = moments.moment_bracket(*factor, order, poly)
+    centers, radius = moments.moment_bracket(sums, misfit)
     lam = np.linalg.eigvalsh(matrix.entries)
     assert centers.shape == (n,) and radius > 0.0
     assert np.all(np.abs(centers - lam) <= radius)
@@ -532,8 +540,8 @@ def test_certified_psd_and_rank_match_eigvalsh():
                 data, factor = _perturbed(rng, dim, count, 2 * order + 2, noise)
                 x1 = MultivariatePoly.variable(dim, 0)
                 q = MultivariatePoly.constant(dim, 4.0) - x1 * x1
-                certified += _check_against_eigvalsh(data, order, factor)
-                certified += _check_against_eigvalsh(data, order, factor, q)
+                for sums in _gram_sums(factor, [(order, None), (order, q)]):
+                    certified += _check_against_eigvalsh(data, sums, factor[2])
                 checked += 6
     # the bracket, not the eigvalsh fallback, decided most of them
     assert certified >= 0.75 * checked
@@ -559,8 +567,39 @@ def test_indefinite_matrices_match_eigvalsh():
     for dim, order in ((1, 50), (2, 9), (3, 6)):
         data, factor = _perturbed(rng, dim, 30, 2 * order + 1, 1e-12)
         x1 = MultivariatePoly.variable(dim, 0)
-        assert _check_against_eigvalsh(data, order, factor, x1) == 0
+        (sums,) = _gram_sums(factor, [(order, x1)])
+        assert _check_against_eigvalsh(data, sums, factor[2]) == 0
         assert not psd_check(build_localizing_matrix(data, order, x1)).is_psd
+
+
+def test_continued_gram_matches_the_direct_factor():
+    """The pass's Gram sums of M(n) and M(n+1) equal F^T F of the direct factor within the
+    bracket's roundoff allowance, where M(n+1)'s sum continues M(n)'s; the moments are
+    bit-identical to a pass with no requests."""
+    rng = np.random.default_rng(12)
+    for dim, count, n in ((1, 5, 60), (2, 150, 8), (3, 216, 7), (3, 30, 6)):
+        _, (points, weights, misfit) = _perturbed(rng, dim, count, 2 * n + 4, 0.0)
+        x1 = MultivariatePoly.variable(dim, 0)
+        q = MultivariatePoly.constant(dim, 0.5) - x1 * x1
+        requests = [(n, None), (n + 1, None), (n + 1, q), (n + 2, q)]
+        values, sums = moments.moments_and_grams(points, weights, misfit.max_degree, requests)
+        alone, none = moments.moments_and_grams(points, weights, misfit.max_degree)
+        assert np.array_equal(values, alone) and none == []
+        assert [(s.order, s.poly) for s in sums] == requests
+        for s in sums:
+            poly = MultivariatePoly.constant(dim, 1.0) if s.poly is None else s.poly
+            exponents = indexing.basis_array(dim, s.order)
+            rows = np.prod(points[None, :, :] ** exponents[:, None, :], axis=2)  # (N, r)
+            diagonal = weights * np.array([poly.evaluate(p) for p in points])
+            factor = rows * np.sqrt(np.maximum(diagonal, 0.0))
+            norms = np.einsum("is,is->s", rows, rows)
+            terms = [abs(c) * np.prod(np.abs(points) ** g, axis=1) for g, c in poly.terms.items()]
+            magnitude = np.abs(weights) * sum(terms)
+            length = len(rows) + count + 2 * s.order + poly.degree + len(poly.terms)
+            allowance = moments._ROUNDOFF * length * s.total
+            assert np.linalg.norm(s.gram - factor.T @ factor) <= allowance
+            assert abs(s.total - magnitude @ norms) <= allowance
+            assert abs(s.negative - np.maximum(-diagonal, 0.0) @ norms) <= allowance
 
 
 def test_eigenvalue_on_the_rank_cutoff_falls_back(eigvalsh_sizes):
@@ -633,17 +672,19 @@ def test_solver_certifies_the_large_moment_matrices(eigvalsh_sizes, built_orders
 
 
 def test_every_order_is_bracketed_from_one_measure():
-    """Brackets of M(0..n), flat and non-flat, from one measure's factor agree with eigvalsh."""
+    """Brackets of M(0..n), flat and non-flat, from one measure pass agree with eigvalsh."""
     rng = np.random.default_rng(10)
     inputs = []
     for dim, count, n in ((3, 20, 5), (3, 60, 7), (3, 140, 7), (2, 40, 10), (2, 70, 11)):
         inputs.append((*_perturbed(rng, dim, count, 2 * n, 1e-12), n))
-    certified = non_flat = 0
+    certified = non_flat = wide = 0
     for data, factor, n in inputs:
         rank_full = numeric_rank(build_moment_matrix(data, n))
-        for j in range(n + 1):
-            if indexing.basis_size(data.dim, j) >= moments.CERTIFY_MIN_SIZE:
-                certified += _check_against_eigvalsh(data, j, factor)
-                non_flat += numeric_rank(build_moment_matrix(data, j)) < rank_full
-    # the bracket decided most of them, among them non-flat blocks
-    assert certified >= 20 and non_flat >= 5
+        orders = [j for j in range(n + 1) if indexing.basis_size(data.dim, j) >= 48]
+        # one pass: each order's Gram sum continues the one below
+        for sums in _gram_sums(factor, [(j, None) for j in orders]):
+            certified += _check_against_eigvalsh(data, sums, factor[2])
+            non_flat += numeric_rank(build_moment_matrix(data, sums.order)) < rank_full
+            wide += len(factor[0]) > indexing.basis_size(data.dim, sums.order)
+    # the bracket decided most of them, among them non-flat blocks and more atoms than rows
+    assert certified >= 20 and non_flat >= 5 and wide >= 2

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from momentrec import solver
+from momentrec import moments, solver
 from momentrec.binet import AtomicMeasure, evaluate_moments
 from momentrec.errors import NoRecurrenceError
-from momentrec.indexing import iter_basis
+from momentrec.indexing import basis_size, iter_basis
 from momentrec.moments import TruncatedSequence
 from momentrec.polynomials import MultivariatePoly, UnivariatePoly
 from momentrec.recurrence import CharacteristicSystem
@@ -396,3 +396,32 @@ def test_solve_full_peaks_below_one_moment_matrix():
     assert report.status == STATUS_SUCCESS and report.tau == 15
     assert all(record.certified for record in report.psd_records)
     assert peak < 969 * 969 * 8
+
+
+def test_a_solve_evaluates_the_measures_monomials_once(monkeypatch):
+    """One measure pass per solve: the moments and every bracket's Gram sum share its rows.
+
+    On the 3-D 5^3 grid, solve_full evaluates the N(26) = 3,654 rows of the
+    moments and nothing for M(12) and M(13); solve_constrained evaluates the
+    rows to its extension's degree 28 and only each constraint's terms besides.
+    """
+    seq = _grid_sequence(3, 5, 26)
+    rows = []
+    original = moments.monomials
+
+    def recording(tables, exponents):
+        rows.append(len(exponents))
+        return original(tables, exponents)
+
+    monkeypatch.setattr(moments, "monomials", recording)
+    report = solve_full(seq)
+    assert report.status == STATUS_SUCCESS and report.tau == 12
+    assert all(record.certified for record in report.psd_records)
+    assert sum(rows) == basis_size(3, 26) == 3654
+    rows.clear()
+    x1 = MultivariatePoly.variable(3, 0)
+    one = MultivariatePoly.constant(3, 1.0)
+    report = solve_constrained(seq, SemialgebraicSet((one - x1 * x1, x1 + one)))
+    assert report.status == STATUS_SUCCESS
+    assert all(record.certified for record in report.constraint_records)
+    assert sum(rows) == basis_size(3, 28) + 2 + 2
