@@ -221,20 +221,21 @@ def expansion_to_measure(
     coef = expansion.coefficients
     magnitudes = np.abs(coef)
     max_abs = float(magnitudes.max(initial=0.0))
-    # grid indices in C order; an all-zero tensor has none
-    survivors = [tuple(i) for i in np.argwhere(magnitudes > tol_weight * max_abs).tolist()]
+    # grid indices and coefficients in C order; an all-zero tensor has none
+    kept = magnitudes > tol_weight * max_abs
+    survivors = [tuple(i) for i in np.argwhere(kept).tolist()]
     if not survivors:
         return AtomicMeasure(dim=expansion.dim, points=(), weights=(), support=())
-    scale = 1.0 + max(abs(coef[idx].real) for idx in survivors)
+    values = coef[kept].tolist()
+    scale = 1.0 + max(abs(c.real) for c in values)
     threshold = tol_imag * scale
     points = []
     weights = []
-    for grid_idx in survivors:
-        raw_point = expansion.grid_point(grid_idx)
+    for grid_idx, c in zip(survivors, values):
+        raw_point = [roots[k] for roots, k in zip(expansion.roots, grid_idx)]
         for coord in raw_point:
             if abs(coord.imag) > threshold:
                 raise ComplexAtomError(grid_idx, coord, "coordinate")
-        c = complex(coef[grid_idx])
         if abs(c.imag) > threshold:
             raise ComplexAtomError(grid_idx, c, "weight")
         point = tuple(x.real for x in raw_point)

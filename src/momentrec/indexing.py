@@ -13,8 +13,11 @@ The basis arrays behind them, which numpy builds one degree block at a time
 from the basis in one variable fewer, are kept the same way as intp exponents.
 Each plan is computed once per process and kept for later solves, unless it
 holds more than ``PLAN_RETAIN_LIMIT`` = 2^18 entries: such a plan is built
-for its call and dropped. Retained plans together hold at most
-``PLAN_STORE_LIMIT`` = 2^22 entries, the least recently used leaving first.
+for its call and dropped. A basis array is kept whatever its size, since it
+has one row per moment and so is no larger than the data it indexes; only
+the store's limit applies to it. Retained plans and bases together hold at
+most ``PLAN_STORE_LIMIT`` = 2^22 entries, the least recently used leaving
+first.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -162,8 +165,14 @@ def _entries(plan) -> int:
     return sum(p.size if isinstance(p, np.ndarray) else len(p) for p in plan)
 
 
-def _plan(build):
-    """Memoize a plan builder in the shared store, within the two limits."""
+def _plan(build=None, *, any_size=False):
+    """Memoize a plan builder in the shared store, within the two limits.
+
+    With ``any_size`` the result is kept past PLAN_RETAIN_LIMIT, so only the
+    store's limit applies.
+    """
+    if build is None:
+        return partial(_plan, any_size=any_size)
 
     @wraps(build)
     def lookup(*shape):
@@ -179,7 +188,7 @@ def _plan(build):
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
         size = _entries(plan)
-        if size <= PLAN_RETAIN_LIMIT:
+        if size <= (PLAN_STORE_LIMIT if any_size else PLAN_RETAIN_LIMIT):
             with _plans_lock:
                 if key not in _plans:
                     _plans[key] = plan
@@ -191,7 +200,7 @@ def _plan(build):
     return lookup
 
 
-@_plan
+@_plan(any_size=True)
 def basis_array(dim: int, degree: int) -> np.ndarray:
     """The degree-lex basis as an (n, dim) array; lower degrees are prefixes.
 

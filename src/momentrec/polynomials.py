@@ -5,8 +5,8 @@ the coefficient of x^k and the leading coefficient sits at the end. The zero
 polynomial is represented as ``(0.0,)``. Multivariate polynomials map
 exponent tuples to nonzero coefficients.
 
-Root finding goes through the companion matrix (``numpy.roots``) with
-multiplicities recovered by clustering.
+Roots are the eigenvalues of the companion matrix that ``numpy.roots``
+builds, with multiplicities recovered by clustering.
 """
 
 from __future__ import annotations
@@ -129,16 +129,24 @@ def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined roots")
-    monic = p.monic()
-    if monic.degree == 0:
+    if p.degree == 0:
         return []
-    raw = np.roots(np.asarray(monic.coeffs)[::-1])
-    raw = raw[np.lexsort((raw.imag, raw.real))]
-    threshold = ROOT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(raw))))
+    lead = p.coeffs[-1]
+    coeffs = [c / lead for c in p.coeffs]
+    # numpy.roots' rules: exactly-zero low coefficients are roots at +0 kept
+    # out of the matrix, whose first row is -c_{n-1} .. -c_0 over a shifted
+    # identity; eigvals gives float roots when all are real
+    zeros = next(k for k, c in enumerate(coeffs) if c != 0.0)
+    companion = np.eye(len(coeffs) - 1 - zeros, k=-1)
+    companion[:1] = [-c for c in reversed(coeffs[zeros:-1])]
+    raw = np.linalg.eigvals(companion).tolist() + [0.0] * zeros
+    raw.sort(key=lambda z: (z.real, z.imag))
+    threshold = ROOT_CLUSTER_TOL * (1.0 + max(map(abs, raw)))
     # the loop compares each root with its neighbour's cluster: if no two
     # neighbours are that close, each root is a cluster of one, its own mean
-    if np.all(np.abs(np.diff(raw)) > threshold):
-        return [(complex(z), 1) for z in raw.tolist()]
+    if all(abs(b - a) > threshold for a, b in zip(raw, raw[1:])):
+        return [(complex(z), 1) for z in raw]
+    raw = np.array(raw)
     clusters: list[list[complex]] = []
     for z in raw:
         if clusters and abs(z - np.mean(clusters[-1])) <= threshold:

@@ -14,6 +14,7 @@ matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -95,9 +96,9 @@ def _fit_order(a_mat: np.ndarray, b_vec: np.ndarray):
     Returns the weights and the relative residual ||A a - b|| / (1 + ||b||).
     """
     weights, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    residual = float(np.linalg.norm(a_mat @ weights - b_vec))
-    residual /= 1.0 + float(np.linalg.norm(b_vec))
-    return weights, residual
+    # the dot product and square root np.linalg.norm takes on a 1-D vector
+    misfit = a_mat @ weights - b_vec
+    return weights, math.sqrt(misfit @ misfit) / (1.0 + math.sqrt(b_vec @ b_vec))
 
 
 def detect_minimal_recurrence(

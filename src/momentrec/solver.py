@@ -277,11 +277,12 @@ def _psd_record(
     build: Callable[[], MomentMatrix],
     poly: MultivariatePoly | None = None,
     scale: float | None = None,
-) -> tuple[PsdRecord, float, MomentMatrix | None]:
-    """The data's M(order) (M_q(order) for ``poly``): record, sigma_max, any matrix built.
+) -> tuple[PsdRecord, np.ndarray, MomentMatrix | None]:
+    """The data's M(order) (M_q(order) for ``poly``): record, eigenvalues, any matrix built.
 
     The record comes from the measure's ``bracket`` where that certifies
-    it; otherwise ``build()`` makes the matrix for eigvalsh.
+    it, and the eigenvalues are then the bracket's centers; otherwise
+    ``build()`` makes the matrix for eigvalsh.
     """
     decided = matrix = None
     if bracket is not None:
@@ -294,7 +295,7 @@ def _psd_record(
         check, rank = psd_check(matrix, tol.psd), numeric_rank(matrix, tol.rank, scale=scale)
         spectrum = matrix.eigenvalues
     record = PsdRecord(order, check.min_eigenvalue, check.is_psd, rank, certified=check.certified)
-    return record, float(np.abs(spectrum).max(initial=0.0)), matrix
+    return record, spectrum, matrix
 
 
 def _run_stages(
@@ -339,7 +340,7 @@ def _run_stages(
 
     # M(tau) is the leading block of M(tau+1): cut it from there if that was built
     build = partial(build_moment_matrix, ext, tau + 1)
-    high, noise_scale, full = _psd_record(ext, tau + 1, tol, bracket(1), build)
+    high, spectrum, full = _psd_record(ext, tau + 1, tol, bracket(1), build)
     build = partial(build_moment_matrix, ext, tau) if full is None else partial(full.truncate, tau)
     low, _, _ = _psd_record(ext, tau, tol, bracket(0), build)
     psd_records = found["psd_records"] = (low, high)
@@ -367,6 +368,7 @@ def _run_stages(
         return STATUS_SUCCESS, None
 
     # localizing and support checks; the first violated constraint names the status
+    noise_scale = float(np.abs(spectrum).max(initial=0.0))
     records = []
     violation: str | None = None
     for k, q in enumerate(polys):

@@ -191,6 +191,33 @@ def test_measure_rejects_complex_coordinates():
     assert info.value.what == "coordinate"
 
 
+@pytest.mark.parametrize(
+    "coefficients, error, grid_index, what",
+    [
+        # several survivors fail: the first in C order is reported, whatever its kind
+        ([[-1.0, 1.0], [1.0, 1.0]], NegativeWeightError, (0, 0), None),
+        ([[1.0, 1e-12], [1.0 + 0.5j, -1.0]], ComplexAtomError, (1, 0), "weight"),
+        # one survivor with several faults: coordinate, then weight, then sign
+        ([[0.0, -1.0 + 1.0j], [0.0, 0.0]], ComplexAtomError, (0, 1), "coordinate"),
+        ([[-1.0 + 1.0j, 0.0], [0.0, 0.0]], ComplexAtomError, (0, 0), "weight"),
+        ([[-1.0, 0.0], [0.0, 0.0]], NegativeWeightError, (0, 0), None),
+    ],
+)
+def test_measure_error_order(coefficients, error, grid_index, what):
+    """The error names the first failing survivor in C order, checked in a fixed order."""
+    # grid points (x, 3 + i) are complex; the 1e-12 coefficient is pruned
+    exp = BinetExpansion(
+        roots=((1.0 + 0j, 2.0 + 0j), (0.5 + 0j, 3.0 + 1.0j)),
+        coefficients=np.array(coefficients, dtype=complex),
+        source_residual=0.0,
+    )
+    with pytest.raises(error) as info:
+        expansion_to_measure(exp)
+    assert info.value.grid_index == grid_index
+    if what is not None:
+        assert info.value.what == what
+
+
 def test_measure_prunes_tiny_coefficients():
     """Coefficients at the relative weight floor are dropped."""
     exp = BinetExpansion(

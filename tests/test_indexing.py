@@ -212,6 +212,15 @@ def test_oversized_plan_is_not_retained(empty_store):
     assert indexing._plans_entries <= PLAN_STORE_LIMIT
 
 
+def test_bases_are_kept_whatever_their_size(empty_store):
+    """The 5-D basis of degree 22 (403,650 entries) is kept, within the store's limit."""
+    assert basis_size(5, 22) * 5 > PLAN_RETAIN_LIMIT
+    assert basis_array(5, 22) is basis_array(5, 22)
+    assert ("basis_array", 5, 22) in empty_store
+    assert indexing._plans_entries == sum(map(indexing._entries, empty_store.values()))
+    assert indexing._plans_entries <= PLAN_STORE_LIMIT
+
+
 def test_store_drops_least_recently_used(empty_store, monkeypatch):
     """Past the store limit the plans used longest ago leave first."""
     monkeypatch.setattr(indexing, "PLAN_STORE_LIMIT", 10)

@@ -129,25 +129,36 @@ def _clustering_loop(p):
 
 
 def test_roots_fast_path_matches_the_clustering_loop():
-    """Simple roots skip the loop, and every answer is the loop's, bit for bit."""
+    """Simple roots skip the loop, and every answer is the loop's, bit for bit.
+
+    Compared by repr, so a float root, or -0.0 where numpy.roots gives +0.0
+    for an exactly-zero low coefficient, is a mismatch.
+    """
     polys = {
         "simple real": UnivariatePoly.from_roots([3.0, -2.0, 0.5, 1.0, -0.25]),
         "conjugate pair": UnivariatePoly((5.0, -2.0, 1.0)) * UnivariatePoly.from_roots([-1.0]),
         "double root": UnivariatePoly.from_roots([1.0, 1.0, -2.0]),
         "pair 1e-9 apart": UnivariatePoly.from_roots([1.0, 1.0 + 1e-9, 3.0]),
+        "x": UnivariatePoly((0.0, 1.0)),
+        "x(x - 1)": UnivariatePoly((0.0, -1.0, 1.0)),
+        "x^2(x + 2)": UnivariatePoly((0.0, 0.0, 2.0, 1.0)),
+        "2x^3 - x": UnivariatePoly((0.0, -1.0, 0.0, 2.0)),
+        "(x^2 - 2x + 5)x": UnivariatePoly((0.0, 5.0, -2.0, 1.0)),
     }
     multiplicities = {
         "simple real": [1] * 5,
         "conjugate pair": [1, 1, 1],
         "double root": [1, 2],
         "pair 1e-9 apart": [2, 1],
+        "x": [1],
+        "x^2(x + 2)": [1, 2],
     }
     rng = np.random.default_rng(4)
     for k in range(20):
         polys[k] = UnivariatePoly.from_roots(sorted(rng.uniform(-3.0, 3.0, size=k % 6 + 1)))
     for name, p in polys.items():
         out = poly_roots(p)
-        assert out == _clustering_loop(p)
+        assert repr(out) == repr(_clustering_loop(p)), name
         if name in multiplicities:
             assert [m for _, m in out] == multiplicities[name]
 
