@@ -31,7 +31,7 @@ from .errors import (
     NegativeWeightError,
     RepeatedRootsError,
 )
-from .indexing import basis_array, grid_plan
+from .indexing import grid_plan, split_plan
 from .moments import TruncatedSequence, moments_and_grams
 from .polynomials import MultivariatePoly, UnivariatePoly, poly_roots, power_table
 from .recurrence import CharacteristicSystem
@@ -135,10 +135,11 @@ def _simple_roots(poly: UnivariatePoly, axis: int) -> tuple[complex, ...]:
 def _by_mode(
     tensor: np.ndarray, operations: Sequence[Callable[[np.ndarray], np.ndarray]]
 ) -> np.ndarray:
-    """Apply operations[l] to mode l, for l = 0..d-1 in turn.
+    """Apply operations[l] to mode l, for the leading len(operations) modes in turn.
 
     Each acts on the (rows, rest) unfolding of the leading mode, which then
-    moves to the back, so the modes end in their original order.
+    moves to the back: the modes left untouched come first, and after all d
+    the modes end in their original order.
     """
     for operate in operations:
         flat = operate(tensor.reshape(tensor.shape[0], -1))
@@ -175,9 +176,14 @@ def multivariate_binet(
     k <= max_degree. The initial block prod_l {0..deg p_l - 1} of the
     sequence is solved against the leading square block of P_l along mode l,
     for l = 0..d-1 in that fixed order (the result does not depend on it
-    beyond rounding). The whole tables rebuild the rectangle containing every
-    entry of ``seq``; the residual is the maximum relative reconstruction
-    error over all of them, not just the initial block.
+    beyond rounding). The residual is the maximum relative reconstruction
+    error over every entry of ``seq``, not just the initial block, and the
+    reconstruction is evaluated at those entries only: the tables of
+    variables 0..d-2 contract their modes in turn, each keeping only the
+    prefixes (exponents of the variables contracted so far) of degree <=
+    max_degree, which ``indexing.split_plan`` picks from the prefix-by-power
+    product; the heads (exponents of variables 0..d-2) then take one product
+    with P_{d-1}, and ``split_plan`` gathers the entries from it.
     """
     if system.dim != seq.dim:
         raise ValueError("dimension mismatch between system and sequence")
@@ -186,17 +192,25 @@ def multivariate_binet(
     )
     shape = tuple(len(r) for r in roots)
     block_degree = sum(m - 1 for m in shape)
-    if seq.max_degree < block_degree:
+    degree = seq.max_degree
+    if degree < block_degree:
         raise InsufficientDataError(
             f"initial block needs moments to degree {block_degree}, "
-            f"only {seq.max_degree} available"
+            f"only {degree} available"
         )
-    tables = [power_table(r, seq.max_degree) for r in roots]
+    tables = [power_table(r, degree) for r in roots]
     solves = [partial(np.linalg.solve, t[:m]) for t, m in zip(tables, shape)]
     coefficients = _by_mode(seq.array[grid_plan(shape)].astype(complex), solves)
-    recon = _by_mode(coefficients, [partial(np.matmul, t) for t in tables])
-    exponents = basis_array(seq.dim, seq.max_degree)
-    residual = relative_misfit(seq.array, recon[tuple(exponents.T)])
+    # modes 0..d-2 contracted in turn; after mode c a column per prefix (the
+    # exponents of variables 0..c) of degree <= max_degree, in degree-lex
+    # order, which split_plan picks from the prefix-by-power product
+    heads = coefficients.reshape(-1, 1)
+    for axis, table in enumerate(tables[:-1]):
+        rows = math.prod(shape[axis + 1 :])
+        heads = (table @ heads.reshape(shape[axis], -1)).T.reshape(rows, -1)
+        heads = heads[:, split_plan(axis + 1, degree)]
+    recon = heads.T @ tables[-1].T
+    residual = relative_misfit(seq.array, recon.ravel()[split_plan(seq.dim, degree)])
     return BinetExpansion(roots=roots, coefficients=coefficients, source_residual=residual)
 
 
@@ -255,8 +269,9 @@ def evaluate_moments(measure: AtomicMeasure, degree: int) -> TruncatedSequence:
     """Moments beta_i = sum_s w_s prod_l x_{l,s} ** i_l for all |i| <= degree.
 
     The measure pass ``moments.moments_and_grams`` with no Gram sums: one
-    power table per variable, as the Binet expansion uses, gathered a block
-    of rows at a time.
+    power table per variable, as the Binet expansion uses; the heads in the
+    first dim - 1 variables are evaluated a block at a time and each block
+    takes one product with the last variable's table.
     """
     points = np.array(measure.points, dtype=float).reshape(measure.atom_count, measure.dim)
     values, _ = moments_and_grams(points, measure.weights, degree)

@@ -7,14 +7,17 @@ on. For d = 2 this reads 1; x1; x2; x1^2; x1*x2; x2^2; ...
 
 Every gather the package makes from a degree-lex array (moment matrices,
 shifted sequences, recurrence windows, extension steps, the Binet initial
-block) reads a *plan*: a read-only int32 array of positions that depends only
-on the shape (dimension, degrees, axis, exponents of q), never on the data.
-The basis arrays behind them, which numpy builds one degree block at a time
-from the basis in one variable fewer, are kept the same way as intp exponents.
-Each plan is computed once per process and kept for later solves, unless it
-holds more than ``PLAN_RETAIN_LIMIT`` = 2^18 entries: such a plan is built
-for its call and dropped. A basis array is kept whatever its size, since it
-has one row per moment and so is no larger than the data it indexes; only
+block) or into one (the moments of a measure and of an expansion, from
+their head-by-last-power tables) reads a *plan*: a read-only int32 array of
+positions that depends only on the shape (dimension, degrees, axis,
+exponents of q), never on the data. The basis arrays behind them, which
+numpy builds one degree block at a time from the basis in one variable
+fewer, are kept the same way as intp exponents. Each plan is computed once
+per process and kept for later solves, unless it holds more than
+``PLAN_RETAIN_LIMIT`` = 2^18 entries: such a plan is built for its call and
+dropped. One basis array is kept per dimension whatever its size, since it
+has one row per moment and so is no larger than the data it indexes: the
+highest degree asked for, whose prefixes are the lower degrees' bases; only
 the store's limit applies to it. Retained plans and bases together hold at
 most ``PLAN_STORE_LIMIT`` = 2^22 entries, the least recently used leaving
 first.
@@ -27,7 +30,7 @@ import math
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -165,64 +168,116 @@ def _entries(plan) -> int:
     return sum(p.size if isinstance(p, np.ndarray) else len(p) for p in plan)
 
 
-def _plan(build=None, *, any_size=False):
-    """Memoize a plan builder in the shared store, within the two limits.
+def _store(key, plan) -> None:
+    """Keep a read-only plan, in place of any under its key; the caller holds the lock."""
+    global _plans_entries
+    if key in _plans:
+        _plans_entries -= _entries(_plans.pop(key))
+    _plans[key] = plan
+    _plans_entries += _entries(plan)
+    while _plans_entries > PLAN_STORE_LIMIT:
+        _plans_entries -= _entries(_plans.popitem(last=False)[1])
 
-    With ``any_size`` the result is kept past PLAN_RETAIN_LIMIT, so only the
-    store's limit applies.
-    """
-    if build is None:
-        return partial(_plan, any_size=any_size)
+
+def _read_only(plan):
+    for array in (plan,) if isinstance(plan, np.ndarray) else plan:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return plan
+
+
+def _plan(build):
+    """Memoize a plan builder in the shared store, within the two limits."""
 
     @wraps(build)
     def lookup(*shape):
-        global _plans_entries
         key = (build.__name__,) + shape
         with _plans_lock:
             plan = _plans.get(key)
             if plan is not None:
                 _plans.move_to_end(key)
                 return plan
-        plan = build(*shape)
-        for array in (plan,) if isinstance(plan, np.ndarray) else plan:
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
-        size = _entries(plan)
-        if size <= (PLAN_STORE_LIMIT if any_size else PLAN_RETAIN_LIMIT):
+        plan = _read_only(build(*shape))
+        if _entries(plan) <= PLAN_RETAIN_LIMIT:
             with _plans_lock:
-                if key not in _plans:
-                    _plans[key] = plan
-                    _plans_entries += size
-                while _plans_entries > PLAN_STORE_LIMIT:
-                    _plans_entries -= _entries(_plans.popitem(last=False)[1])
+                _store(key, plan)
         return plan
 
     return lookup
 
 
-@_plan(any_size=True)
 def basis_array(dim: int, degree: int) -> np.ndarray:
     """The degree-lex basis as an (n, dim) array; lower degrees are prefixes.
 
-    Block t stacks (t - |j|, j) over the (dim - 1)-variable basis j of degree
-    <= t. Exponents stay intp: numpy casts any other index dtype on every
-    gather (int32 exponents made evaluate_moments about 40% slower).
+    One basis is kept per dimension, whatever its size: the highest degree
+    asked for so far, which serves every lower degree as a read-only prefix
+    view and replaces the one it outgrows. An empty basis (degree < 0) is
+    never kept.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     _check_int32(dim, degree)
+    size = basis_size(dim, degree)
+    key = ("basis_array", dim)
+    with _plans_lock:
+        kept = _plans.get(key)
+        if kept is not None and len(kept) >= size:
+            _plans.move_to_end(key)
+            return kept if len(kept) == size else kept[:size]
+    basis = _read_only(_build_basis(dim, degree))
+    if 0 < basis.size <= PLAN_STORE_LIMIT:
+        with _plans_lock:
+            kept = _plans.get(key)
+            if kept is None or len(kept) < size:
+                _store(key, basis)
+    return basis
+
+
+def _build_basis(dim: int, degree: int) -> np.ndarray:
+    """Block t stacks (t - |j|, j) over the (dim - 1)-variable basis j of degree <= t.
+
+    Exponents stay intp: numpy casts any other index dtype on every gather
+    (int32 exponents made evaluate_moments about 40% slower).
+    """
     if dim == 1:
         return np.arange(degree + 1, dtype=np.intp)[:, None]
     rest = basis_array(dim - 1, degree)
     rest_degree = rest.sum(axis=1)
     block, row = np.nonzero(rest_degree <= np.arange(degree + 1)[:, None])
-    return np.column_stack((block - rest_degree[row], rest[row]))
+    basis = np.empty((len(row), dim), dtype=np.intp)
+    basis[:, 0] = block - rest_degree[row]
+    basis[:, 1:] = rest[row]
+    return basis
 
 
 @_plan
 def basis_labels(dim: int, degree: int) -> tuple[MultiIndex, ...]:
     """basis_array as tuples: the labels of M(degree), the keys of a sequence."""
     return tuple(map(tuple, basis_array(dim, degree).tolist()))
+
+
+@_plan
+def split_plan(dim: int, degree: int) -> np.ndarray:
+    """Each degree-lex exponent a, |a| <= degree, split into its head and last exponent.
+
+    Entry i is h * (degree + 1) + a_last for the i-th tuple a = (head, a_last),
+    h the degree-lex rank of the head among the (dim - 1)-variable tuples: the
+    position of x^a in a (heads, degree + 1) table of head values times the
+    powers of the last variable. In one variable every head is the empty tuple.
+    """
+    table = basis_size(dim - 1, degree) * (degree + 1)
+    if table >= _INT32_BASIS:
+        raise ValueError(f"a head table of {table} entries: int32 positions stop at 2^31")
+    exponents = basis_array(dim, degree)
+    # the head's rank is sum_c terms[c, s_c] over its suffix sums s_c, summed
+    # one axis at a time so no (n, dim) temporary is made
+    terms = _rank_terms(dim - 1, degree)
+    suffix = np.zeros(len(exponents), dtype=np.intp)
+    heads = np.zeros(len(exponents), dtype=np.int32)
+    for c in range(dim - 2, -1, -1):
+        suffix += exponents[:, c]
+        heads += terms[c, suffix]
+    return heads * np.int32(degree + 1) + exponents[:, -1].astype(np.int32)
 
 
 @_plan

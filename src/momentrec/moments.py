@@ -17,13 +17,15 @@ computes one eigendecomposition (eigvalsh), on whichever check runs first.
 Data that an r-atomic measure nearly represents need no matrix: the
 measure's M(n) is V^T W V with V[s, i] = x_s^{a_i}, its localizing matrix
 V^T diag(w q(x)) V, and the data's matrix adds the matrix E of the misfit
-sequence. ``moments_and_grams`` evaluates the measure's moments in one
-blocked pass over the rows x^a and, from the same rows, the r x r Gram sums
-of the requested matrices; M(n) is the leading block of M(n+1), so M(n+1)'s
-sum continues M(n)'s. ``moment_bracket`` puts every eigenvalue of the data's
-matrix within a radius (||E||_F plus roundoff, by Weyl's inequality) of the
-Gram spectrum, and ``bracket_check`` reads the PSD verdict and the rank from
-that bracket where it decides them as eigvalsh would.
+sequence. ``moments_and_grams`` makes one pass over the measure: it takes
+the moments from products of head rows x'^h (the first dim - 1 variables)
+with the powers of the last variable, and the r x r Gram sums of the
+requested matrices from the rows x^a up to the largest order; M(n) is the
+leading block of M(n+1), so M(n+1)'s sum continues M(n)'s.
+``moment_bracket`` puts every eigenvalue of the data's matrix within a
+radius (||E||_F plus roundoff, by Weyl's inequality) of the Gram spectrum,
+and ``bracket_check`` reads the PSD verdict and the rank from that bracket
+where it decides them as eigvalsh would.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .indexing import (
     moment_plan,
     pair_counts,
     shift_plan,
+    split_plan,
 )
 from .polynomials import MultivariatePoly, monomials, power_table
 
@@ -367,16 +370,21 @@ def moments_and_grams(
 ) -> tuple[np.ndarray, list[GramSum]]:
     """Moments of an atomic measure to ``degree``, and one GramSum per request.
 
-    One pass over the degree-lex rows x^a, |a| <= degree, at the atoms
-    ``points`` (r, dim) with ``weights``: the rows are gathered from one
-    power table per variable, about MOMENT_BLOCK_ENTRIES (row, atom)
-    products (256 KB) at a time, and a block's moments are rows @ w. A
-    request (order, q), q None for M(order), adds the rows of degree <=
-    order to the sums of its diagonal w q(x). Requests with equal q share
-    one running sum, which each snapshots at its own order: M(n+1)'s Gram
-    matrix continues M(n)'s, no row is evaluated twice and no rows x atoms
-    factor is held. A block that straddles a requested row count splits
-    only its Gram sums, so the moments do not depend on the requests.
+    One pass over the atoms ``points`` (r, dim) with ``weights``, from one
+    power table per variable. A moment splits as x^a = x'^h x_d^k, a head in
+    the first dim - 1 variables times a power of the last, so the moments
+    read one table: row h holds sum_s w_s x'_s^h x_{d,s}^k for k <= degree.
+    Its rows come a block of heads at a time, each block one product
+    (heads * w) @ P_d^T of about MOMENT_BLOCK_ENTRIES (head, atom) values
+    (256 KB), and ``indexing.split_plan`` gathers the moments from it; in
+    one variable they are P_1 @ w.
+
+    A request (order, q), q None for M(order), adds the rows x^a of degree
+    <= order, gathered from the tables a block of rows at a time, to the
+    sums of its diagonal w q(x). Requests with equal q share one running
+    sum, which each snapshots at its own order: M(n+1)'s Gram matrix
+    continues M(n)'s, rows are evaluated only up to the largest order and
+    once, and no rows x atoms factor is held.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -386,8 +394,28 @@ def moments_and_grams(
     for order, poly in requests:
         if not 0 <= order <= degree or (poly is not None and poly.degree > degree):
             raise ValueError(f"a Gram sum of order {order} needs rows beyond degree {degree}")
-    exponents = basis_array(dim, degree)
     tables = [power_table(axis, degree) for axis in points.T]
+    step = max(1, MOMENT_BLOCK_ENTRIES // max(1, count))
+    if dim == 1:
+        values = tables[0] @ weights
+    else:
+        heads = basis_array(dim - 1, degree)
+        table = np.empty((len(heads), degree + 1))
+        for start in range(0, len(heads), step):
+            block = monomials(tables[:-1], heads[start : start + step])
+            block *= weights
+            # heads come by ascending degree, so the first one's is the block's least
+            width = degree + 1 - int(heads[start].sum())
+            table[start : start + step, :width] = block @ tables[-1][:width].T
+        values = table.ravel()[split_plan(dim, degree)]
+    return values, _gram_sums(tables, weights, requests, step)
+
+
+def _gram_sums(tables, weights: np.ndarray, requests, step: int) -> list[GramSum]:
+    """``moments_and_grams``' Gram sums, over blocks of ``step`` rows."""
+    if not requests:
+        return []
+    count, dim = len(weights), len(tables)
     # request k runs on sum group[k], through its first size[k] rows
     polys: list = []
     group = []
@@ -402,14 +430,12 @@ def moments_and_grams(
     grams = [np.zeros((count, count)) for _ in polys]
     norms = np.zeros(count)
     cuts = sorted(set(size))
+    exponents = basis_array(dim, max(order for order, _ in requests))
     out: list = [None] * len(requests)
-    values = np.empty(len(exponents))
-    step = max(1, MOMENT_BLOCK_ENTRIES // max(1, count))
     for start in range(0, len(exponents), step):
         block = monomials(tables, exponents[start : start + step])
-        values[start : start + step] = block @ weights
         low, stop = start, start + len(block)
-        while cuts and low < stop:
+        while low < stop:
             high = min(stop, cuts[0])
             rows = block[low - start : high - start]
             norms += np.einsum("is,is->s", rows, rows)
@@ -426,7 +452,7 @@ def moments_and_grams(
                         total = float(magnitude @ norms)
                         out[k] = GramSum(order, poly, grams[group[k]].copy(), negative, total)
             low = high
-    return values, out
+    return out
 
 
 def moment_bracket(sums: GramSum, misfit: TruncatedSequence) -> tuple[np.ndarray, float] | None:
@@ -457,7 +483,10 @@ def moment_bracket(sums: GramSum, misfit: TruncatedSequence) -> tuple[np.ndarray
     of N products in G and n_s, whose bound holds for any order and grouping
     of the terms, so for the blocks of ``moments_and_grams``, and eigvalsh's
     backward error of about r u ||G|| <= r u T); the misfit norm by at most
-    L u T (the measure's moments, sums of r products) plus (L + W) u times
+    L u T (the measure's moments: each is a sum of r products of at most
+    |a| + 2 rounded factors, the head's powers and their product, the weight
+    and the last variable's power, whatever order and grouping the head
+    table's matrix product sums them in) plus (L + W) u times
     itself (subtractions, the shift and the sum over W =
     basis_size(dim, 2 order) entries); and eigvalsh's answer for A, which
     the bracket must contain, by at most N u ||A|| <= N u (T + ||E||_F).

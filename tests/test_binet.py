@@ -29,7 +29,7 @@ from momentrec.moments import (
     bilinear_form,
     build_moment_matrix,
 )
-from momentrec.polynomials import MultivariatePoly, UnivariatePoly
+from momentrec.polynomials import MultivariatePoly, UnivariatePoly, poly_roots, power_table
 from momentrec.recurrence import CharacteristicSystem, detect_characteristic_system
 from momentrec.sampling import sample_instance
 
@@ -262,9 +262,13 @@ def test_evaluate_moments_matches_direct_power_sums():
     rng = np.random.default_rng(8)
     spread = AtomicMeasure(2, rng.uniform(-1.5, 1.5, (300, 2)), rng.uniform(0.1, 1.0, 300))
     solid = AtomicMeasure(3, rng.uniform(-1.0, 1.0, (7, 3)), rng.uniform(0.1, 1.0, 7))
-    # 231 rows x 300 atoms: the rows run through several blocks
-    assert basis_size(2, 20) * spread.atom_count > 2 * MOMENT_BLOCK_ENTRIES
-    for measure, degree in ((AtomicMeasure(2, (), ()), 6), (spread, 20), (solid, 9)):
+    wide = AtomicMeasure(4, rng.uniform(-1.2, 1.2, (400, 4)), rng.uniform(0.1, 1.0, 400))
+    deep = AtomicMeasure(5, rng.uniform(-1.2, 1.2, (400, 5)), rng.uniform(0.1, 1.0, 400))
+    # the heads (exponents of all but the last variable) run through several blocks
+    assert basis_size(3, 8) * wide.atom_count > 2 * MOMENT_BLOCK_ENTRIES
+    assert basis_size(4, 6) * deep.atom_count > 2 * MOMENT_BLOCK_ENTRIES
+    cases = ((AtomicMeasure(2, (), ()), 6), (spread, 20), (solid, 9), (wide, 8), (deep, 6))
+    for measure, degree in cases:
         seq = evaluate_moments(measure, degree)
         for idx, value in seq.values.items():
             terms = [
@@ -289,6 +293,86 @@ def test_evaluate_moments_memory_follows_the_block():
         tracemalloc.stop()
     assert seq.array.size * grid.atom_count * 8 > 11 * 10**6
     assert peak < 4 * 10**6
+
+
+def _grid(dim, nodes):
+    axis = np.linspace(-1.0, 1.0, nodes)
+    points = tuple(itertools.product(*([axis] * dim)))
+    return AtomicMeasure(dim, points, tuple(1.0 + 0.01 * i for i in range(len(points))))
+
+
+def test_evaluate_moments_of_5d_follows_the_head_block():
+    """5-D 3^5 at degree 22 (80,730 moments, 14,950 heads) stays below 8 MB with its plans kept.
+
+    One heads x atoms array would be 29 MB, one rows x atoms array 157 MB.
+    """
+    grid = _grid(5, 3)
+    evaluate_moments(grid, 22)  # the basis and split plan are kept from here on
+    tracemalloc.start()
+    try:
+        seq = evaluate_moments(grid, 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis_size(4, 22) * grid.atom_count * 8 > 29 * 10**6
+    assert seq.array.size == 80730
+    assert peak < 8 * 10**6
+
+
+@pytest.mark.parametrize(
+    "dim, nodes, degree, bound",
+    [(4, 4, 26, 27**4 * 16), (5, 3, 22, 3 * 23**4 * 16)],
+)
+def test_binet_residual_needs_no_rectangle(dim, nodes, degree, bound):
+    """The residual's peak follows the data, not a rectangle of powers.
+
+    4-D 4^4 at degree 26 stays below one 27^4 complex rectangle (8.5 MB);
+    5-D 3^5 at degree 22 below one 3 x 23^4 rectangle of heads by the last
+    variable's roots (13.4 MB), for 80,730 data entries.
+    """
+    seq = evaluate_moments(_grid(dim, nodes), degree)
+    system = detect_characteristic_system(seq)
+    tracemalloc.start()
+    try:
+        expansion = multivariate_binet(system, seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert expansion.source_residual < 1e-9
+    assert peak < bound
+
+
+def _rectangle_residual(system, seq, coefficients):
+    """The expansion rebuilt on the whole (max_degree + 1)^dim rectangle, mode by mode."""
+    recon = coefficients
+    for poly in system.polys:
+        table = power_table([root for root, _ in poly_roots(poly)], seq.max_degree)
+        flat = table @ recon.reshape(recon.shape[0], -1)
+        recon = flat.T.reshape(recon.shape[1:] + flat.shape[:1])
+    model = np.array([recon[idx] for idx in iter_basis(seq.dim, seq.max_degree)])
+    return float(np.max(np.abs(seq.array - model) / (1.0 + np.abs(seq.array))))
+
+
+def test_source_residual_matches_the_rectangle():
+    """On random 1-4-D systems and data the residual equals the rectangle's, bit for bit."""
+    rng = np.random.default_rng(2026)
+    for trial in range(24):
+        dim = 1 + trial % 4
+        polys = []
+        for _ in range(dim):
+            roots = list(rng.uniform(-2.0, 2.0, rng.integers(1, 4)))
+            if rng.random() < 0.3:
+                pair = complex(rng.uniform(-1, 1), rng.uniform(0.2, 1))
+                roots += [pair, pair.conjugate()]
+            polys.append(UnivariatePoly.from_roots(roots))
+        tau = sum(p.degree - 1 for p in polys)
+        system = CharacteristicSystem(tuple(polys), tau, 0.0)
+        degree = tau + int(rng.integers(0, 6))
+        seq = TruncatedSequence(dim, degree, rng.standard_normal(basis_size(dim, degree)))
+        expansion = multivariate_binet(system, seq)
+        assert expansion.source_residual == _rectangle_residual(
+            system, seq, expansion.coefficients
+        ), trial
 
 
 def test_roundtrip_measure_to_moments_to_measure():

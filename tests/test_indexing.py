@@ -10,7 +10,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from momentrec import indexing
+from momentrec import NoRecurrenceError, TruncatedSequence, detect_minimal_recurrence, indexing
 from momentrec.indexing import (
     PLAN_RETAIN_LIMIT,
     PLAN_STORE_LIMIT,
@@ -27,6 +27,7 @@ from momentrec.indexing import (
     moment_plan,
     pair_counts,
     shift_plan,
+    split_plan,
     total_degree,
     window_plan,
 )
@@ -216,9 +217,45 @@ def test_bases_are_kept_whatever_their_size(empty_store):
     """The 5-D basis of degree 22 (403,650 entries) is kept, within the store's limit."""
     assert basis_size(5, 22) * 5 > PLAN_RETAIN_LIMIT
     assert basis_array(5, 22) is basis_array(5, 22)
-    assert ("basis_array", 5, 22) in empty_store
+    assert ("basis_array", 5) in empty_store
     assert indexing._plans_entries == sum(map(indexing._entries, empty_store.values()))
     assert indexing._plans_entries <= PLAN_STORE_LIMIT
+
+
+def test_lower_degree_bases_are_prefix_views(empty_store):
+    """One basis is kept per dimension: a higher degree replaces a lower one and serves it."""
+    low = basis_array(5, 20)
+    assert empty_store[("basis_array", 5)] is low
+    high = basis_array(5, 22)
+    assert empty_store[("basis_array", 5)] is high
+    assert np.shares_memory(basis_array(5, 20), basis_array(5, 22))
+    assert np.array_equal(basis_array(5, 20), low) and basis_array(5, 21).base is high
+    with pytest.raises(ValueError):
+        basis_array(5, 21)[0, 0] = 1
+    assert basis_array(5, 22) is high
+    assert indexing._plans_entries == sum(map(indexing._entries, empty_store.values()))
+
+
+def test_a_degree_0_detection_leaves_the_kept_bases_whole(empty_store):
+    """Detecting on one moment asks for the basis of degree -1; no later basis suffers."""
+    with pytest.raises(NoRecurrenceError):
+        detect_minimal_recurrence(TruncatedSequence(2, 0, [1.0]), axis=0)
+    for dim in (1, 2):
+        assert basis_array(dim, 3).tolist() == [list(idx) for idx in brute_force_basis(dim, 3)]
+    assert basis_array(2, -1).shape == (0, 2)
+    assert basis_array(2, 0).tolist() == [[0, 0]]
+
+
+def test_split_plan_places_each_tuple_by_head_and_last_exponent(empty_store):
+    """Entry i is rank(head) * (degree + 1) + a_last, the head ranked in one variable fewer."""
+    for dim in (1, 2, 3, 4):
+        basis = enumerate_basis(dim, 5)
+        heads = {(): 0}
+        if dim > 1:
+            heads = {idx: pos for pos, idx in enumerate(enumerate_basis(dim - 1, 5))}
+        expected = [heads[idx[:-1]] * 6 + idx[-1] for idx in basis]
+        plan = split_plan(dim, 5)
+        assert plan.dtype == np.int32 and plan.tolist() == expected
 
 
 def test_store_drops_least_recently_used(empty_store, monkeypatch):

@@ -17,3 +17,24 @@ def test_two_small_runs_agree():
     ]
     assert re.fullmatch(r"corpus seed 7: 24 inputs, sha256 [0-9a-f]{64}\n", outputs[0])
     assert outputs[0] == outputs[1]
+
+
+def test_saved_moments_reload_to_the_same_digest(tmp_path):
+    """Solving saved moment bytes gives the plain run's digests; a mismatched file is refused."""
+    saved = tmp_path / "corpus.npz"
+    command = [sys.executable, str(TOOL), "--workload", "corpus", "--seed", "7", "--small"]
+    plain = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    runs = [
+        subprocess.run(
+            command + ["--decisions", option, str(saved)],
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for option in ("--save-moments", "--moments-from")
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].splitlines()[0] == plain.stdout.strip()
+    decisions = runs[0].splitlines()[1]
+    assert re.fullmatch(r"corpus seed 7: 24 inputs, decisions sha256 [0-9a-f]{64}", decisions)
+    other = [sys.executable, str(TOOL), "--workload", "grid", "--small", "--moments-from"]
+    refused = subprocess.run(other + [str(saved)], capture_output=True, text=True, timeout=120)
+    assert refused.returncode == 2 and "24 arrays" in refused.stderr

@@ -399,11 +399,13 @@ def test_solve_full_peaks_below_one_moment_matrix():
 
 
 def test_a_solve_evaluates_the_measures_monomials_once(monkeypatch):
-    """One measure pass per solve: the moments and every bracket's Gram sum share its rows.
+    """One measure pass per solve: head rows for the moments, rows only as far as the Gram sums.
 
-    On the 3-D 5^3 grid, solve_full evaluates the N(26) = 3,654 rows of the
-    moments and nothing for M(12) and M(13); solve_constrained evaluates the
-    rows to its extension's degree 28 and only each constraint's terms besides.
+    On the 3-D 5^3 grid, solve_full evaluates the N_2(26) = 378 two-variable
+    heads of its moments, not their N_3(26) = 3,654 rows, and the N_3(13) =
+    560 rows of M(13), whose Gram sum M(12)'s continues; solve_constrained
+    evaluates the heads to its extension's degree 28, the same rows (every
+    localizing matrix has order 13) and only each constraint's terms besides.
     """
     seq = _grid_sequence(3, 5, 26)
     rows = []
@@ -417,11 +419,11 @@ def test_a_solve_evaluates_the_measures_monomials_once(monkeypatch):
     report = solve_full(seq)
     assert report.status == STATUS_SUCCESS and report.tau == 12
     assert all(record.certified for record in report.psd_records)
-    assert sum(rows) == basis_size(3, 26) == 3654
+    assert sum(rows) == basis_size(2, 26) + basis_size(3, 13) == 378 + 560
     rows.clear()
     x1 = MultivariatePoly.variable(3, 0)
     one = MultivariatePoly.constant(3, 1.0)
     report = solve_constrained(seq, SemialgebraicSet((one - x1 * x1, x1 + one)))
     assert report.status == STATUS_SUCCESS
     assert all(record.certified for record in report.constraint_records)
-    assert sum(rows) == basis_size(3, 28) + 2 + 2
+    assert sum(rows) == basis_size(2, 28) + basis_size(3, 13) + 2 + 2

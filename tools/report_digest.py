@@ -11,6 +11,23 @@ Solves each input of ``perfbench.workloads.make_cases`` once, in order
 the same digest gave byte-identical reports. As in ``perfbench/run.py``, the
 BLAS/OpenMP thread count is pinned to 1 before numpy is imported and the
 package is imported from ``src/`` of the checkout this file sits in.
+
+The workload's inputs are synthesized by the checkout's own
+``evaluate_moments``, so two checkouts whose moment evaluations differ in
+the last bits solve different inputs. To compare them on the same ones,
+save one side's inputs and solve those bytes on both:
+
+    python3 tools/report_digest.py --workload grid --save-moments grid.npz
+    python3 tools/report_digest.py --workload grid --moments-from grid.npz --decisions
+
+``--save-moments PATH`` writes every input's moment array to PATH (numpy
+``.npz``, in input order); ``--moments-from PATH`` solves the saved arrays
+in place of the synthesized ones, and refuses a file whose array count or
+shapes do not match the workload's inputs. ``--decisions`` also prints the
+digest of the reports with ``moment_residual.value`` and every
+``min_eigenvalue`` blanked, the fields that follow the last bits of the
+moments: two checkouts whose reports differ only there print the same
+decisions digest.
 """
 
 from __future__ import annotations
@@ -25,17 +42,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def blank_margins(report: dict) -> dict:
+    """The report with ``moment_residual.value`` and every ``min_eigenvalue`` set to None."""
+    if report["moment_residual"] is not None:
+        report["moment_residual"]["value"] = None
+    for record in report["psd"] + report["constraints"]:
+        record["min_eigenvalue"] = None
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--small", action="store_true", help="the benchmark's tiny inputs")
+    parser.add_argument("--save-moments", metavar="PATH", help="write every input's moments")
+    parser.add_argument("--moments-from", metavar="PATH", help="solve saved moments instead")
+    parser.add_argument(
+        "--decisions", action="store_true", help="also digest the reports without margins"
+    )
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.run import THREAD_VARS, THREADS
 
     for var in THREAD_VARS:
         os.environ[var] = THREADS
+    import numpy as np
+
     import momentrec
     from perfbench.workloads import make_cases
 
@@ -43,15 +76,47 @@ def main(argv=None) -> int:
         print(f"report_digest: momentrec imported from {momentrec.__file__}", file=sys.stderr)
         return 2
 
-    digest = hashlib.sha256()
     cases = make_cases(args.workload, args.seed, args.small)
-    for case in cases:
+    inputs = [case.moments for case in cases]
+    if args.moments_from:
+        with np.load(args.moments_from) as saved:
+            arrays = [saved[f"arr_{k}"] for k in range(len(saved.files))]
+        if len(arrays) != len(inputs):
+            print(
+                f"report_digest: {args.moments_from} holds {len(arrays)} arrays, "
+                f"the workload has {len(inputs)} inputs",
+                file=sys.stderr,
+            )
+            return 2
+        for k, (array, seq) in enumerate(zip(arrays, inputs)):
+            if array.shape != seq.array.shape:
+                print(
+                    f"report_digest: input {k} has {seq.array.shape[0]} moments, "
+                    f"{args.moments_from} holds shape {array.shape}",
+                    file=sys.stderr,
+                )
+                return 2
+        inputs = [
+            momentrec.TruncatedSequence(seq.dim, seq.max_degree, array)
+            for seq, array in zip(inputs, arrays)
+        ]
+    if args.save_moments:
+        with open(args.save_moments, "wb") as out:
+            np.savez(out, *(seq.array for seq in inputs))
+
+    digest, decisions = hashlib.sha256(), hashlib.sha256()
+    for case, moments in zip(cases, inputs):
         if case.constraints is None:
-            report = momentrec.solve_full(case.moments)
+            report = momentrec.solve_full(moments)
         else:
-            report = momentrec.solve_constrained(case.moments, case.constraints)
-        digest.update(json.dumps(report.to_dict()).encode() + b"\n")
-    print(f"{args.workload} seed {args.seed}: {len(cases)} inputs, sha256 {digest.hexdigest()}")
+            report = momentrec.solve_constrained(moments, case.constraints)
+        report = report.to_dict()
+        digest.update(json.dumps(report).encode() + b"\n")
+        decisions.update(json.dumps(blank_margins(report)).encode() + b"\n")
+    head = f"{args.workload} seed {args.seed}: {len(cases)} inputs"
+    print(f"{head}, sha256 {digest.hexdigest()}")
+    if args.decisions:
+        print(f"{head}, decisions sha256 {decisions.hexdigest()}")
     return 0
 
 
