@@ -60,16 +60,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -238,16 +230,21 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    tol_flags = _Parser(add_help=False)
-    for field in fields(Tolerances):
-        tol_flags.add_argument(
-            f"--tol-{field.name}",
-            type=float,
-            default=None,
-            dest=f"tol_{field.name}",
-            metavar="T",
-            help=f"override the {field.name} tolerance",
-        )
+    def tol_flags(*names: str) -> _Parser:
+        flags = _Parser(add_help=False)
+        for name in names:
+            flags.add_argument(
+                f"--tol-{name}",
+                type=float,
+                default=None,
+                dest=f"tol_{name}",
+                metavar="T",
+                help=f"override the {name} tolerance",
+            )
+        return flags
+
+    every_tol = tol_flags(*(field.name for field in fields(Tolerances)))
+    psd_tol, residual_tol = tol_flags("psd"), tol_flags("residual")
 
     out_flag = _Parser(add_help=False)
     out_flag.add_argument(
@@ -294,7 +291,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "psd",
-        parents=[in_flag, out_flag, tol_flags],
+        parents=[in_flag, out_flag, psd_tol],
         help="PSD verdict of a matrix (or moments plus --order)",
     )
     p.add_argument(
@@ -304,14 +301,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "recurrence",
-        parents=[in_flag, out_flag, tol_flags],
+        parents=[in_flag, out_flag, residual_tol],
         help="detect the minimal per-variable recurrences",
     )
     p.set_defaults(handler=_cmd_recurrence)
 
     p = sub.add_parser(
         "extend",
-        parents=[in_flag, out_flag, tol_flags],
+        parents=[in_flag, out_flag, residual_tol],
         help="extend moments to a higher degree via detected recurrences",
     )
     p.add_argument("--degree", type=int, required=True, help="target degree")
@@ -319,14 +316,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "solve",
-        parents=[in_flag, out_flag, tol_flags],
+        parents=[in_flag, out_flag, every_tol],
         help="full recovery pipeline, writes a report",
     )
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser(
         "solve-k",
-        parents=[in_flag, out_flag, tol_flags],
+        parents=[in_flag, out_flag, every_tol],
         help="recovery plus support constraints, writes a report",
     )
     p.add_argument(
@@ -336,7 +333,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "verify",
-        parents=[in_flag, out_flag, tol_flags],
+        parents=[in_flag, out_flag, residual_tol],
         help="residual of a measure against moments",
     )
     p.add_argument("--measure", required=True, metavar="PATH", help="measure JSON")

@@ -19,9 +19,10 @@ measure's M(n) is V^T W V with V[s, i] = x_s^{a_i}, its localizing matrix
 V^T diag(w q(x)) V, and the data's matrix adds the matrix E of the misfit
 sequence. ``moments_and_grams`` makes one pass over the measure: it takes
 the moments from products of head rows x'^h (the first dim - 1 variables)
-with the powers of the last variable, and the r x r Gram sums of the
-requested matrices from the rows x^a up to the largest order; M(n) is the
-leading block of M(n+1), so M(n+1)'s sum continues M(n)'s.
+with the powers of the last variable, and one r x r running sum
+K = sum_a v_a v_a^T of the rows v_a = x^a up to the largest order. Every
+requested matrix, M(n) or M_q(n), scales the K of its rows by its diagonal:
+they share V and differ only there.
 ``moment_bracket`` puts every eigenvalue of the data's matrix within a
 radius (||E||_F plus roundoff, by Weyl's inequality) of the Gram spectrum,
 and ``bracket_check`` reads the PSD verdict and the rank from that bracket
@@ -340,11 +341,12 @@ def _bracket_rank(
 class GramSum:
     """An atomic measure's factor summed over the basis of M_q(order), for ``moment_bracket``.
 
-    With rows v_i = (x_s^{a_i})_s for |a_i| <= order, the diagonal
-    d_s = w_s q(x_s) (q = 1 where ``poly`` is None), m_s = |w_s| sum_g
-    |q_g x_s^g| and column norms n_s = sum_i v_{i,s}^2: ``gram`` is the
-    r x r matrix sum_i (d+^1/2 v_i)(d+^1/2 v_i)^T, ``negative`` is
-    sum_s max(-d_s, 0) n_s and ``total`` is T = sum_s m_s n_s.
+    With rows v_i = (x_s^{a_i})_s for |a_i| <= order, K = sum_i v_i v_i^T,
+    the diagonal d_s = w_s q(x_s) (q = 1 where ``poly`` is None),
+    m_s = |w_s| sum_g |q_g x_s^g| and column norms n_s = K_ss: ``gram`` is
+    the r x r matrix D+^1/2 K D+^1/2 with D+ = diag(max(d, 0)),
+    ``negative`` is sum_s max(-d_s, 0) n_s and ``total`` is
+    T = sum_s m_s n_s.
     """
 
     order: int
@@ -379,12 +381,13 @@ def moments_and_grams(
     (256 KB), and ``indexing.split_plan`` gathers the moments from it; in
     one variable they are P_1 @ w.
 
-    A request (order, q), q None for M(order), adds the rows x^a of degree
-    <= order, gathered from the tables a block of rows at a time, to the
-    sums of its diagonal w q(x). Requests with equal q share one running
-    sum, which each snapshots at its own order: M(n+1)'s Gram matrix
-    continues M(n)'s, rows are evaluated only up to the largest order and
-    once, and no rows x atoms factor is held.
+    The Gram sums come from one running r x r sum K = sum_a v_a v_a^T over
+    the rows v_a = x^a, gathered from the tables a block of rows at a time
+    up to the largest requested order, so each row is evaluated once and no
+    rows x atoms factor is held. When K holds the rows of degree <= order,
+    a request (order, q), q None for M(order), scales it by the square
+    roots of its diagonal max(w q(x), 0) on both sides: M(n+1)'s Gram
+    matrix continues M(n)'s, and a constraint costs no row products.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -412,46 +415,28 @@ def moments_and_grams(
 
 
 def _gram_sums(tables, weights: np.ndarray, requests, step: int) -> list[GramSum]:
-    """``moments_and_grams``' Gram sums, over blocks of ``step`` rows."""
+    """``moments_and_grams``' Gram sums: one running K = sum_a v_a v_a^T, scaled at each size."""
     if not requests:
         return []
-    count, dim = len(weights), len(tables)
-    # request k runs on sum group[k], through its first size[k] rows
-    polys: list = []
-    group = []
-    for _, poly in requests:
-        if poly not in polys:
-            polys.append(poly)
-        group.append(polys.index(poly))
-    size = [basis_size(dim, order) for order, _ in requests]
-    diagonals = [_diagonal(tables, weights, poly) for poly in polys]
-    roots = [np.sqrt(np.maximum(diagonal, 0.0)) for diagonal, _ in diagonals]
-    ends = [max(n for n, g in zip(size, group) if g == j) for j in range(len(polys))]
-    grams = [np.zeros((count, count)) for _ in polys]
-    norms = np.zeros(count)
-    cuts = sorted(set(size))
-    exponents = basis_array(dim, max(order for order, _ in requests))
+    size = [basis_size(len(tables), order) for order, _ in requests]
+    exponents = basis_array(len(tables), max(order for order, _ in requests))
+    kernel = np.zeros((len(weights), len(weights)))
     out: list = [None] * len(requests)
-    for start in range(0, len(exponents), step):
-        block = monomials(tables, exponents[start : start + step])
-        low, stop = start, start + len(block)
-        while low < stop:
-            high = min(stop, cuts[0])
-            rows = block[low - start : high - start]
-            norms += np.einsum("is,is->s", rows, rows)
-            for root, end, gram in zip(roots, ends, grams):
-                if low < end:
-                    weighted = rows * root
-                    gram += weighted.T @ weighted
-            if high == cuts[0]:
-                cuts.pop(0)
-                for k, (order, poly) in enumerate(requests):
-                    if size[k] == high:
-                        diagonal, magnitude = diagonals[group[k]]
-                        negative = float(np.maximum(-diagonal, 0.0) @ norms)
-                        total = float(magnitude @ norms)
-                        out[k] = GramSum(order, poly, grams[group[k]].copy(), negative, total)
-            low = high
+    low = 0
+    for high in sorted(set(size)):
+        for start in range(low, high, step):
+            rows = monomials(tables, exponents[start : min(start + step, high)])
+            kernel += rows.T @ rows
+        low = high
+        norms = kernel.diagonal()
+        for k in (k for k, n in enumerate(size) if n == high):
+            order, poly = requests[k]
+            diagonal, magnitude = _diagonal(tables, weights, poly)
+            root = np.sqrt(np.maximum(diagonal, 0.0))
+            gram = kernel * root[:, None]
+            gram *= root
+            negative = float(np.maximum(-diagonal, 0.0) @ norms)
+            out[k] = GramSum(order, poly, gram, negative, float(magnitude @ norms))
     return out
 
 
@@ -479,10 +464,15 @@ def moment_bracket(sums: GramSum, misfit: TruncatedSequence) -> tuple[np.ndarray
     inequality moves each of G's ordered eigenvalues by at most the norm of
     a perturbation, so the computed G's N largest stand in the same
     allowance). With L = N + r + 2 order + deg q + (terms of q), roundoff
-    moves the centers by at most L u T (the powers, the weights d, the sums
-    of N products in G and n_s, whose bound holds for any order and grouping
-    of the terms, so for the blocks of ``moments_and_grams``, and eigvalsh's
-    backward error of about r u ||G|| <= r u T); the misfit norm by at most
+    moves the centers by at most L u T (the powers, the weights d and their
+    square roots; the sums of N products of unweighted powers in K = V V^T,
+    whose bound holds for any order and grouping of the terms, so for the
+    blocks of ``moments_and_grams``; the two products by rounded square
+    roots that make G = D+^1/2 K D+^1/2 of K, so that G's error is
+    entrywise at most L u |D+^1/2 V| |D+^1/2 V|^T, a nonnegative PSD matrix
+    of norm at most its trace sum_s d+_s n_s <= T; n_s, K's diagonal, the
+    same sum of N squares in K's grouping; and eigvalsh's backward error of
+    about r u ||G|| <= r u T); the misfit norm by at most
     L u T (the measure's moments: each is a sum of r products of at most
     |a| + 2 rounded factors, the head's powers and their product, the weight
     and the last variable's power, whatever order and grouping the head

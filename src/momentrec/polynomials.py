@@ -49,10 +49,6 @@ class UnivariatePoly:
         return len(self.coeffs) - 1
 
     @property
-    def leading_coefficient(self) -> float:
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1.0
 

@@ -226,6 +226,47 @@ def test_tolerance_flags(capsys, tmp_path, pair_moments):
     assert code == 1
 
 
+# the tolerance flags each subcommand reads; any other is a usage error
+READ_TOLERANCES = {
+    "synthesize": (),
+    "matrix": (),
+    "psd": ("psd",),
+    "recurrence": ("residual",),
+    "extend": ("residual",),
+    "verify": ("residual",),
+    "solve": ("rank", "psd", "imag", "weight", "residual"),
+    "solve-k": ("rank", "psd", "imag", "weight", "residual"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_TOLERANCES))
+def test_each_subcommand_takes_only_the_tolerances_it_reads(
+    capsys, tmp_path, pair_moments, pair_measure, command
+):
+    """A tolerance flag a subcommand does not read exits 1; every one it reads parses."""
+    constraints = write_json(tmp_path, "k.json", {"constraints": [X1]})
+    argv = {
+        "synthesize": ["synthesize"],
+        "matrix": ["matrix", "--in", pair_moments, "--order", "1"],
+        "psd": ["psd", "--in", pair_moments, "--order", "1"],
+        "recurrence": ["recurrence", "--in", pair_moments],
+        "extend": ["extend", "--in", pair_moments, "--degree", "6"],
+        "verify": ["verify", "--in", pair_moments, "--measure", pair_measure],
+        "solve": ["solve", "--in", pair_moments],
+        "solve-k": ["solve-k", "--in", pair_moments, "--constraints", constraints],
+    }[command]
+    for name in ("rank", "psd", "imag", "weight", "residual"):
+        flag = [f"--tol-{name}", "1e-6"]
+        if name in READ_TOLERANCES[command]:
+            assert main(argv + flag) == 0
+            capsys.readouterr()
+        else:
+            with pytest.raises(SystemExit) as info:
+                main(argv + flag)
+            assert info.value.code == 1
+            assert f"unrecognized arguments: --tol-{name}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerances_exit_one(capsys, pair_moments, value):
     """NaN or inf tolerances are input errors, for solve and for psd alike."""

@@ -602,6 +602,17 @@ def test_continued_gram_matches_the_direct_factor():
             assert abs(s.negative - np.maximum(-diagonal, 0.0) @ norms) <= allowance
 
 
+def test_bracket_of_overflowing_sums_is_none(eigvalsh_sizes):
+    """Finite moments whose Gram sums overflow give no bracket, before any eigvalsh runs."""
+    points, weights = np.array([[1.0]]), np.array([1e307])
+    with np.errstate(over="ignore"):
+        values, (sums,) = moments.moments_and_grams(points, weights, 96, [(47, None)])
+    assert np.isfinite(values).all() and sums.total == np.inf
+    misfit = TruncatedSequence(1, 96, np.zeros(97))
+    assert moments.moment_bracket(sums, misfit) is None
+    assert eigvalsh_sizes == []
+
+
 def test_eigenvalue_on_the_rank_cutoff_falls_back(eigvalsh_sizes):
     """A rank tolerance with an eigenvalue of M(tau+1) on the cutoff sends it to eigvalsh."""
     seq = _grid_sequence(3, 3, 14)

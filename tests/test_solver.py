@@ -120,6 +120,23 @@ def test_solve_full_noise_is_not_recursive():
     assert report.measure is None
 
 
+def test_measure_that_misses_the_data_is_not_recursive():
+    """A fit within tolerance whose measure misses the data by more is refused, with evidence."""
+    seq = TruncatedSequence(1, 2, [1.0, 10.0, 100.0005])
+    report = solve_full(seq)
+    assert report.status == STATUS_NOT_RECURSIVE
+    assert report.system.residual < 1e-6 < report.moment_residual < 1e-5
+    assert report.detail == (
+        f"recovered measure misses the data: residual {report.moment_residual:.3e} > 1.000e-06"
+    )
+    assert report.measure.atom_count == 1
+    assert report.measure.points[0][0] == pytest.approx(10.0000495, abs=1e-7)
+    payload = report.to_dict()
+    assert payload["measure"] is not None
+    assert payload["moment_residual"]["value"] == report.moment_residual
+    assert solve_full(seq, Tolerances(residual=1e-5)).status == STATUS_SUCCESS
+
+
 def test_relabelling_variables_permutes_the_atoms():
     """Relabelled data gives the same atoms with their coordinates relabelled."""
     # 2, 3 and 4 distinct coordinates on the axes: the root grid is 2 x 3 x 4,
