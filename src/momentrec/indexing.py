@@ -288,6 +288,12 @@ def moment_plan(dim: int, order: int) -> np.ndarray:
 
 
 @_plan
+def diagonal_plan(dim: int, order: int) -> np.ndarray:
+    """M(order)'s diagonal positions: the rank of 2a for each label a."""
+    return degree_lex_ranks(2 * basis_array(dim, order)).astype(np.int32)
+
+
+@_plan
 def pair_counts(dim: int, order: int) -> np.ndarray:
     """How often each t of degree <= 2 * order is a + b over M(order)'s labels.
 

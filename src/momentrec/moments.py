@@ -24,9 +24,11 @@ K = sum_a v_a v_a^T of the rows v_a = x^a up to the largest order. Every
 requested matrix, M(n) or M_q(n), scales the K of its rows by its diagonal:
 they share V and differ only there.
 ``moment_bracket`` puts every eigenvalue of the data's matrix within a
-radius (||E||_F plus roundoff, by Weyl's inequality) of the Gram spectrum,
-and ``bracket_check`` reads the PSD verdict and the rank from that bracket
-where it decides them as eigvalsh would.
+radius (||E||_F plus roundoff, by Weyl's inequality) of the Gram spectrum.
+Where w q(x) is negative at some atom, ``signed_bracket`` centers it on the
+spectrum of R diag(w q(x)) R^T instead, R from the thin QR of the factor
+V^T. ``bracket_check`` reads the PSD verdict, failing or not, and the rank
+from a bracket where it decides them as eigvalsh would.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .indexing import (
     basis_labels,
     basis_size,
     degree_lex_ranks,
+    diagonal_plan,
     moment_plan,
     pair_counts,
     shift_plan,
@@ -65,6 +68,7 @@ __all__ = [
     "GramSum",
     "moments_and_grams",
     "moment_bracket",
+    "signed_bracket",
     "bracket_check",
     "bilinear_form",
 ]
@@ -345,13 +349,14 @@ class GramSum:
     the diagonal d_s = w_s q(x_s) (q = 1 where ``poly`` is None),
     m_s = |w_s| sum_g |q_g x_s^g| and column norms n_s = K_ss: ``gram`` is
     the r x r matrix D+^1/2 K D+^1/2 with D+ = diag(max(d, 0)),
-    ``negative`` is sum_s max(-d_s, 0) n_s and ``total`` is
-    T = sum_s m_s n_s.
+    ``diagonal`` is d, ``negative`` is sum_s max(-d_s, 0) n_s and ``total``
+    is T = sum_s m_s n_s.
     """
 
     order: int
     poly: MultivariatePoly | None
     gram: np.ndarray
+    diagonal: np.ndarray
     negative: float
     total: float
 
@@ -436,8 +441,42 @@ def _gram_sums(tables, weights: np.ndarray, requests, step: int) -> list[GramSum
             gram = kernel * root[:, None]
             gram *= root
             negative = float(np.maximum(-diagonal, 0.0) @ norms)
-            out[k] = GramSum(order, poly, gram, negative, float(magnitude @ norms))
+            out[k] = GramSum(order, poly, gram, diagonal, negative, float(magnitude @ norms))
     return out
+
+
+def _radius(sums: GramSum, misfit: TruncatedSequence, spare: int, measure: float) -> float:
+    """A bracket's radius: the bound on ||E||_F, then ``measure`` and the roundoff on T.
+
+    ||E||_F^2 is at most sum_t pair_counts[t] (|q| * |e|)_t^2 over the t of
+    degree <= 2 order, |e| itself for q = 1 (a shift by 1.0 is exact, so it
+    is skipped). With L = N + r + 2 order + deg q + (terms of q) + ``spare``
+    and W = basis_size(dim, 2 order), the radius is the bound times
+    1 + _ROUNDOFF (L + W), plus ``measure``, plus _ROUNDOFF L T.
+    """
+    dim, order = misfit.dim, sums.order
+    width = basis_size(dim, 2 * order)
+    if sums.poly is None:
+        window, degree, terms = np.abs(misfit.array[:width]), 0, 1
+    else:
+        # |q| * |e| bounds q * e entry by entry, so its norm bounds ||E||_F
+        bound = MultivariatePoly(dim, {g: abs(c) for g, c in sums.poly.terms.items()})
+        magnitudes = TruncatedSequence(dim, misfit.max_degree, np.abs(misfit.array))
+        window = shift_sequence(magnitudes, bound).array[:width]
+        degree, terms = max(sums.poly.degree, 0), len(sums.poly.terms)
+    misfit_norm = math.sqrt(float(pair_counts(dim, order) @ (window * window)))
+    length = basis_size(dim, order) + len(sums.diagonal) + 2 * order + degree + terms + spare
+    return misfit_norm * (1.0 + _ROUNDOFF * (length + width)) + (
+        measure + _ROUNDOFF * length * sums.total
+    )
+
+
+def _padded(eigenvalues: np.ndarray, n: int) -> np.ndarray:
+    """r ascending eigenvalues of a rank <= min(r, n) part as n ascending centers."""
+    r = len(eigenvalues)
+    if r > n:
+        return eigenvalues[r - n :]
+    return np.sort(np.concatenate([eigenvalues, np.zeros(n - r)]))
 
 
 def moment_bracket(sums: GramSum, misfit: TruncatedSequence) -> tuple[np.ndarray, float] | None:
@@ -480,28 +519,63 @@ def moment_bracket(sums: GramSum, misfit: TruncatedSequence) -> tuple[np.ndarray
     itself (subtractions, the shift and the sum over W =
     basis_size(dim, 2 order) entries); and eigvalsh's answer for A, which
     the bracket must contain, by at most N u ||A|| <= N u (T + ||E||_F).
-    ``_ROUNDOFF`` is 8 u, so the radius below covers every item at least
-    twice, and a bracket that decides a question decides it as eigvalsh's
-    eigenvalues of A would.
+    ``_ROUNDOFF`` is 8 u, so the radius below (``_radius`` with the norm of
+    V^T D- V as its measure term) covers every item at least twice, and a
+    bracket that decides a question decides it as eigvalsh's eigenvalues of
+    A would.
     """
-    dim, order = misfit.dim, sums.order
-    poly = MultivariatePoly.constant(dim, 1.0) if sums.poly is None else sums.poly
-    # |q| * |e| bounds q * e entry by entry, so its norm bounds ||E||_F
-    bound = MultivariatePoly(dim, {g: abs(c) for g, c in poly.terms.items()})
-    sizes = shift_sequence(TruncatedSequence(dim, misfit.max_degree, np.abs(misfit.array)), bound)
-    window = sizes.array[: basis_size(dim, 2 * order)]
-    misfit_norm = math.sqrt(float(pair_counts(dim, order) @ (window * window)))
-    n, r = basis_size(dim, order), len(sums.gram)
-    length = n + r + 2 * order + max(poly.degree, 0) + len(poly.terms)
-    radius = misfit_norm * (1.0 + _ROUNDOFF * (length + window.size)) + (
-        sums.negative + _ROUNDOFF * length * sums.total
-    )
+    radius = _radius(sums, misfit, 0, sums.negative)
     if not math.isfinite(radius):
         return None
-    eigenvalues = np.linalg.eigvalsh(sums.gram)
-    if r > n:
-        return eigenvalues[r - n :], radius
-    return np.sort(np.concatenate([eigenvalues, np.zeros(n - r)])), radius
+    return _padded(np.linalg.eigvalsh(sums.gram), basis_size(misfit.dim, sums.order)), radius
+
+
+def signed_bracket(
+    points, sums: GramSum, misfit: TruncatedSequence
+) -> tuple[np.ndarray, float] | None:
+    """``moment_bracket`` of M_q(order) for a diagonal d = w q(x) of either sign.
+
+    ``sums`` is the measure's GramSum of M_q(order), ``points`` its r atoms
+    (r, dim), and ``misfit`` as for ``moment_bracket``. The rows x^a,
+    |a| <= order, at the atoms are evaluated again from one power table per
+    variable, as the measure pass evaluates them, into the N x r factor
+    F = V^T; its thin QR F = QR gives F D F^T = Q (R D R^T) Q^T, whose
+    nonzero spectrum is that of the r x r matrix R D R^T. The centers are
+    that spectrum padded with zeros to N values. (For r > N, R is N x r and
+    R D R^T is N x N, no cheaper than M_q itself.) None if the sums
+    overflow, before the factor is evaluated; a finite T bounds the entries
+    of R D R^T (see below).
+
+    Proof. In ``moment_bracket``'s notation A = F D F^T + E exactly, and
+    ``_radius`` bounds ||E||_F and its roundoff as there; D is no longer
+    split, so there is no V^T D- V term. Each column of the computed factor
+    F' is within order u of F's in relative norm, which moves F D F^T by at
+    most 2 order u sum_s |d_s| n_s <= 2 order u T, as |d_s| <= m_s; the
+    rounding of d moves it by at most sum_s |d'_s - d_s| n_s
+    <= (deg q + terms of q + 1) u T. Householder QR is backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm. 19.4):
+    F' + dF = Q'R' with Q' of orthonormal columns and ||dF_s|| <= g ||F'_s||
+    for each column s, g = c N r u with c a small constant. As
+    ||F' D dF^T||_2 <= sum_s |d_s| ||F'_s|| ||dF_s|| <= g T, Q'R' D R'^T Q'^T
+    is within (2 g + g^2) T of F' D F'^T, and its spectrum is exactly that of
+    R' D R'^T plus N - r zeros (none for r > N). The product (R' D) R'^T errs entrywise by at
+    most (r + 1) u |R'| |D| |R'|^T, a nonnegative PSD matrix of norm at most
+    its trace sum_s |d_s| ||R'_s||^2 <= (1 + g)^2 T, and so does the one
+    triangle eigvalsh reads; eigvalsh's backward error on it is about
+    r u (1 + g)^2 T, and eigvalsh's answer for A again needs
+    N u (T + ||E||_F). By Weyl's inequality, applied to each of these
+    perturbations in turn and to the padded spectra, eigenvalue i of A lies
+    within their sum of center i. ``_radius`` takes 2 N r units of L for
+    the QR on top of ``moment_bracket``'s L, so at ``_ROUNDOFF`` = 8 u the
+    radius covers 2 g for c up to 8 and every other item at least twice.
+    """
+    n = basis_size(misfit.dim, sums.order)
+    radius = _radius(sums, misfit, 2 * n * len(sums.diagonal), 0.0)
+    if not math.isfinite(radius):
+        return None
+    tables = [power_table(axis, sums.order) for axis in np.asarray(points, dtype=float).T]
+    factor = np.linalg.qr(monomials(tables, basis_array(misfit.dim, sums.order)), mode="r")
+    return _padded(np.linalg.eigvalsh((factor * sums.diagonal) @ factor.T), n), radius
 
 
 def bracket_check(
@@ -509,19 +583,23 @@ def bracket_check(
 ) -> tuple[PsdCheck, int] | None:
     """``psd_check`` and ``numeric_rank`` of M(order) of ``seq``, read from a bracket.
 
-    The threshold is psd_check's, from the same diagonal summed the same
-    way. None unless the bracket certifies the matrix PSD and decides its
-    rank: a failing verdict reports eigvalsh's smallest eigenvalue, so it
-    needs the matrix.
+    The threshold is psd_check's, from the same diagonal
+    (``indexing.diagonal_plan``) summed the same way. The verdict is certified where the whole bracket
+    of the smallest eigenvalue lies on one side of the threshold, and its
+    ``min_eigenvalue`` is then the bracket's lower end, a lower bound on
+    eigvalsh's value: PSD where the lower end clears the threshold, not PSD
+    where the upper end (center + radius) falls below it. A measure's Gram
+    bracket has centers of a PSD matrix, so only ``signed_bracket`` certifies
+    the second. None where the bracket straddles the threshold or the rank
+    cutoff: the matrix is then built for eigvalsh.
     """
     centers, radius = bracket
-    diagonal = degree_lex_ranks(2 * basis_array(seq.dim, order))
-    threshold = -psd_tol * (1.0 + abs(float(seq.array[diagonal].sum())))
-    lowest = float(centers[0]) - radius
+    threshold = -psd_tol * (1.0 + abs(float(seq.array[diagonal_plan(seq.dim, order)].sum())))
+    lowest = float(centers[0])
     rank = _bracket_rank(centers, radius, rank_tol, scale)
-    if rank is None or lowest < threshold:
+    if rank is None or lowest - radius < threshold <= lowest + radius:
         return None
-    return PsdCheck(True, lowest, threshold, certified=True), rank
+    return PsdCheck(lowest - radius >= threshold, lowest - radius, threshold, certified=True), rank
 
 
 def bilinear_form(

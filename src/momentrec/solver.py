@@ -12,8 +12,9 @@ over the measure (``moments.moments_and_grams``) gives its moments to the
 extension's degree, hence the data's misfit and the moment residual, and the
 Gram sums of M(tau), M(tau+1) and every localizing matrix of
 ``CERTIFY_MIN_SIZE`` rows or more. Such a matrix is checked from its bracket
-(``moments.moment_bracket``) and built for eigvalsh only where that cannot
-certify it; smaller ones always go to eigvalsh.
+(``moments.moment_bracket``, then ``moments.signed_bracket`` for a
+constraint negative at some atom) and built for eigvalsh only where neither
+certifies it; smaller ones always go to eigvalsh.
 
 One solve builds one SolveReport, at whichever exit it reaches. Its status is
 the first failing check in this order:
@@ -63,6 +64,7 @@ from .moments import (
     CERTIFY_MIN_SIZE,
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
+    GramSum,
     MomentMatrix,
     TruncatedSequence,
     bracket_check,
@@ -74,6 +76,7 @@ from .moments import (
     numeric_rank,
     psd_check,
     shift_sequence,
+    signed_bracket,
 )
 from .polynomials import MultivariatePoly
 from .recurrence import (
@@ -160,7 +163,10 @@ class PsdRecord:
     """PSD and rank diagnostics for one moment or localizing matrix.
 
     ``min_eigenvalue`` is a certified lower bound on the smallest eigenvalue
-    where ``certified`` is set (see ``moments.bracket_check``), else eigvalsh's value.
+    where ``certified`` is set (see ``moments.bracket_check``), else eigvalsh's
+    value. A certified record may be PSD or, for a localizing matrix whose
+    constraint is negative at some atom, not PSD; either way its verdict and
+    rank are those eigvalsh would give.
     """
 
     order: int
@@ -269,27 +275,44 @@ def count_atoms_in_zero_set(
     return sum(1 for p in measure.points if abs(q.evaluate(p)) <= threshold)
 
 
+def _measure_brackets(points: np.ndarray, sums: GramSum, misfit: TruncatedSequence) -> tuple:
+    """One matrix's brackets from the measure's ``sums``, in the order they are tried.
+
+    A diagonal w q(x) with a negative entry adds the factor's
+    ``signed_bracket``, which can certify a failing verdict where the Gram
+    bracket cannot, if the r atoms are at most the N rows: otherwise
+    R D R^T is N x N, and building the matrix costs no more.
+    """
+    gram = partial(moment_bracket, sums, misfit)
+    if (sums.diagonal < 0.0).any() and len(points) <= basis_size(misfit.dim, sums.order):
+        return gram, partial(signed_bracket, points, sums, misfit)
+    return (gram,)
+
+
 def _psd_record(
     data: TruncatedSequence,
     order: int,
     tol: Tolerances,
-    bracket: tuple | None,
+    brackets: tuple[Callable[[], tuple | None], ...],
     build: Callable[[], MomentMatrix],
     poly: MultivariatePoly | None = None,
     scale: float | None = None,
 ) -> tuple[PsdRecord, np.ndarray, MomentMatrix | None]:
     """The data's M(order) (M_q(order) for ``poly``): record, eigenvalues, any matrix built.
 
-    The record comes from the measure's ``bracket`` where that certifies
-    it, and the eigenvalues are then the bracket's centers; otherwise
+    The record comes from the first of the measure's ``brackets`` whose
+    check certifies it, and the eigenvalues are then its centers; otherwise
     ``build()`` makes the matrix for eigvalsh.
     """
-    decided = matrix = None
-    if bracket is not None:
-        shifted = data if poly is None else shift_sequence(data, poly)
-        decided = bracket_check(shifted, order, bracket, tol.psd, tol.rank, scale)
-    if decided is not None:
-        (check, rank), spectrum = decided, bracket[0]
+    shifted = data if poly is None or not brackets else shift_sequence(data, poly)
+    for bracket in brackets:
+        found = bracket()
+        decided = None if found is None else bracket_check(
+            shifted, order, found, tol.psd, tol.rank, scale
+        )
+        if decided is not None:
+            (check, rank), spectrum, matrix = decided, found[0], None
+            break
     else:
         matrix = build()
         check, rank = psd_check(matrix, tol.psd), numeric_rank(matrix, tol.rank, scale=scale)
@@ -313,12 +336,12 @@ def _run_stages(
         return STATUS_NOT_RECURSIVE, str(exc)
 
     # M(tau), M(tau+1) and each M_q; those of CERTIFY_MIN_SIZE rows or more
-    # are bracketed from the measure's Gram sums where there is a measure
+    # are bracketed from the measure's Gram sums and factor where there is a measure
     tau = system.tau
     matrices = [(tau, None), (tau + 1, None), *((max_localizing_order(ext, q), q) for q in polys)]
     large = [k for k, (n, _) in enumerate(matrices) if basis_size(ext.dim, n) >= CERTIFY_MIN_SIZE]
     stage_error: Exception | None = None
-    grams: dict = {}
+    brackets: dict = {}
     try:
         expansion = multivariate_binet(system, ext)
         found["expansion_residual"] = expansion.source_residual
@@ -333,16 +356,13 @@ def _run_stages(
         moments, sums = moments_and_grams(points, measure.weights, ext.max_degree, requests)
         if np.isfinite(moments).all():
             misfit = TruncatedSequence(ext.dim, ext.max_degree, ext.array - moments)
-            grams = dict(zip(large, sums))
-
-    def bracket(k: int) -> tuple | None:
-        return moment_bracket(grams[k], misfit) if k in grams else None
+            brackets = {k: _measure_brackets(points, s, misfit) for k, s in zip(large, sums)}
 
     # M(tau) is the leading block of M(tau+1): cut it from there if that was built
     build = partial(build_moment_matrix, ext, tau + 1)
-    high, spectrum, full = _psd_record(ext, tau + 1, tol, bracket(1), build)
+    high, spectrum, full = _psd_record(ext, tau + 1, tol, brackets.get(1, ()), build)
     build = partial(build_moment_matrix, ext, tau) if full is None else partial(full.truncate, tau)
-    low, _, _ = _psd_record(ext, tau, tol, bracket(0), build)
+    low, _, _ = _psd_record(ext, tau, tol, brackets.get(0, ()), build)
     psd_records = found["psd_records"] = (low, high)
 
     failing = [
@@ -378,7 +398,7 @@ def _run_stages(
         scale = noise_scale * (1.0 + q.max_coefficient)
         order = matrices[2 + k][0]
         build = partial(build_localizing_matrix, ext, order, q)
-        psd, _, _ = _psd_record(ext, order, tol, bracket(2 + k), build, q, scale)
+        psd, _, _ = _psd_record(ext, order, tol, brackets.get(2 + k, ()), build, q, scale)
         in_zero = count_atoms_in_zero_set(measure, q, tol.residual)
         threshold = tol.residual * (1.0 + q.max_coefficient)
         values = [q.evaluate(p) for p in measure.points]

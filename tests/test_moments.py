@@ -498,12 +498,14 @@ def _gram_sums(factor, requests):
     return moments.moments_and_grams(points, weights, misfit.max_degree, requests)[1]
 
 
-def _check_against_eigvalsh(data, sums, misfit):
+def _check_against_eigvalsh(data, sums, misfit, bracket=None):
     """The bracket holds eigvalsh's spectrum; what it decides, it decides as eigvalsh does.
 
-    For three tolerance pairs: a decided bracket gives eigvalsh's verdict and
-    rank, and a certified min eigenvalue no higher than eigvalsh's beyond
-    roundoff. Returns the number of pairs the bracket decided.
+    ``bracket`` defaults to ``moment_bracket`` of ``sums``. For three
+    tolerance pairs: a decided bracket gives eigvalsh's verdict and rank, and
+    a certified min eigenvalue no higher than eigvalsh's beyond roundoff and
+    within twice the radius of it. Returns the number of pairs the bracket
+    decided.
     """
     order, poly = sums.order, sums.poly
     if poly is None:
@@ -511,7 +513,7 @@ def _check_against_eigvalsh(data, sums, misfit):
     else:
         matrix, shifted = build_localizing_matrix(data, order, poly), shift_sequence(data, poly)
     n = matrix.size
-    centers, radius = moments.moment_bracket(sums, misfit)
+    centers, radius = moments.moment_bracket(sums, misfit) if bracket is None else bracket
     lam = np.linalg.eigvalsh(matrix.entries)
     assert centers.shape == (n,) and radius > 0.0
     assert np.all(np.abs(centers - lam) <= radius)
@@ -527,6 +529,7 @@ def _check_against_eigvalsh(data, sums, misfit):
             assert bracket_rank == rank
             # a lower bound: never above the smallest eigenvalue beyond roundoff
             assert check.min_eigenvalue <= lam[0] + 8 * n * np.finfo(float).eps * np.abs(lam).max()
+            assert lam[0] - check.min_eigenvalue <= 2.0 * radius
     return certified
 
 
@@ -572,6 +575,92 @@ def test_indefinite_matrices_match_eigvalsh():
         assert not psd_check(build_localizing_matrix(data, order, x1)).is_psd
 
 
+def _cut(points):
+    """x1 - c, c the median first coordinate: a constraint through the middle of the atoms."""
+    dim = points.shape[1]
+    return MultivariatePoly.variable(dim, 0) - MultivariatePoly.constant(
+        dim, float(np.median(points[:, 0]))
+    )
+
+
+def test_signed_bracket_certifies_a_cut_through_the_atoms():
+    """A cut x1 - c through sampled 1-3-D measures: the factor's bracket of M_q(n), 51-84 rows,
+    gives psd_check's failing verdict and numeric_rank's rank of the built matrix, where the
+    Gram bracket certifies nothing; its min eigenvalue is a lower bound within 2 radii."""
+    rng = np.random.default_rng(16)
+    certified = checked = solver_decided = 0
+    for dim, order, counts in ((1, 50, (4, 12, 30)), (2, 9, (6, 20, 41)), (3, 6, (8, 30, 61))):
+        for count in counts:
+            for noise in (0.0, 1e-12, 1e-9):
+                data, factor = _perturbed(rng, dim, count, 2 * order + 1, noise)
+                points, _, misfit = factor
+                cut = _cut(points)
+                (sums,) = _gram_sums(factor, [(order, cut)])
+                assert (sums.diagonal < 0.0).any()
+                assert _check_against_eigvalsh(data, sums, misfit) == 0
+                bracket = moments.signed_bracket(points, sums, misfit)
+                certified += _check_against_eigvalsh(data, sums, misfit, bracket)
+                checked += 3
+                # the solver's tolerances and rank floor
+                matrix = build_localizing_matrix(data, order, cut)
+                scale = float(np.abs(build_moment_matrix(data, order).eigenvalues).max()) * 2.0
+                decided = moments.bracket_check(
+                    shift_sequence(data, cut), order, bracket, 1e-8, 1e-8, scale
+                )
+                if decided is not None:
+                    solver_decided += 1
+                    check, rank = decided
+                    assert check.certified and not check.is_psd
+                    assert not psd_check(matrix).is_psd
+                    assert rank == numeric_rank(matrix, scale=scale)
+    # the factor's bracket, not the eigvalsh fallback, decided most of them
+    assert certified >= 0.75 * checked and solver_decided >= 0.75 * checked / 3
+
+
+def test_straddled_signed_bracket_falls_back(built_localizing):
+    """A PSD threshold inside the signed bracket of M_q(7) sends the matrix to eigvalsh."""
+    seq = _grid_sequence(3, 3, 15)
+    q = MultivariatePoly.variable(3, 0) - MultivariatePoly.constant(3, 0.5)
+    constraints = solver.SemialgebraicSet((q,))
+    (record,) = solver.solve_constrained(seq, constraints).constraint_records
+    assert record.order == 7 and record.certified and not record.is_psd
+    assert built_localizing == []
+    # the psd tolerance that puts the threshold on eigvalsh's smallest eigenvalue
+    matrix = build_localizing_matrix(seq, 7, q)
+    lowest = float(matrix.eigenvalues[0])
+    assert record.min_eigenvalue <= lowest
+    tol = -lowest / (1.0 + abs(float(np.trace(matrix.entries))))
+    built_localizing.clear()
+    report = solver.solve_constrained(seq, constraints, Tolerances(psd=tol))
+    (record,) = report.constraint_records
+    assert built_localizing == [7] and not record.certified
+    assert record.min_eigenvalue == lowest
+
+
+def test_more_atoms_than_rows_falls_back():
+    """With r > N the signed tier is not offered, and M_q is built; with r <= N it certifies."""
+    rng = np.random.default_rng(5)
+    order = 47  # M_q(47) has 48 rows in one variable
+    for count, tiers in ((60, 1), (40, 2)):
+        data, factor = _perturbed(rng, 1, count, 2 * order + 1, 0.0)
+        points, _, misfit = factor
+        cut = _cut(points)
+        (sums,) = _gram_sums(factor, [(order, cut)])
+        brackets = solver._measure_brackets(points, sums, misfit)
+        assert len(brackets) == tiers
+        built = []
+
+        def build():
+            built.append(order)
+            return build_localizing_matrix(data, order, cut)
+
+        record, _, matrix = solver._psd_record(data, order, Tolerances(), brackets, build, cut)
+        assert record.certified == (tiers == 2) and built == ([order] if tiers == 1 else [])
+        reference = build_localizing_matrix(data, order, cut)
+        assert not record.is_psd and not psd_check(reference).is_psd
+        assert record.rank == numeric_rank(reference)
+
+
 def test_continued_gram_matches_the_direct_factor():
     """The pass's Gram sums of M(n) and M(n+1) equal F^T F of the direct factor within the
     bracket's roundoff allowance, where M(n+1)'s sum continues M(n)'s; the moments are
@@ -603,13 +692,15 @@ def test_continued_gram_matches_the_direct_factor():
 
 
 def test_bracket_of_overflowing_sums_is_none(eigvalsh_sizes):
-    """Finite moments whose Gram sums overflow give no bracket, before any eigvalsh runs."""
+    """Finite moments whose Gram sums overflow give no bracket, Gram or signed, before any
+    eigvalsh runs."""
     points, weights = np.array([[1.0]]), np.array([1e307])
     with np.errstate(over="ignore"):
         values, (sums,) = moments.moments_and_grams(points, weights, 96, [(47, None)])
     assert np.isfinite(values).all() and sums.total == np.inf
     misfit = TruncatedSequence(1, 96, np.zeros(97))
     assert moments.moment_bracket(sums, misfit) is None
+    assert moments.signed_bracket(points, sums, misfit) is None
     assert eigvalsh_sizes == []
 
 
@@ -638,6 +729,20 @@ def _grid_sequence(dim, nodes, degree, flip=None):
         return seq
     spike = evaluate_moments(AtomicMeasure(dim, (points[flip],), (weights[flip],)), degree)
     return TruncatedSequence(dim, degree, seq.array - 2.0 * spike.array)
+
+
+@pytest.fixture
+def built_localizing(monkeypatch):
+    """Orders of every localizing matrix the solver builds."""
+    orders = []
+    original = solver.build_localizing_matrix
+
+    def recording(seq, order, poly):
+        orders.append(order)
+        return original(seq, order, poly)
+
+    monkeypatch.setattr(solver, "build_localizing_matrix", recording)
+    return orders
 
 
 @pytest.fixture

@@ -38,3 +38,26 @@ def test_saved_moments_reload_to_the_same_digest(tmp_path):
     other = [sys.executable, str(TOOL), "--workload", "grid", "--small", "--moments-from"]
     refused = subprocess.run(other + [str(saved)], capture_output=True, text=True, timeout=120)
     assert refused.returncode == 2 and "24 arrays" in refused.stderr
+
+
+def test_certified_counts_every_record():
+    """--certified splits the small constrained workload's M(n) and M_q records between the
+    brackets and eigvalsh, and every localizing matrix of 48 rows or more is certified."""
+    command = [sys.executable, str(TOOL), "--workload", "constrained", "--seed", "2026", "--small"]
+    plain = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    lines = subprocess.run(
+        command + ["--certified"], capture_output=True, text=True, timeout=120, check=True
+    ).stdout.splitlines()
+    assert lines[0] == plain.stdout.strip()
+    pattern = (
+        r"constrained seed 2026: 24 inputs, (M\(n\)|M_q) records: (\d+) certified, "
+        r"(\d+) by eigvalsh \((\d+) of >= 48 rows\)"
+    )
+    counts = {}
+    for line in lines[1:]:
+        kind, certified, eigvalsh, large = re.fullmatch(pattern, line).groups()
+        counts[kind] = (int(certified), int(eigvalsh), int(large))
+    # two M(n) and two M_q records per input: every input reaches its constraints
+    assert [sum(counts[kind][:2]) for kind in ("M(n)", "M_q")] == [48, 48]
+    certified, _, large = counts["M_q"]
+    assert certified >= 2 and large == 0

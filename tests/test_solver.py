@@ -423,6 +423,8 @@ def test_a_solve_evaluates_the_measures_monomials_once(monkeypatch):
     560 rows of M(13), whose Gram sum M(12)'s continues; solve_constrained
     evaluates the heads to its extension's degree 28, the same rows (every
     localizing matrix has order 13) and only each constraint's terms besides.
+    A constraint x1 that cuts through the atoms adds the 560 rows of the
+    factor its signed bracket takes the QR of, and nothing else.
     """
     seq = _grid_sequence(3, 5, 26)
     rows = []
@@ -444,3 +446,9 @@ def test_a_solve_evaluates_the_measures_monomials_once(monkeypatch):
     assert report.status == STATUS_SUCCESS
     assert all(record.certified for record in report.constraint_records)
     assert sum(rows) == basis_size(2, 28) + basis_size(3, 13) + 2 + 2
+    rows.clear()
+    report = solve_constrained(seq, SemialgebraicSet((one - x1 * x1, x1 + one, x1)))
+    assert report.status == STATUS_SUPPORT_VIOLATION
+    assert all(record.certified for record in report.constraint_records)
+    assert [record.is_psd for record in report.constraint_records] == [True, True, False]
+    assert sum(rows) == basis_size(2, 28) + basis_size(3, 13) + 2 + 2 + 1 + basis_size(3, 13)

@@ -28,6 +28,13 @@ digest of the reports with ``moment_residual.value`` and every
 ``min_eigenvalue`` blanked, the fields that follow the last bits of the
 moments: two checkouts whose reports differ only there print the same
 decisions digest.
+
+``--certified`` also prints, for the moment matrices M(n) and for the
+localizing matrices M_q, how many records a bracket of the recovered measure
+certified and how many eigvalsh decided, and how many of the latter have
+``CERTIFY_MIN_SIZE`` rows or more (the size the solver brackets).
+``PsdRecord.certified`` is not part of ``SolveReport.to_dict()``, so no
+digest shows it.
 """
 
 from __future__ import annotations
@@ -61,6 +68,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--decisions", action="store_true", help="also digest the reports without margins"
     )
+    parser.add_argument(
+        "--certified", action="store_true", help="also count certified and eigvalsh records"
+    )
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.run import THREAD_VARS, THREADS
@@ -70,6 +80,8 @@ def main(argv=None) -> int:
     import numpy as np
 
     import momentrec
+    from momentrec.indexing import basis_size
+    from momentrec.moments import CERTIFY_MIN_SIZE
     from perfbench.workloads import make_cases
 
     if Path(momentrec.__file__).resolve().parent != (ROOT / "src" / "momentrec").resolve():
@@ -105,11 +117,21 @@ def main(argv=None) -> int:
             np.savez(out, *(seq.array for seq in inputs))
 
     digest, decisions = hashlib.sha256(), hashlib.sha256()
+    # kind -> [certified, by eigvalsh, by eigvalsh with CERTIFY_MIN_SIZE rows or more]
+    tally = {"M(n)": [0, 0, 0], "M_q": [0, 0, 0]}
     for case, moments in zip(cases, inputs):
         if case.constraints is None:
             report = momentrec.solve_full(moments)
         else:
             report = momentrec.solve_constrained(moments, case.constraints)
+        for kind, records in (("M(n)", report.psd_records), ("M_q", report.constraint_records)):
+            for record in records:
+                counts = tally[kind]
+                if record.certified:
+                    counts[0] += 1
+                else:
+                    counts[1] += 1
+                    counts[2] += basis_size(report.dim, record.order) >= CERTIFY_MIN_SIZE
         report = report.to_dict()
         digest.update(json.dumps(report).encode() + b"\n")
         decisions.update(json.dumps(blank_margins(report)).encode() + b"\n")
@@ -117,6 +139,12 @@ def main(argv=None) -> int:
     print(f"{head}, sha256 {digest.hexdigest()}")
     if args.decisions:
         print(f"{head}, decisions sha256 {decisions.hexdigest()}")
+    if args.certified:
+        for kind, (certified, eigvalsh, large) in tally.items():
+            print(
+                f"{head}, {kind} records: {certified} certified, {eigvalsh} by eigvalsh "
+                f"({large} of >= {CERTIFY_MIN_SIZE} rows)"
+            )
     return 0
 
 
