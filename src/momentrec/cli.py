@@ -187,7 +187,10 @@ def _cmd_extend(args) -> int:
         )
     tol = _tolerances(args)
     system = detect_characteristic_system(seq, tol.residual)
-    extended = extend_sequence(seq, system, args.degree)
+    try:
+        extended = extend_sequence(seq, system, args.degree)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     _emit(extended.to_dict(), args.out)
     return 0
 

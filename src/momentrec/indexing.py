@@ -37,15 +37,16 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 # A plan above this many entries is built for its call and dropped, so one
-# 5-D 3^5 solve does not pin a 76 MB table. A solve builds such moment plans
-# only where the bracket of the recovered measure's Gram sums leaves a check
-# to eigvalsh (``moments.moment_bracket``, ``bracket_check``); keeping them
-# (a limit of 2^20) raised the grid benchmark's peak RSS from 69 to 75 MB
-# when every solve built M(tau+1).
+# 5-D 3^5 solve does not pin a 76 MB table. Solves rebuild two kinds: M(n)
+# plans of more than 512 rows, built only where the bracket of the recovered
+# measure's Gram sums leaves a check to eigvalsh (``moments.moment_bracket``,
+# ``bracket_check``), and the 789,360-entry detection windows of a 5-D 3^5
+# solve. Keeping them (a limit of 2^20) raised the grid benchmark's peak RSS
+# from 69 to 75 MB when every solve built M(tau+1).
 PLAN_RETAIN_LIMIT = 1 << 18
 # All retained plans together, in entries: 4 bytes each, 8 in basis arrays.
 PLAN_STORE_LIMIT = 1 << 22
-# degree_lex_pair_ranks sums keys and gathers this many (i, j) pairs at a time.
+# degree_lex_pair_ranks adds the terms of this many (i, j) pairs at a time.
 PAIR_BLOCK_ENTRIES = 1 << 15
 # Positions are int32, so a basis of 2^31 monomials or more is refused.
 _INT32_BASIS = 1 << 31
@@ -66,7 +67,8 @@ def basis_size(dim: int, degree: int) -> int:
     return math.comb(degree + dim, dim)
 
 
-def _check_int32(dim: int, degree: int) -> None:
+def check_int32(dim: int, degree: int) -> None:
+    """Refuse a basis of 2^31 monomials or more: int32 positions cannot index it."""
     if basis_size(dim, degree) >= _INT32_BASIS:
         raise ValueError(
             f"the degree-lex basis of degree {degree} in {dim} variables has "
@@ -92,7 +94,7 @@ def _rank_terms(dim: int, top: int) -> np.ndarray:
     agree with i before axis c and have a smaller suffix sum from axis c on
     (term 0: every tuple of lower total degree).
     """
-    _check_int32(dim, top)
+    check_int32(dim, top)
     terms = np.array(
         [[math.comb(s + dim - c - 1, dim - c) for s in range(top + 1)] for c in range(dim)],
         dtype=np.int32,
@@ -105,43 +107,20 @@ def degree_lex_pair_ranks(left, right) -> np.ndarray:
     """(n, m) int32 degree-lex positions of left[i] + right[j] for (n, d) and (m, d) inputs.
 
     The position of a tuple is sum_c terms[c, s_c] over its suffix sums s_c,
-    and suffix sums add. So does a mixed-radix key over the suffix sums of a
-    group of consecutive axes, and one table indexed by that key holds the
-    group's summed terms: a group costs one key sum and one gather per pair.
-    Each group is as wide as its table allows within n * m entries, so a
-    moment plan in 1-3 variables is one gather and no table outgrows the
-    result; keys are formed PAIR_BLOCK_ENTRIES pairs at a time, so the result
-    is the only (n, m) array. A negative exponent is allowed where every sum
-    is a valid tuple.
+    and suffix sums add: entry (i, j) is sum_c terms[c, a_c + b_c], with a
+    and b the suffix sums of left[i] and right[j]. The terms are added one
+    axis at a time into the result, PAIR_BLOCK_ENTRIES pairs at a time, so
+    the result is the only (n, m) array. A negative exponent is allowed
+    where every sum is a valid tuple.
     """
     a = np.cumsum(np.asarray(left, dtype=np.intp)[:, ::-1], axis=1)[:, ::-1]
     b = np.cumsum(np.asarray(right, dtype=np.intp)[:, ::-1], axis=1)[:, ::-1]
     terms = _rank_terms(a.shape[1], int(a[:, 0].max(initial=0) + b[:, 0].max(initial=0)))
     rank = np.zeros((len(a), len(b)), dtype=np.int32)
-    if rank.size == 0:
-        return rank
-    a_low, b_low = a.min(axis=0), b.min(axis=0)
-    a -= a_low
-    b -= b_low
-    low = (a_low + b_low).tolist()
-    width = (a.max(axis=0) + b.max(axis=0) + 1).tolist()
-    step = max(1, PAIR_BLOCK_ENTRIES // len(b))
-    start = 0
-    while start < len(width):
-        stop, entries = start + 1, width[start]
-        while stop < len(width) and entries * width[stop] <= rank.size:
-            entries *= width[stop]
-            stop += 1
-        # Every sum s_c lies in low[c] .. low[c] + width[c] - 1, one digit of the key.
-        table = terms[start, low[start] : low[start] + width[start]]
-        for c in range(start + 1, stop):
-            table = np.add.outer(table, terms[c, low[c] : low[c] + width[c]])
-        radix = np.cumprod([1] + width[stop - 1 : start : -1])[::-1]
-        table = table.ravel()
-        row_keys, column_keys = a[:, start:stop] @ radix, b[:, start:stop] @ radix
-        for row in range(0, len(a), step):
-            rank[row : row + step] += table[np.add.outer(row_keys[row : row + step], column_keys)]
-        start = stop
+    step = max(1, PAIR_BLOCK_ENTRIES // max(1, len(b)))
+    for row in range(0, len(a), step):
+        for c in range(a.shape[1]):
+            rank[row : row + step] += terms[c][np.add.outer(a[row : row + step, c], b[:, c])]
     return rank
 
 
@@ -216,7 +195,7 @@ def basis_array(dim: int, degree: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    _check_int32(dim, degree)
+    check_int32(dim, degree)
     size = basis_size(dim, degree)
     key = ("basis_array", dim)
     with _plans_lock:

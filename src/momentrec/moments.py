@@ -46,6 +46,7 @@ from .indexing import (
     basis_array,
     basis_labels,
     basis_size,
+    check_int32,
     degree_lex_ranks,
     diagonal_plan,
     moment_plan,
@@ -392,13 +393,16 @@ def moments_and_grams(
     rows x atoms factor is held. When K holds the rows of degree <= order,
     a request (order, q), q None for M(order), scales it by the square
     roots of its diagonal max(w q(x), 0) on both sides: M(n+1)'s Gram
-    matrix continues M(n)'s, and a constraint costs no row products.
+    matrix continues M(n)'s, and a constraint costs no row products. A basis
+    or head table that int32 positions cannot index raises ValueError before
+    it is allocated.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
     count, dim = points.shape
+    check_int32(dim, degree)
     for order, poly in requests:
         if not 0 <= order <= degree or (poly is not None and poly.degree > degree):
             raise ValueError(f"a Gram sum of order {order} needs rows beyond degree {degree}")
@@ -407,6 +411,8 @@ def moments_and_grams(
     if dim == 1:
         values = tables[0] @ weights
     else:
+        # split_plan refuses a table int32 positions cannot index before it is allocated
+        plan = split_plan(dim, degree)
         heads = basis_array(dim - 1, degree)
         table = np.empty((len(heads), degree + 1))
         for start in range(0, len(heads), step):
@@ -415,7 +421,7 @@ def moments_and_grams(
             # heads come by ascending degree, so the first one's is the block's least
             width = degree + 1 - int(heads[start].sum())
             table[start : start + step, :width] = block @ tables[-1][:width].T
-        values = table.ravel()[split_plan(dim, degree)]
+        values = table.ravel()[plan]
     return values, _gram_sums(tables, weights, requests, step)
 
 

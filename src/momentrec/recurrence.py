@@ -25,7 +25,7 @@ from .errors import (
     InsufficientInitialDataError,
     NoRecurrenceError,
 )
-from .indexing import basis_array, basis_size, extension_plan, window_plan
+from .indexing import basis_array, basis_size, check_int32, extension_plan, window_plan
 from .moments import MomentMatrix, TruncatedSequence
 from .polynomials import MultivariatePoly, UnivariatePoly
 
@@ -147,12 +147,14 @@ def extend_sequence(
     block) by the lowest-index variable whose recurrence window is available;
     any other applicable variable recomputes the value as a consistency check
     within ``CONSISTENCY_TOL`` (relative). Entries reachable by no variable
-    raise InsufficientInitialDataError.
+    raise InsufficientInitialDataError. A target basis of 2^31 monomials or
+    more raises ValueError before anything is allocated.
     """
     if system.dim != seq.dim:
         raise ValueError("dimension mismatch between sequence and system")
     if target_degree <= seq.max_degree:
         return seq
+    check_int32(seq.dim, target_degree)
     degrees = [p.degree for p in system.polys]
     # weights a_k with beta_{i+s e} = sum_k a_k beta_{i+(s-k) e}, k = 1..s
     weights = [-np.array(p.coeffs[-2::-1]) for p in system.polys]

@@ -65,7 +65,7 @@ def sample_coordinates(
 
 
 def minimal_tau(measure: AtomicMeasure) -> int:
-    """Sum over variables of (number of distinct atom coordinates - 1).
+    """Sum over variables of (number of distinct atom coordinates - 1), 0 with no atoms.
 
     This is the tau of the minimal characteristic system of the measure's
     moment sequence: each variable's minimal recurrence has one root per
@@ -73,7 +73,7 @@ def minimal_tau(measure: AtomicMeasure) -> int:
     """
     total = 0
     for axis in range(measure.dim):
-        total += len({p[axis] for p in measure.points}) - 1
+        total += max(len({p[axis] for p in measure.points}) - 1, 0)
     return total
 
 

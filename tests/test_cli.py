@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ def test_synthesize_is_deterministic(capsys):
     assert set(payload) == {"dim", "degree", "moments"}
 
 
-def test_synthesize_from_measure(capsys, pair_measure):
+def test_synthesize_from_measure(capsys, tmp_path, pair_measure):
     """An explicit measure yields its exact moments, degree defaulted."""
     code, out = run(capsys, "synthesize", "--measure", pair_measure)
     assert code == 0
@@ -66,6 +67,36 @@ def test_synthesize_from_measure(capsys, pair_measure):
     code, out = run(capsys, "synthesize", "--measure", pair_measure, "--degree", "2")
     assert code == 0
     assert TruncatedSequence.from_dict(json.loads(out)).max_degree == 2
+    # no atoms: tau 0, so the zero sequence to degree 2
+    empty = write_json(tmp_path, "empty.json", {"dim": 2, "atoms": []})
+    code, out = run(capsys, "synthesize", "--measure", empty)
+    assert code == 0
+    seq = TruncatedSequence.from_dict(json.loads(out))
+    assert seq.max_degree == 2 and not seq.array.any()
+
+
+def test_bases_beyond_int32_exit_one(capsys, tmp_path):
+    """A degree whose basis int32 positions cannot index is refused before it is allocated."""
+    cube = AtomicMeasure(dim=3, points=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), weights=(1.0, 1.0))
+    moments = write_json(tmp_path, "cube.json", evaluate_moments(cube, 4).to_dict())
+    measure = write_json(tmp_path, "cube_measure.json", cube.to_dict())
+    spike = AtomicMeasure(dim=1, points=((0.5,),), weights=(1.0,))
+    line = write_json(tmp_path, "spike_measure.json", spike.to_dict())
+    for argv in (
+        ["extend", "--in", moments, "--degree", "100000"],
+        ["synthesize", "--measure", measure, "--degree", "2400"],
+        ["synthesize", "--measure", line, "--degree", str(3 * 10**9)],
+    ):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "int32 positions stop at 2^31" in captured.err
 
 
 def test_matrix_command(capsys, tmp_path, pair_moments):

@@ -98,7 +98,7 @@ def test_rank_rejects_bad_indices():
         degree_lex_rank((1, -1))
 
 
-def test_ranks_of_sums_match_positions():
+def test_ranks_of_sums_match_positions(monkeypatch):
     """Ranks of pairwise sums, tabulated or summed first, equal list positions."""
     for dim in (1, 2, 3, 5, 6, 10):
         labels = enumerate_basis(dim, 3)
@@ -113,6 +113,21 @@ def test_ranks_of_sums_match_positions():
         assert degree_lex_ranks(labels).tolist() == list(range(len(labels)))
         grid = np.array(labels)
         assert degree_lex_ranks(grid[:, None] + grid[None, :]).tolist() == expected
+    # Blocks of 7 pairs: every plan spans many blocks and most end in a ragged
+    # one; the last right operand steps backwards along an axis, as extension_plan's do.
+    monkeypatch.setattr(indexing, "PAIR_BLOCK_ENTRIES", 7)
+    for dim in (1, 2, 3, 5):
+        labels = enumerate_basis(dim, 3)
+        position = {idx: pos for pos, idx in enumerate(enumerate_basis(dim, 6))}
+        unit = np.eye(dim, dtype=int)[-1]
+        pairs = [
+            (labels, labels),
+            (labels, [p * unit for p in range(2)]),
+            ([x for x in labels if x[-1] >= 2], [-k * unit for k in (1, 2)]),
+        ]
+        for left, right in pairs:
+            expected = [[position[tuple(np.add(x, y).tolist())] for y in right] for x in left]
+            assert degree_lex_pair_ranks(left, right).tolist() == expected
 
 
 def test_basis_size_binomial():
@@ -307,7 +322,7 @@ def test_int32_guard_allocates_nothing_large():
             degree_lex_pair_ranks([[2000, 0, 0]], [[1000, 0, 0]])
         with pytest.raises(ValueError, match="int32"):
             basis_array(3, 3000)
-        # passes the guard with wide suffix sums: tables stay within the 1 x 1 result
+        # passes the guard: only the rank terms to degree 1900 and the 1 x 1 result are made
         rank = degree_lex_pair_ranks([[1000, 0, 0]], [[900, 0, 0]])
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -86,6 +86,7 @@ def test_minimal_tau_hand_cases():
         (1.0, 1.0, 1.0, 1.0),
     )
     assert minimal_tau(grid) == 2
+    assert minimal_tau(AtomicMeasure(2, (), ())) == 0
 
 
 def test_instance_moment_degree_matches_tau():

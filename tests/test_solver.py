@@ -3,11 +3,12 @@
 import itertools
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from momentrec import moments, solver
+from momentrec import indexing, moments, solver
 from momentrec.binet import AtomicMeasure, evaluate_moments
 from momentrec.errors import NoRecurrenceError
 from momentrec.indexing import basis_size, iter_basis
@@ -413,6 +414,45 @@ def test_solve_full_peaks_below_one_moment_matrix():
     assert report.status == STATUS_SUCCESS and report.tau == 15
     assert all(record.certified for record in report.psd_records)
     assert peak < 969 * 969 * 8
+
+
+def test_a_repeated_solve_builds_no_plan(monkeypatch):
+    """Solved again, an input reads every pair-rank plan from the store.
+
+    The plans of its first solve are all kept: the large M(n) and M_q checks,
+    whose plans would exceed PLAN_RETAIN_LIMIT, are certified from the
+    recovered measure and build none. The exception left out here is a 5-D
+    detection window, above PLAN_RETAIN_LIMIT and rebuilt by every solve.
+    """
+    rng = np.random.default_rng(17)
+    draw = sample_instance(rng, dim=2)
+    x1 = MultivariatePoly.variable(2, 0)
+    cut = x1 - MultivariatePoly.constant(2, draw.measure.points[0][0])
+    box = MultivariatePoly.constant(2, 4.0) - x1 * x1
+    inputs = [(sample_instance(rng, dim=dim).moments, None) for dim in (1, 2, 3)]
+    inputs += [(_grid_sequence(3, 5, 26), None), (draw.moments, SemialgebraicSet((cut, box)))]
+    calls = []
+    ranks = indexing.degree_lex_pair_ranks
+
+    def recording(left, right):
+        calls.append(len(left) * len(right))
+        return ranks(left, right)
+
+    monkeypatch.setattr(indexing, "degree_lex_pair_ranks", recording)
+    for seq, constraints in inputs:
+        monkeypatch.setattr(indexing, "_plans", OrderedDict())
+        monkeypatch.setattr(indexing, "_plans_entries", 0)
+        for solve in range(2):
+            calls.clear()
+            if constraints is None:
+                solve_full(seq)
+            else:
+                solve_constrained(seq, constraints)
+            if solve == 0:
+                assert calls
+                kept = set(indexing._plans)
+        assert calls == []
+        assert set(indexing._plans) == kept
 
 
 def test_a_solve_evaluates_the_measures_monomials_once(monkeypatch):
