@@ -25,6 +25,7 @@ from .errors import (
     MomentError,
     NegativeWeightError,
     NoRecurrenceError,
+    NonFiniteExtensionError,
     RepeatedRootsError,
 )
 from .indexing import (
@@ -98,6 +99,7 @@ __all__ = [
     "MultivariatePoly",
     "NegativeWeightError",
     "NoRecurrenceError",
+    "NonFiniteExtensionError",
     "PsdCheck",
     "PsdRecord",
     "RepeatedRootsError",

@@ -12,8 +12,9 @@ when the surviving coefficients are positive reals sitting at real grid
 points; the conversion prunes negligible coefficients first and reports the
 offending grid index otherwise.
 
-Tensor-product Lagrange interpolants on the root grid provide the dual basis
-used by the solver's extraction identities.
+``lagrange_interpolant`` gives the tensor-product Lagrange polynomial of one
+root-grid point, the dual basis of the paper's extraction identities; the
+solver reads weights and atoms off the expansion and does not call it.
 """
 
 from __future__ import annotations

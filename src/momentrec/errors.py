@@ -46,6 +46,15 @@ class InsufficientInitialDataError(MomentError):
         super().__init__(f"entry {index} is not derivable from the given moments")
 
 
+class NonFiniteExtensionError(MomentError):
+    """A recurrence carries an extended entry out of the float range."""
+
+    def __init__(self, index: tuple[int, ...], value: float):
+        self.index = index
+        self.value = value
+        super().__init__(f"extended entry {index} is not finite: {value!r}")
+
+
 class InsufficientDataError(MomentError):
     """The sequence is too short for the requested computation."""
 

@@ -6,21 +6,20 @@ degree, and within a degree block descending powers of x_1, then x_2, and so
 on. For d = 2 this reads 1; x1; x2; x1^2; x1*x2; x2^2; ...
 
 Every gather the package makes from a degree-lex array (moment matrices,
-shifted sequences, recurrence windows, extension steps, the Binet initial
+shifted sequences, recurrence fits, extension steps, the Binet initial
 block) or into one (the moments of a measure and of an expansion, from
 their head-by-last-power tables) reads a *plan*: a read-only int32 array of
 positions that depends only on the shape (dimension, degrees, axis,
 exponents of q), never on the data. The basis arrays behind them, which
 numpy builds one degree block at a time from the basis in one variable
-fewer, are kept the same way as intp exponents. Each plan is computed once
-per process and kept for later solves, unless it holds more than
-``PLAN_RETAIN_LIMIT`` = 2^18 entries: such a plan is built for its call and
-dropped. One basis array is kept per dimension whatever its size, since it
-has one row per moment and so is no larger than the data it indexes: the
-highest degree asked for, whose prefixes are the lower degrees' bases; only
-the store's limit applies to it. Retained plans and bases together hold at
+fewer, are kept the same way as intp exponents. Each plan and basis is
+computed once per process and kept for later solves; together they hold at
 most ``PLAN_STORE_LIMIT`` = 2^22 entries, the least recently used leaving
-first.
+first. One basis array is kept per dimension, since it has one row per
+moment and so is no larger than the data it indexes: the highest degree
+asked for, whose prefixes are the lower degrees' bases. A plan or basis
+larger than the whole store is built for its call and leaves the store as
+it was.
 """
 
 from __future__ import annotations
@@ -36,15 +35,7 @@ import numpy as np
 
 MultiIndex = tuple[int, ...]
 
-# A plan above this many entries is built for its call and dropped, so one
-# 5-D 3^5 solve does not pin a 76 MB table. Solves rebuild two kinds: M(n)
-# plans of more than 512 rows, built only where the bracket of the recovered
-# measure's Gram sums leaves a check to eigvalsh (``moments.moment_bracket``,
-# ``bracket_check``), and the 789,360-entry detection windows of a 5-D 3^5
-# solve. Keeping them (a limit of 2^20) raised the grid benchmark's peak RSS
-# from 69 to 75 MB when every solve built M(tau+1).
-PLAN_RETAIN_LIMIT = 1 << 18
-# All retained plans together, in entries: 4 bytes each, 8 in basis arrays.
+# All kept plans and bases together, in entries: 4 bytes each, 8 in basis arrays.
 PLAN_STORE_LIMIT = 1 << 22
 # degree_lex_pair_ranks adds the terms of this many (i, j) pairs at a time.
 PAIR_BLOCK_ENTRIES = 1 << 15
@@ -166,7 +157,7 @@ def _read_only(plan):
 
 
 def _plan(build):
-    """Memoize a plan builder in the shared store, within the two limits."""
+    """Memoize a plan builder in the shared store, within its limit."""
 
     @wraps(build)
     def lookup(*shape):
@@ -177,7 +168,7 @@ def _plan(build):
                 _plans.move_to_end(key)
                 return plan
         plan = _read_only(build(*shape))
-        if _entries(plan) <= PLAN_RETAIN_LIMIT:
+        if _entries(plan) <= PLAN_STORE_LIMIT:
             with _plans_lock:
                 _store(key, plan)
         return plan
@@ -300,17 +291,6 @@ def shift_plan(dim: int, exponents: tuple[MultiIndex, ...], degree: int) -> np.n
     """Row g holds the ranks of exponents[g] + i for every |i| <= degree."""
     gammas = np.array(exponents, dtype=np.intp).reshape(-1, dim)
     return degree_lex_pair_ranks(gammas, basis_array(dim, degree))
-
-
-@_plan
-def window_plan(dim: int, degree: int, axis: int) -> np.ndarray:
-    """Detection window of a degree-``degree`` sequence along one axis.
-
-    Row r holds the ranks of i + p*e_axis, p = 0 .. degree // 2, for the r-th
-    tuple i with |i| < degree; past ``degree`` they run off the array.
-    """
-    steps = np.outer(np.arange(degree // 2 + 1), np.eye(dim, dtype=np.intp)[axis])
-    return degree_lex_pair_ranks(basis_array(dim, degree - 1), steps)
 
 
 @_plan

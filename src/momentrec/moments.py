@@ -466,10 +466,10 @@ def _radius(sums: GramSum, misfit: TruncatedSequence, spare: int, measure: float
         window, degree, terms = np.abs(misfit.array[:width]), 0, 1
     else:
         # |q| * |e| bounds q * e entry by entry, so its norm bounds ||E||_F
-        bound = MultivariatePoly(dim, {g: abs(c) for g, c in sums.poly.terms.items()})
-        magnitudes = TruncatedSequence(dim, misfit.max_degree, np.abs(misfit.array))
-        window = shift_sequence(magnitudes, bound).array[:width]
         degree, terms = max(sums.poly.degree, 0), len(sums.poly.terms)
+        plan = shift_plan(dim, tuple(sums.poly.terms), misfit.max_degree - degree)
+        coefficients = np.abs(np.array(list(sums.poly.terms.values())))
+        window = coefficients @ np.abs(misfit.array)[plan[:, :width]]
     misfit_norm = math.sqrt(float(pair_counts(dim, order) @ (window * window)))
     length = basis_size(dim, order) + len(sums.diagonal) + 2 * order + degree + terms + spare
     return misfit_norm * (1.0 + _ROUNDOFF * (length + width)) + (

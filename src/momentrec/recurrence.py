@@ -24,8 +24,9 @@ from .errors import (
     InconsistentRecurrenceError,
     InsufficientInitialDataError,
     NoRecurrenceError,
+    NonFiniteExtensionError,
 )
-from .indexing import basis_array, basis_size, check_int32, extension_plan, window_plan
+from .indexing import basis_array, basis_size, check_int32, extension_plan, shift_plan
 from .moments import MomentMatrix, TruncatedSequence
 from .polynomials import MultivariatePoly, UnivariatePoly
 
@@ -101,6 +102,8 @@ def _fit_order(a_mat: np.ndarray, b_vec: np.ndarray):
     return weights, math.sqrt(misfit @ misfit) / (1.0 + math.sqrt(b_vec @ b_vec))
 
 
+# moments near the float range may overflow in a fit; extend_sequence reports them
+@np.errstate(over="ignore", invalid="ignore")
 def detect_minimal_recurrence(
     seq: TruncatedSequence, axis: int, tol: float = DEFAULT_FIT_TOL
 ) -> tuple[UnivariatePoly, float]:
@@ -114,13 +117,14 @@ def detect_minimal_recurrence(
     if not 0 <= axis < seq.dim:
         raise ValueError(f"axis {axis} out of range for dimension {seq.dim}")
     max_order = seq.max_degree // 2
-    plan = window_plan(seq.dim, seq.max_degree, axis)
+    steps = ((0,) * seq.dim,)
     best = np.inf
     for order in range(1, max_order + 1):
-        # an order-k fit gathers only its k + 1 columns, on rows that stay within the data
-        rows = basis_size(seq.dim, seq.max_degree - order)
-        a_mat = seq.array.take(plan[:rows, order - 1 :: -1])
-        weights, residual = _fit_order(a_mat, seq.array.take(plan[:rows, order]))
+        # row p of the plan holds i + p*e_axis for every |i| <= max_degree - order
+        steps += ((0,) * axis + (order,) + (0,) * (seq.dim - axis - 1),)
+        plan = shift_plan(seq.dim, steps, seq.max_degree - order)
+        a_mat = seq.array.take(plan[order - 1 :: -1].T)
+        weights, residual = _fit_order(a_mat, seq.array.take(plan[order]))
         if residual < tol:
             # x^order - sum_k a_k x^(order-k), lowest coefficient first
             coeffs = [-float(w) for w in weights[::-1]] + [1.0]
@@ -138,6 +142,7 @@ def detect_characteristic_system(
     return CharacteristicSystem.from_polys(polys, residual=max(residuals))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def extend_sequence(
     seq: TruncatedSequence, system: CharacteristicSystem, target_degree: int
 ) -> TruncatedSequence:
@@ -147,8 +152,9 @@ def extend_sequence(
     block) by the lowest-index variable whose recurrence window is available;
     any other applicable variable recomputes the value as a consistency check
     within ``CONSISTENCY_TOL`` (relative). Entries reachable by no variable
-    raise InsufficientInitialDataError. A target basis of 2^31 monomials or
-    more raises ValueError before anything is allocated.
+    raise InsufficientInitialDataError, and an entry that overflows raises
+    NonFiniteExtensionError, with no floating-point warning. A target basis
+    of 2^31 monomials or more raises ValueError before anything is allocated.
     """
     if system.dim != seq.dim:
         raise ValueError("dimension mismatch between sequence and system")
@@ -176,7 +182,8 @@ def extend_sequence(
         # the lowest producing variable sets the value, the others must agree
         value = produced[np.arange(size), producers.argmax(axis=1)]
         limit = CONSISTENCY_TOL * (1.0 + np.maximum(np.abs(value)[:, None], np.abs(produced)))
-        disagree = producers & (np.abs(produced - value[:, None]) > limit)
+        # written so that a non-finite value (its own gap is NaN) disagrees too
+        disagree = producers & ~(np.abs(produced - value[:, None]) <= limit)
         failing = np.flatnonzero(~producers.any(axis=1) | disagree.any(axis=1))
         if failing.size:
             # report the first failing entry in degree-lex order
@@ -184,6 +191,8 @@ def extend_sequence(
             idx = tuple(basis_array(seq.dim, t)[start + r].tolist())
             if not producers[r].any():
                 raise InsufficientInitialDataError(idx)
+            if not math.isfinite(value[r]):
+                raise NonFiniteExtensionError(idx, float(value[r]))
             other = produced[r, disagree[r].argmax()]
             raise InconsistentRecurrenceError(idx, float(value[r]), float(other))
         values[start : start + size] = value

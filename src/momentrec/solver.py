@@ -52,11 +52,9 @@ from .binet import (
 )
 from .errors import (
     ComplexAtomError,
-    InconsistentRecurrenceError,
     InsufficientDataError,
-    InsufficientInitialDataError,
+    MomentError,
     NegativeWeightError,
-    NoRecurrenceError,
     RepeatedRootsError,
 )
 from .indexing import basis_size
@@ -332,7 +330,7 @@ def _run_stages(
         system = found["system"] = detect_characteristic_system(seq, tol.residual)
         extra = max((q.degree for q in polys), default=0)
         ext = extend_sequence(seq, system, max(seq.max_degree, 2 * (system.tau + 1) + extra))
-    except (NoRecurrenceError, InconsistentRecurrenceError, InsufficientInitialDataError) as exc:
+    except MomentError as exc:  # any failure of detection or extension
         return STATUS_NOT_RECURSIVE, str(exc)
 
     # M(tau), M(tau+1) and each M_q; those of CERTIFY_MIN_SIZE rows or more

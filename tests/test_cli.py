@@ -322,6 +322,25 @@ def test_non_finite_constraint_coefficient_exits_one(capsys, tmp_path, pair_mome
     assert "coefficient of (0, 0) is not finite" in captured.err
 
 
+def test_an_overflowing_extension_exits_two(capsys, tmp_path):
+    """Moments whose extension overflows are a structured outcome, not malformed input."""
+    far = evaluate_moments(AtomicMeasure(1, ((1e100,),), (1.0,)), 2)
+    moments = write_json(tmp_path, "far.json", far.to_dict())
+    box = [{"idx": [0], "coef": 4.0}, {"idx": [2], "coef": -1.0}]
+    box_path = write_json(tmp_path, "k_box.json", {"constraints": [{"dim": 1, "terms": box}]})
+    code, out = run(capsys, "solve-k", "--in", moments, "--constraints", box_path)
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "NotRecursive"
+    assert report["detail"] == "extended entry (4,) is not finite: inf"
+    code, out = run(capsys, "extend", "--in", moments, "--degree", "4")
+    assert code == 2
+    assert json.loads(out) == {
+        "status": "NonFiniteExtension",
+        "message": "extended entry (4,) is not finite: inf",
+    }
+
+
 def test_invalid_constraint_exits_one_on_failing_data(capsys, tmp_path):
     """A zero constraint is an input error even where the data would fail."""
     signed = TruncatedSequence(1, 4, [0.0, -1.0, -1.0, -1.0, -1.0])

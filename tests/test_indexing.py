@@ -12,7 +12,6 @@ import pytest
 
 from momentrec import NoRecurrenceError, TruncatedSequence, detect_minimal_recurrence, indexing
 from momentrec.indexing import (
-    PLAN_RETAIN_LIMIT,
     PLAN_STORE_LIMIT,
     basis_array,
     basis_labels,
@@ -29,7 +28,6 @@ from momentrec.indexing import (
     shift_plan,
     split_plan,
     total_degree,
-    window_plan,
 )
 
 
@@ -164,10 +162,15 @@ def test_plans_match_direct_ranks(empty_store):
             np.array(gammas), basis[: basis_size(dim, 3)]
         ).tolist()
         for axis in range(dim):
-            window = window_plan(dim, 5, axis)
-            for r, idx in enumerate(basis[: basis_size(dim, 4)]):
-                for p in range(3):
-                    assert window[r, p] == degree_lex_rank(tuple(idx + p * np.eye(dim, dtype=int)[axis]))
+            unit = np.eye(dim, dtype=int)[axis]
+            for k in (1, 2):
+                # an order-k fit on degree-5 data reads i + p*e_axis, p <= k, for |i| <= 5 - k
+                steps = tuple(tuple((p * unit).tolist()) for p in range(k + 1))
+                plan = shift_plan(dim, steps, 5 - k)
+                assert plan.shape == (k + 1, basis_size(dim, 5 - k))
+                for r in range(basis_size(dim, 4 - k), basis_size(dim, 5 - k)):
+                    for p in range(k + 1):
+                        assert plan[p, r] == degree_lex_rank(tuple(basis[r] + p * unit))
             rows, ranks = extension_plan(dim, 4, axis, 2)
             block = basis[basis_size(dim, 3) : basis_size(dim, 4)]
             assert rows.tolist() == np.flatnonzero(block[:, axis] >= 2).tolist()
@@ -202,7 +205,7 @@ def test_plans_are_read_only_and_shared(empty_store):
         basis_array(2, 3),
         moment_plan(2, 3),
         shift_plan(2, ((1, 0), (0, 0)), 3),
-        window_plan(2, 6, 1),
+        split_plan(2, 4),
         grid_plan((2, 2)),
         *extension_plan(2, 5, 0, 2),
     ]
@@ -216,21 +219,26 @@ def test_plans_are_read_only_and_shared(empty_store):
     assert ("moment_plan", 2, 3) in empty_store
 
 
-def test_oversized_plan_is_not_retained(empty_store):
-    """M(16) in 3-D has 969^2 > PLAN_RETAIN_LIMIT entries: built, then dropped."""
-    assert basis_size(3, 16) ** 2 > PLAN_RETAIN_LIMIT
-    first = moment_plan(3, 16)
-    assert ("moment_plan", 3, 16) not in empty_store
-    assert moment_plan(3, 16) is not first
-    assert np.array_equal(moment_plan(3, 16), first)
-    assert moment_plan(3, 4) is moment_plan(3, 4)
-    assert indexing._plans_entries == sum(map(indexing._entries, empty_store.values()))
-    assert indexing._plans_entries <= PLAN_STORE_LIMIT
+def test_oversized_plan_is_not_retained(empty_store, monkeypatch):
+    """A plan larger than the whole store is built for its call, and evicts nothing."""
+    monkeypatch.setattr(indexing, "PLAN_STORE_LIMIT", 1000)
+    basis_array(3, 4)
+    moment_plan(3, 2)
+    kept = dict(empty_store)
+    entries = indexing._plans_entries
+    assert basis_size(3, 4) ** 2 > 1000 >= entries
+    first = moment_plan(3, 4)
+    assert first.tolist() == degree_lex_pair_ranks(basis_array(3, 4), basis_array(3, 4)).tolist()
+    assert set(empty_store) == set(kept)
+    assert all(empty_store[key] is plan for key, plan in kept.items())
+    assert indexing._plans_entries == entries
+    assert moment_plan(3, 4) is not first
+    assert moment_plan(3, 2) is kept[("moment_plan", 3, 2)]
 
 
 def test_bases_are_kept_whatever_their_size(empty_store):
     """The 5-D basis of degree 22 (403,650 entries) is kept, within the store's limit."""
-    assert basis_size(5, 22) * 5 > PLAN_RETAIN_LIMIT
+    assert basis_size(5, 22) * 5 <= PLAN_STORE_LIMIT
     assert basis_array(5, 22) is basis_array(5, 22)
     assert ("basis_array", 5) in empty_store
     assert indexing._plans_entries == sum(map(indexing._entries, empty_store.values()))

@@ -400,10 +400,12 @@ def test_cold_and_warm_plans_agree(monkeypatch):
     cold = [_plan_outputs(seq) for seq in seqs]
     assert indexing._plans
     warm = [_plan_outputs(seq) for seq in seqs]
-    monkeypatch.setattr(indexing, "PLAN_RETAIN_LIMIT", 0)
+    # a store of no entries keeps no plan and no basis
+    monkeypatch.setattr(indexing, "PLAN_STORE_LIMIT", 0)
     monkeypatch.setattr(indexing, "_plans", OrderedDict())
+    monkeypatch.setattr(indexing, "_plans_entries", 0)
     unkept = [_plan_outputs(seq) for seq in seqs]
-    assert all(key[0] == "basis_array" for key in indexing._plans)
+    assert not indexing._plans and indexing._plans_entries == 0
     for first, second, third in zip(cold, warm, unkept):
         assert len(first) == len(second) == len(third)
         for a, b, c in zip(first, second, third):

@@ -61,3 +61,20 @@ def test_certified_counts_every_record():
     assert [sum(counts[kind][:2]) for kind in ("M(n)", "M_q")] == [48, 48]
     certified, _, large = counts["M_q"]
     assert certified >= 2 and large == 0
+
+
+def test_plans_counts_no_build_after_the_first_pass():
+    """--plans solves the small grid workload three times; only the first pass builds plans."""
+    command = [sys.executable, str(TOOL), "--workload", "grid", "--seed", "7", "--small"]
+    plain = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    lines = subprocess.run(
+        command + ["--plans"], capture_output=True, text=True, timeout=120, check=True
+    ).stdout.splitlines()
+    assert lines[0] == plain.stdout.strip()
+    pattern = (
+        r"grid seed 7: \d+ inputs, pair-rank builds: pass 1 (\d+), pass 2 (\d+), pass 3 (\d+); "
+        r"plan store (\d+) entries"
+    )
+    first, second, third, entries = map(int, re.fullmatch(pattern, lines[1]).groups())
+    assert first > 0 and second == third == 0
+    assert 0 < entries <= 1 << 22

@@ -216,6 +216,15 @@ def test_solve_constrained_violation():
     assert report.measure is not None
 
 
+def test_an_overflowing_extension_is_not_recursive():
+    """One atom at 1e100 overflows the extension to degree 4: a report, with no warning."""
+    seq = evaluate_moments(AtomicMeasure(1, ((1e100,),), (1.0,)), 2)
+    x = MultivariatePoly.variable(1, 0)
+    report = solve_constrained(seq, SemialgebraicSet((MultivariatePoly.constant(1, 4.0) - x * x,)))
+    assert report.status == STATUS_NOT_RECURSIVE
+    assert report.detail == "extended entry (4,) is not finite: inf"
+
+
 def test_solve_constrained_empty_set_matches_full():
     """No constraints reduces to the unconstrained pipeline."""
     plain = solve_full(PAIR_SEQ)
@@ -419,10 +428,9 @@ def test_solve_full_peaks_below_one_moment_matrix():
 def test_a_repeated_solve_builds_no_plan(monkeypatch):
     """Solved again, an input reads every pair-rank plan from the store.
 
-    The plans of its first solve are all kept: the large M(n) and M_q checks,
-    whose plans would exceed PLAN_RETAIN_LIMIT, are certified from the
-    recovered measure and build none. The exception left out here is a 5-D
-    detection window, above PLAN_RETAIN_LIMIT and rebuilt by every solve.
+    The plans of its first solve are all kept, the per-order recurrence fits
+    of the 4-D 4^4 and 5-D 3^5 grids too; their large M(n) and M_q checks are
+    certified from the recovered measure and build no plan.
     """
     rng = np.random.default_rng(17)
     draw = sample_instance(rng, dim=2)
@@ -430,7 +438,8 @@ def test_a_repeated_solve_builds_no_plan(monkeypatch):
     cut = x1 - MultivariatePoly.constant(2, draw.measure.points[0][0])
     box = MultivariatePoly.constant(2, 4.0) - x1 * x1
     inputs = [(sample_instance(rng, dim=dim).moments, None) for dim in (1, 2, 3)]
-    inputs += [(_grid_sequence(3, 5, 26), None), (draw.moments, SemialgebraicSet((cut, box)))]
+    inputs += [(_grid_sequence(*shape), None) for shape in ((3, 5, 26), (4, 4, 26), (5, 3, 22))]
+    inputs.append((draw.moments, SemialgebraicSet((cut, box))))
     calls = []
     ranks = indexing.degree_lex_pair_ranks
 

@@ -35,6 +35,12 @@ certified and how many eigvalsh decided, and how many of the latter have
 ``CERTIFY_MIN_SIZE`` rows or more (the size the solver brackets).
 ``PsdRecord.certified`` is not part of ``SolveReport.to_dict()``, so no
 digest shows it.
+
+``--plans`` solves the workload twice more after the digest pass and prints
+how many pair-rank plans (``indexing.degree_lex_pair_ranks`` calls) each of
+the three passes built, and how many entries the plan store then holds. A
+store that keeps every plan it is asked for builds none after the first
+pass.
 """
 
 from __future__ import annotations
@@ -71,6 +77,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--certified", action="store_true", help="also count certified and eigvalsh records"
     )
+    parser.add_argument(
+        "--plans", action="store_true", help="solve twice more, counting pair-rank plan builds"
+    )
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.run import THREAD_VARS, THREADS
@@ -80,6 +89,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     import momentrec
+    from momentrec import indexing
     from momentrec.indexing import basis_size
     from momentrec.moments import CERTIFY_MIN_SIZE
     from perfbench.workloads import make_cases
@@ -116,14 +126,26 @@ def main(argv=None) -> int:
         with open(args.save_moments, "wb") as out:
             np.savez(out, *(seq.array for seq in inputs))
 
+    builds = [0]
+    pair_ranks = indexing.degree_lex_pair_ranks
+
+    def counting(left, right):
+        builds[0] += 1
+        return pair_ranks(left, right)
+
+    # the plan builders look the name up in their module on every call
+    indexing.degree_lex_pair_ranks = counting
+
+    def solve(case, moments):
+        if case.constraints is None:
+            return momentrec.solve_full(moments)
+        return momentrec.solve_constrained(moments, case.constraints)
+
     digest, decisions = hashlib.sha256(), hashlib.sha256()
     # kind -> [certified, by eigvalsh, by eigvalsh with CERTIFY_MIN_SIZE rows or more]
     tally = {"M(n)": [0, 0, 0], "M_q": [0, 0, 0]}
     for case, moments in zip(cases, inputs):
-        if case.constraints is None:
-            report = momentrec.solve_full(moments)
-        else:
-            report = momentrec.solve_constrained(moments, case.constraints)
+        report = solve(case, moments)
         for kind, records in (("M(n)", report.psd_records), ("M_q", report.constraint_records)):
             for record in records:
                 counts = tally[kind]
@@ -135,6 +157,12 @@ def main(argv=None) -> int:
         report = report.to_dict()
         digest.update(json.dumps(report).encode() + b"\n")
         decisions.update(json.dumps(blank_margins(report)).encode() + b"\n")
+    passes = [builds[0]]
+    for _ in range(2 if args.plans else 0):
+        builds[0] = 0
+        for case, moments in zip(cases, inputs):
+            solve(case, moments)
+        passes.append(builds[0])
     head = f"{args.workload} seed {args.seed}: {len(cases)} inputs"
     print(f"{head}, sha256 {digest.hexdigest()}")
     if args.decisions:
@@ -145,6 +173,11 @@ def main(argv=None) -> int:
                 f"{head}, {kind} records: {certified} certified, {eigvalsh} by eigvalsh "
                 f"({large} of >= {CERTIFY_MIN_SIZE} rows)"
             )
+    if args.plans:
+        counts = ", ".join(f"pass {k} {n}" for k, n in enumerate(passes, 1))
+        print(
+            f"{head}, pair-rank builds: {counts}; plan store {indexing._plans_entries} entries"
+        )
     return 0
 
 
