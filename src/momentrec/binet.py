@@ -232,6 +232,8 @@ def expansion_to_measure(
     and a positive weight. The realness threshold is
     ``tol_imag * (1 + max |Re c|)`` over the survivors and applies to both
     coefficients and coordinates. Failures carry the offending grid index.
+    Two survivors whose real parts coincide differ on some axis by a
+    non-real root, so they raise ComplexAtomError too.
     """
     coef = expansion.coefficients
     magnitudes = np.abs(coef)
@@ -244,7 +246,7 @@ def expansion_to_measure(
     values = coef[kept].tolist()
     scale = 1.0 + max(abs(c.real) for c in values)
     threshold = tol_imag * scale
-    points = []
+    seen: dict = {}  # each real point's grid index, in survivor order
     weights = []
     for grid_idx, c in zip(survivors, values):
         raw_point = [roots[k] for roots, k in zip(expansion.roots, grid_idx)]
@@ -256,11 +258,17 @@ def expansion_to_measure(
         point = tuple(x.real for x in raw_point)
         if c.real <= 0.0:
             raise NegativeWeightError(grid_idx, point, c.real)
-        points.append(point)
+        earlier = seen.setdefault(point, grid_idx)
+        if earlier != grid_idx:
+            # the roots are simple: on the first axis the indices differ, the
+            # two roots share a real part, so one of them is not real
+            axis = next(l for l, (a, b) in enumerate(zip(earlier, grid_idx)) if a != b)
+            witness = grid_idx if raw_point[axis].imag else earlier
+            raise ComplexAtomError(witness, expansion.roots[axis][witness[axis]], "coordinate")
         weights.append(c.real)
     return AtomicMeasure(
         dim=expansion.dim,
-        points=tuple(points),
+        points=tuple(seen),
         weights=tuple(weights),
         support=tuple(survivors),
     )

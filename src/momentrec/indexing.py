@@ -12,7 +12,8 @@ their head-by-last-power tables) reads a *plan*: a read-only int32 array of
 positions that depends only on the shape (dimension, degrees, axis,
 exponents of q), never on the data. The basis arrays behind them, which
 numpy builds one degree block at a time from the basis in one variable
-fewer, are kept the same way as intp exponents. Each plan and basis is
+fewer, are kept the same way as intp exponents, and so are the binomial
+terms the positions are summed from. Each plan and basis is
 computed once per process and kept for later solves; together they hold at
 most ``PLAN_STORE_LIMIT`` = 2^22 entries, the least recently used leaving
 first. One basis array is kept per dimension, since it has one row per
@@ -29,7 +30,7 @@ import math
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -75,23 +76,6 @@ def iter_basis(dim: int, degree: int) -> Iterator[MultiIndex]:
 def enumerate_basis(dim: int, degree: int) -> list[MultiIndex]:
     """Degree-lex ordered list of all exponent tuples of total degree <= degree."""
     return list(basis_labels(dim, degree))
-
-
-@lru_cache(maxsize=64)
-def _rank_terms(dim: int, top: int) -> np.ndarray:
-    """terms[c, s] = C(s + d - c - 1, d - c); the position of i is sum_c terms[c, s_c].
-
-    With suffix sums s_c = i_c + ... + i_{d-1}, term c counts the tuples that
-    agree with i before axis c and have a smaller suffix sum from axis c on
-    (term 0: every tuple of lower total degree).
-    """
-    check_int32(dim, top)
-    terms = np.array(
-        [[math.comb(s + dim - c - 1, dim - c) for s in range(top + 1)] for c in range(dim)],
-        dtype=np.int32,
-    )
-    terms.flags.writeable = False
-    return terms
 
 
 def degree_lex_pair_ranks(left, right) -> np.ndarray:
@@ -176,6 +160,21 @@ def _plan(build):
     return lookup
 
 
+@_plan
+def _rank_terms(dim: int, top: int) -> np.ndarray:
+    """terms[c, s] = C(s + d - c - 1, d - c); the position of i is sum_c terms[c, s_c].
+
+    With suffix sums s_c = i_c + ... + i_{d-1}, term c counts the tuples that
+    agree with i before axis c and have a smaller suffix sum from axis c on
+    (term 0: every tuple of lower total degree).
+    """
+    check_int32(dim, top)
+    return np.array(
+        [[math.comb(s + dim - c - 1, dim - c) for s in range(top + 1)] for c in range(dim)],
+        dtype=np.int32,
+    )
+
+
 def basis_array(dim: int, degree: int) -> np.ndarray:
     """The degree-lex basis as an (n, dim) array; lower degrees are prefixes.
 
@@ -241,12 +240,11 @@ def split_plan(dim: int, degree: int) -> np.ndarray:
     exponents = basis_array(dim, degree)
     # the head's rank is sum_c terms[c, s_c] over its suffix sums s_c, summed
     # one axis at a time so no (n, dim) temporary is made
-    terms = _rank_terms(dim - 1, degree)
     suffix = np.zeros(len(exponents), dtype=np.intp)
     heads = np.zeros(len(exponents), dtype=np.int32)
     for c in range(dim - 2, -1, -1):
         suffix += exponents[:, c]
-        heads += terms[c, suffix]
+        heads += _rank_terms(dim - 1, degree)[c, suffix]
     return heads * np.int32(degree + 1) + exponents[:, -1].astype(np.int32)
 
 

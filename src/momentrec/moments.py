@@ -68,6 +68,7 @@ __all__ = [
     "numeric_rank",
     "GramSum",
     "moments_and_grams",
+    "misfit_bound",
     "moment_bracket",
     "signed_bracket",
     "bracket_check",
@@ -344,7 +345,7 @@ def _bracket_rank(
 
 @dataclass(frozen=True, eq=False)
 class GramSum:
-    """An atomic measure's factor summed over the basis of M_q(order), for ``moment_bracket``.
+    """An atomic measure's factor summed over the basis of M_q(order) in ``dim`` variables.
 
     With rows v_i = (x_s^{a_i})_s for |a_i| <= order, K = sum_i v_i v_i^T,
     the diagonal d_s = w_s q(x_s) (q = 1 where ``poly`` is None),
@@ -354,6 +355,7 @@ class GramSum:
     is T = sum_s m_s n_s.
     """
 
+    dim: int
     order: int
     poly: MultivariatePoly | None
     gram: np.ndarray
@@ -373,6 +375,8 @@ def _diagonal(tables, weights: np.ndarray, poly: MultivariatePoly | None):
     return scaled, np.abs(weights) * (np.abs(coefficients) @ np.abs(at_points))
 
 
+# powers of far atoms may overflow; the non-finite moments are reported by the caller
+@np.errstate(over="ignore", invalid="ignore")
 def moments_and_grams(
     points, weights, degree: int, requests=()
 ) -> tuple[np.ndarray, list[GramSum]]:
@@ -395,7 +399,8 @@ def moments_and_grams(
     roots of its diagonal max(w q(x), 0) on both sides: M(n+1)'s Gram
     matrix continues M(n)'s, and a constraint costs no row products. A basis
     or head table that int32 positions cannot index raises ValueError before
-    it is allocated.
+    it is allocated. Powers that overflow give non-finite moments and sums
+    without a warning; the caller refuses them.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -447,32 +452,44 @@ def _gram_sums(tables, weights: np.ndarray, requests, step: int) -> list[GramSum
             gram = kernel * root[:, None]
             gram *= root
             negative = float(np.maximum(-diagonal, 0.0) @ norms)
-            out[k] = GramSum(order, poly, gram, diagonal, negative, float(magnitude @ norms))
+            total = float(magnitude @ norms)
+            out[k] = GramSum(len(tables), order, poly, gram, diagonal, negative, total)
     return out
 
 
-def _radius(sums: GramSum, misfit: TruncatedSequence, spare: int, measure: float) -> float:
-    """A bracket's radius: the bound on ||E||_F, then ``measure`` and the roundoff on T.
+def misfit_bound(sums: GramSum, misfit: TruncatedSequence) -> float:
+    """A bound on ||E||_F, E the misfit's M_q(order) for ``sums``' order and q.
 
     ||E||_F^2 is at most sum_t pair_counts[t] (|q| * |e|)_t^2 over the t of
     degree <= 2 order, |e| itself for q = 1 (a shift by 1.0 is exact, so it
-    is skipped). With L = N + r + 2 order + deg q + (terms of q) + ``spare``
-    and W = basis_size(dim, 2 order), the radius is the bound times
-    1 + _ROUNDOFF (L + W), plus ``measure``, plus _ROUNDOFF L T.
+    is skipped); ``misfit`` must reach degree 2 order + deg q. Both brackets
+    of one matrix take this bound.
     """
-    dim, order = misfit.dim, sums.order
+    dim, order = sums.dim, sums.order
     width = basis_size(dim, 2 * order)
     if sums.poly is None:
-        window, degree, terms = np.abs(misfit.array[:width]), 0, 1
+        window = np.abs(misfit.array[:width])
     else:
         # |q| * |e| bounds q * e entry by entry, so its norm bounds ||E||_F
-        degree, terms = max(sums.poly.degree, 0), len(sums.poly.terms)
+        degree = max(sums.poly.degree, 0)
         plan = shift_plan(dim, tuple(sums.poly.terms), misfit.max_degree - degree)
         coefficients = np.abs(np.array(list(sums.poly.terms.values())))
         window = coefficients @ np.abs(misfit.array)[plan[:, :width]]
-    misfit_norm = math.sqrt(float(pair_counts(dim, order) @ (window * window)))
+    return math.sqrt(float(pair_counts(dim, order) @ (window * window)))
+
+
+def _radius(sums: GramSum, bound: float, spare: int, measure: float) -> float:
+    """A bracket's radius: the ``misfit_bound``, then ``measure`` and the roundoff on T.
+
+    With L = N + r + 2 order + deg q + (terms of q) + ``spare`` and
+    W = basis_size(dim, 2 order), the radius is the bound times
+    1 + _ROUNDOFF (L + W), plus ``measure``, plus _ROUNDOFF L T.
+    """
+    dim, order = sums.dim, sums.order
+    poly = sums.poly
+    degree, terms = (0, 1) if poly is None else (max(poly.degree, 0), len(poly.terms))
     length = basis_size(dim, order) + len(sums.diagonal) + 2 * order + degree + terms + spare
-    return misfit_norm * (1.0 + _ROUNDOFF * (length + width)) + (
+    return bound * (1.0 + _ROUNDOFF * (length + basis_size(dim, 2 * order))) + (
         measure + _ROUNDOFF * length * sums.total
     )
 
@@ -485,13 +502,13 @@ def _padded(eigenvalues: np.ndarray, n: int) -> np.ndarray:
     return np.sort(np.concatenate([eigenvalues, np.zeros(n - r)]))
 
 
-def moment_bracket(sums: GramSum, misfit: TruncatedSequence) -> tuple[np.ndarray, float] | None:
+def moment_bracket(sums: GramSum, bound: float) -> tuple[np.ndarray, float] | None:
     """Ascending centers and a radius for the spectrum of the data's M(order).
 
     The data are the moments of an atomic measure (``sums``, from
-    ``moments_and_grams``) plus ``misfit``; with ``sums.poly`` = q the
-    matrix is the localizing M_q(order), and ``misfit`` must reach degree
-    2 * order + deg q. Eigenvalue i of the matrix lies within the radius of
+    ``moments_and_grams``) plus a misfit e whose ``misfit_bound`` is
+    ``bound``; with ``sums.poly`` = q the matrix is the localizing
+    M_q(order). Eigenvalue i of the matrix lies within the radius of
     center i. None if the sums overflow, before any eigvalsh runs.
 
     Proof. Take q = 1 for M(order). Let N be the row count, r the atom
@@ -530,19 +547,17 @@ def moment_bracket(sums: GramSum, misfit: TruncatedSequence) -> tuple[np.ndarray
     bracket that decides a question decides it as eigvalsh's eigenvalues of
     A would.
     """
-    radius = _radius(sums, misfit, 0, sums.negative)
+    radius = _radius(sums, bound, 0, sums.negative)
     if not math.isfinite(radius):
         return None
-    return _padded(np.linalg.eigvalsh(sums.gram), basis_size(misfit.dim, sums.order)), radius
+    return _padded(np.linalg.eigvalsh(sums.gram), basis_size(sums.dim, sums.order)), radius
 
 
-def signed_bracket(
-    points, sums: GramSum, misfit: TruncatedSequence
-) -> tuple[np.ndarray, float] | None:
+def signed_bracket(points, sums: GramSum, bound: float) -> tuple[np.ndarray, float] | None:
     """``moment_bracket`` of M_q(order) for a diagonal d = w q(x) of either sign.
 
     ``sums`` is the measure's GramSum of M_q(order), ``points`` its r atoms
-    (r, dim), and ``misfit`` as for ``moment_bracket``. The rows x^a,
+    (r, dim), and ``bound`` as for ``moment_bracket``. The rows x^a,
     |a| <= order, at the atoms are evaluated again from one power table per
     variable, as the measure pass evaluates them, into the N x r factor
     F = V^T; its thin QR F = QR gives F D F^T = Q (R D R^T) Q^T, whose
@@ -575,12 +590,12 @@ def signed_bracket(
     the QR on top of ``moment_bracket``'s L, so at ``_ROUNDOFF`` = 8 u the
     radius covers 2 g for c up to 8 and every other item at least twice.
     """
-    n = basis_size(misfit.dim, sums.order)
-    radius = _radius(sums, misfit, 2 * n * len(sums.diagonal), 0.0)
+    n = basis_size(sums.dim, sums.order)
+    radius = _radius(sums, bound, 2 * n * len(sums.diagonal), 0.0)
     if not math.isfinite(radius):
         return None
     tables = [power_table(axis, sums.order) for axis in np.asarray(points, dtype=float).T]
-    factor = np.linalg.qr(monomials(tables, basis_array(misfit.dim, sums.order)), mode="r")
+    factor = np.linalg.qr(monomials(tables, basis_array(sums.dim, sums.order)), mode="r")
     return _padded(np.linalg.eigvalsh((factor * sums.diagonal) @ factor.T), n), radius
 
 

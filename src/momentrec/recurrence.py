@@ -99,7 +99,13 @@ def _fit_order(a_mat: np.ndarray, b_vec: np.ndarray):
     weights, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     # the dot product and square root np.linalg.norm takes on a 1-D vector
     misfit = a_mat @ weights - b_vec
-    return weights, math.sqrt(misfit @ misfit) / (1.0 + math.sqrt(b_vec @ b_vec))
+    squares, b_squares = misfit @ misfit, b_vec @ b_vec
+    if math.isfinite(squares) and math.isfinite(b_squares):
+        return weights, math.sqrt(squares) / (1.0 + math.sqrt(b_squares))
+    # a sum of squares overflowed: the same ratio from the vectors over max |b|
+    top = float(np.abs(b_vec).max())
+    misfit, b_vec = misfit / top, b_vec / top
+    return weights, math.sqrt(misfit @ misfit) / (1.0 / top + math.sqrt(b_vec @ b_vec))
 
 
 # moments near the float range may overflow in a fit; extend_sequence reports them

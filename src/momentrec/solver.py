@@ -7,14 +7,17 @@ wrong-dimension constraint with ValueError before the first stage, and adds,
 for each constraint q, a localizing-matrix analysis and a sign check of q on
 the recovered atoms.
 
-The PSD checks follow the expansion because they read its measure. One pass
-over the measure (``moments.moments_and_grams``) gives its moments to the
-extension's degree, hence the data's misfit and the moment residual, and the
-Gram sums of M(tau), M(tau+1) and every localizing matrix of
-``CERTIFY_MIN_SIZE`` rows or more. Such a matrix is checked from its bracket
-(``moments.moment_bracket``, then ``moments.signed_bracket`` for a
-constraint negative at some atom) and built for eigvalsh only where neither
-certifies it; smaller ones always go to eigvalsh.
+Every matrix checked is M(n) of one sequence: the extended data beta for
+M(tau) and M(tau+1), q * beta (``moments.shift_sequence``) for a
+constraint's localizing matrix M_q(n). The PSD checks follow the expansion
+because they read its measure. One pass over the measure
+(``moments.moments_and_grams``) gives its moments to the extension's
+degree, hence the data's misfit and the moment residual, and the Gram sums
+of every matrix of ``CERTIFY_MIN_SIZE`` rows or more. Such a matrix is
+checked from its bracket (``moments.moment_bracket``, then
+``moments.signed_bracket`` for a constraint negative at some atom) and
+built from its sequence for eigvalsh only where neither certifies it;
+smaller ones always go to eigvalsh.
 
 One solve builds one SolveReport, at whichever exit it reaches. Its status is
 the first failing check in this order:
@@ -35,9 +38,8 @@ complex atom found after it is named in the detail as the expansion witness.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -66,9 +68,9 @@ from .moments import (
     MomentMatrix,
     TruncatedSequence,
     bracket_check,
-    build_localizing_matrix,
     build_moment_matrix,
     max_localizing_order,
+    misfit_bound,
     moment_bracket,
     moments_and_grams,
     numeric_rank,
@@ -273,46 +275,45 @@ def count_atoms_in_zero_set(
     return sum(1 for p in measure.points if abs(q.evaluate(p)) <= threshold)
 
 
-def _measure_brackets(points: np.ndarray, sums: GramSum, misfit: TruncatedSequence) -> tuple:
-    """One matrix's brackets from the measure's ``sums``, in the order they are tried.
+def _measure_brackets(points: np.ndarray, sums: GramSum, misfit: TruncatedSequence) -> Iterator:
+    """One matrix's brackets from the measure's ``sums``, each made when it is tried.
 
-    A diagonal w q(x) with a negative entry adds the factor's
-    ``signed_bracket``, which can certify a failing verdict where the Gram
-    bracket cannot, if the r atoms are at most the N rows: otherwise
-    R D R^T is N x N, and building the matrix costs no more.
+    First the Gram bracket, then, where the diagonal w q(x) has a negative
+    entry, the factor's ``signed_bracket``, which can certify a failing
+    verdict; both take one ``misfit_bound``. A bracketed matrix has order
+    >= tau, so its N rows are at least the r atoms on the root grid:
+    r <= prod_l deg p_l <= C(tau + d, d) <= N.
     """
-    gram = partial(moment_bracket, sums, misfit)
-    if (sums.diagonal < 0.0).any() and len(points) <= basis_size(misfit.dim, sums.order):
-        return gram, partial(signed_bracket, points, sums, misfit)
-    return (gram,)
+    bound = misfit_bound(sums, misfit)
+    yield moment_bracket(sums, bound)
+    if (sums.diagonal < 0.0).any():
+        yield signed_bracket(points, sums, bound)
 
 
 def _psd_record(
-    data: TruncatedSequence,
+    seq: TruncatedSequence,
     order: int,
     tol: Tolerances,
-    brackets: tuple[Callable[[], tuple | None], ...],
-    build: Callable[[], MomentMatrix],
-    poly: MultivariatePoly | None = None,
+    brackets: Iterable[tuple | None],
+    full: MomentMatrix | None = None,
     scale: float | None = None,
 ) -> tuple[PsdRecord, np.ndarray, MomentMatrix | None]:
-    """The data's M(order) (M_q(order) for ``poly``): record, eigenvalues, any matrix built.
+    """M(order) of ``seq``: its record, its eigenvalues and any matrix built.
 
     The record comes from the first of the measure's ``brackets`` whose
     check certifies it, and the eigenvalues are then its centers; otherwise
-    ``build()`` makes the matrix for eigvalsh.
+    the matrix, cut from ``full`` (a built M(n) of ``seq``, n > order) where
+    given, goes to eigvalsh.
     """
-    shifted = data if poly is None or not brackets else shift_sequence(data, poly)
-    for bracket in brackets:
-        found = bracket()
+    for found in brackets:
         decided = None if found is None else bracket_check(
-            shifted, order, found, tol.psd, tol.rank, scale
+            seq, order, found, tol.psd, tol.rank, scale
         )
         if decided is not None:
             (check, rank), spectrum, matrix = decided, found[0], None
             break
     else:
-        matrix = build()
+        matrix = build_moment_matrix(seq, order) if full is None else full.truncate(order)
         check, rank = psd_check(matrix, tol.psd), numeric_rank(matrix, tol.rank, scale=scale)
         spectrum = matrix.eigenvalues
     record = PsdRecord(order, check.min_eigenvalue, check.is_psd, rank, certified=check.certified)
@@ -357,10 +358,8 @@ def _run_stages(
             brackets = {k: _measure_brackets(points, s, misfit) for k, s in zip(large, sums)}
 
     # M(tau) is the leading block of M(tau+1): cut it from there if that was built
-    build = partial(build_moment_matrix, ext, tau + 1)
-    high, spectrum, full = _psd_record(ext, tau + 1, tol, brackets.get(1, ()), build)
-    build = partial(build_moment_matrix, ext, tau) if full is None else partial(full.truncate, tau)
-    low, _, _ = _psd_record(ext, tau, tol, brackets.get(0, ()), build)
+    high, spectrum, full = _psd_record(ext, tau + 1, tol, brackets.get(1, ()))
+    low, _, _ = _psd_record(ext, tau, tol, brackets.get(0, ()), full)
     psd_records = found["psd_records"] = (low, high)
 
     failing = [
@@ -394,12 +393,11 @@ def _run_stages(
         # roundoff; its own sigma_max is then noise, so the rank cutoff is
         # floored at the parent matrix's scale times the coefficient size
         scale = noise_scale * (1.0 + q.max_coefficient)
-        order = matrices[2 + k][0]
-        build = partial(build_localizing_matrix, ext, order, q)
-        psd, _, _ = _psd_record(ext, order, tol, brackets.get(2 + k, ()), build, q, scale)
-        in_zero = count_atoms_in_zero_set(measure, q, tol.residual)
+        order, shifted = matrices[2 + k][0], shift_sequence(ext, q)
+        psd, _, _ = _psd_record(shifted, order, tol, brackets.get(2 + k, ()), scale=scale)
         threshold = tol.residual * (1.0 + q.max_coefficient)
         values = [q.evaluate(p) for p in measure.points]
+        in_zero = sum(1 for value in values if abs(value) <= threshold)
         min_value = min(values, default=None)
         violated = min_value is not None and min_value < -threshold
         records.append(

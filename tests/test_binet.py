@@ -218,6 +218,25 @@ def test_measure_error_order(coefficients, error, grid_index, what):
         assert info.value.what == what
 
 
+@pytest.mark.parametrize(
+    "roots, grid_index, value",
+    [
+        # a conjugate pair on the second axis: the later survivor is named
+        (((1.0 + 0j, 2.0 + 0j), (0.5 - 1e-4j, 0.5 + 1e-4j)), (0, 1), 0.5 + 1e-4j),
+        # a real root beside a non-real one of the same real part: the non-real one is named
+        (((0.5 - 1e-4j, 0.5 + 0j),), (0,), 0.5 - 1e-4j),
+    ],
+)
+def test_measure_rejects_survivors_that_realify_to_one_point(roots, grid_index, value):
+    """Non-real roots within tol_imag of one real point are a complex atom, not two atoms."""
+    coefficients = np.ones(tuple(map(len, roots)), dtype=complex)
+    exp = BinetExpansion(roots=roots, coefficients=coefficients, source_residual=0.0)
+    with pytest.raises(ComplexAtomError) as info:
+        expansion_to_measure(exp, tol_imag=1e-2)
+    assert info.value.grid_index == grid_index and info.value.value == value
+    assert info.value.what == "coordinate"
+
+
 def test_measure_prunes_tiny_coefficients():
     """Coefficients at the relative weight floor are dropped."""
     exp = BinetExpansion(
@@ -240,6 +259,12 @@ def test_measure_from_zero_expansion_is_empty():
     measure = expansion_to_measure(exp)
     assert measure.atom_count == 0
     assert measure.dim == 2
+
+
+def test_evaluate_moments_that_overflow_raise_without_a_warning():
+    """Powers of an atom at 1e100 overflow at degree 4: the ValueError names the moment."""
+    with pytest.raises(ValueError, match=r"moment \(4,\) is not finite: inf"):
+        evaluate_moments(AtomicMeasure(1, ((1e100,),), (1.0,)), 4)
 
 
 def test_evaluate_moments_examples():

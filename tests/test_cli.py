@@ -212,6 +212,18 @@ def test_solve_command_negative_status(capsys, tmp_path):
     assert json.loads(out)["status"] == "NotPositive"
 
 
+def test_a_conjugate_pair_within_tol_imag_exits_two(capsys, tmp_path):
+    """Roots 0.5 -+ 1e-4 i admitted by --tol-imag 1e-2 are a ComplexAtom report, not a crash."""
+    roots, weights = (0.5 + 1e-4j, 0.5 - 1e-4j, -1.0), (2.5, 2.5, 5.0)
+    values = [sum(c * z**k for c, z in zip(weights, roots)).real for k in range(9)]
+    path = write_json(tmp_path, "pair.json", TruncatedSequence(1, 8, values).to_dict())
+    code, out = run(capsys, "solve", "--in", path, "--tol-imag", "1e-2", "--tol-residual", "1e-12")
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "ComplexAtom"
+    assert report["detail"] == "non-real coordinate 0.5+0.0001j at grid index (2,)"
+
+
 def test_solve_k_command(capsys, tmp_path, pair_moments):
     """Constraint satisfaction exits 0; violation exits 2."""
     ok_path = write_json(tmp_path, "k_ok.json", {"constraints": [X1]})
@@ -381,8 +393,7 @@ def test_non_finite_moments_exit_one(capsys, tmp_path, pair_moments):
     assert "moment (1, 1) is not finite" in capsys.readouterr().err
     huge = AtomicMeasure(dim=1, points=((1e200,),), weights=(1.0,))
     measure = write_json(tmp_path, "huge.json", huge.to_dict())
-    with np.errstate(over="ignore"):
-        assert main(["synthesize", "--measure", measure, "--degree", "2"]) == 1
+    assert main(["synthesize", "--measure", measure, "--degree", "2"]) == 1
     assert "moment (2,) is not finite" in capsys.readouterr().err
     weights = PAIR.to_dict()
     weights["atoms"][1]["weight"] = float("nan")

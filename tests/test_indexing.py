@@ -224,6 +224,7 @@ def test_oversized_plan_is_not_retained(empty_store, monkeypatch):
     monkeypatch.setattr(indexing, "PLAN_STORE_LIMIT", 1000)
     basis_array(3, 4)
     moment_plan(3, 2)
+    indexing._rank_terms(3, 8)  # the binomial terms M(4)'s plan is summed from
     kept = dict(empty_store)
     entries = indexing._plans_entries
     assert basis_size(3, 4) ** 2 > 1000 >= entries
@@ -284,11 +285,13 @@ def test_split_plan_places_each_tuple_by_head_and_last_exponent(empty_store):
 def test_store_drops_least_recently_used(empty_store, monkeypatch):
     """Past the store limit the plans used longest ago leave first."""
     monkeypatch.setattr(indexing, "PLAN_STORE_LIMIT", 10)
-    grid_plan((4,))
-    grid_plan((5,))
-    grid_plan((4,))  # now the more recent of the two
-    grid_plan((3,))  # 4 + 5 + 3 entries: over the limit
-    assert list(empty_store) == [("grid_plan", (4,)), ("grid_plan", (3,))]
+    # a table that reads no other kept table: terms of tuples up to degree k, k + 1 entries
+    terms = indexing._rank_terms
+    terms(1, 3)
+    terms(1, 4)
+    terms(1, 3)  # now the more recent of the two
+    terms(1, 2)  # 4 + 5 + 3 entries: over the limit
+    assert list(empty_store) == [("_rank_terms", 1, 3), ("_rank_terms", 1, 2)]
     assert indexing._plans_entries == 7
 
 

@@ -515,7 +515,9 @@ def _check_against_eigvalsh(data, sums, misfit, bracket=None):
     else:
         matrix, shifted = build_localizing_matrix(data, order, poly), shift_sequence(data, poly)
     n = matrix.size
-    centers, radius = moments.moment_bracket(sums, misfit) if bracket is None else bracket
+    if bracket is None:
+        bracket = moments.moment_bracket(sums, moments.misfit_bound(sums, misfit))
+    centers, radius = bracket
     lam = np.linalg.eigvalsh(matrix.entries)
     assert centers.shape == (n,) and radius > 0.0
     assert np.all(np.abs(centers - lam) <= radius)
@@ -600,7 +602,8 @@ def test_signed_bracket_certifies_a_cut_through_the_atoms():
                 (sums,) = _gram_sums(factor, [(order, cut)])
                 assert (sums.diagonal < 0.0).any()
                 assert _check_against_eigvalsh(data, sums, misfit) == 0
-                bracket = moments.signed_bracket(points, sums, misfit)
+                bound = moments.misfit_bound(sums, misfit)
+                bracket = moments.signed_bracket(points, sums, bound)
                 certified += _check_against_eigvalsh(data, sums, misfit, bracket)
                 checked += 3
                 # the solver's tolerances and rank floor
@@ -619,48 +622,44 @@ def test_signed_bracket_certifies_a_cut_through_the_atoms():
     assert certified >= 0.75 * checked and solver_decided >= 0.75 * checked / 3
 
 
-def test_straddled_signed_bracket_falls_back(built_localizing):
+def test_straddled_signed_bracket_falls_back(built_orders):
     """A PSD threshold inside the signed bracket of M_q(7) sends the matrix to eigvalsh."""
     seq = _grid_sequence(3, 3, 15)
     q = MultivariatePoly.variable(3, 0) - MultivariatePoly.constant(3, 0.5)
     constraints = solver.SemialgebraicSet((q,))
     (record,) = solver.solve_constrained(seq, constraints).constraint_records
     assert record.order == 7 and record.certified and not record.is_psd
-    assert built_localizing == []
+    assert built_orders == []
     # the psd tolerance that puts the threshold on eigvalsh's smallest eigenvalue
     matrix = build_localizing_matrix(seq, 7, q)
     lowest = float(matrix.eigenvalues[0])
     assert record.min_eigenvalue <= lowest
     tol = -lowest / (1.0 + abs(float(np.trace(matrix.entries))))
-    built_localizing.clear()
+    built_orders.clear()
     report = solver.solve_constrained(seq, constraints, Tolerances(psd=tol))
     (record,) = report.constraint_records
-    assert built_localizing == [7] and not record.certified
+    assert built_orders == [7] and not record.certified
     assert record.min_eigenvalue == lowest
 
 
-def test_more_atoms_than_rows_falls_back():
-    """With r > N the signed tier is not offered, and M_q is built; with r <= N it certifies."""
+def test_signed_bracket_is_made_only_where_the_gram_bracket_fails(built_orders):
+    """A cut through 40 atoms: M_q(47), 48 rows, gets both brackets and the signed one
+    certifies it, no matrix built; a constraint positive at every atom gets one bracket."""
     rng = np.random.default_rng(5)
     order = 47  # M_q(47) has 48 rows in one variable
-    for count, tiers in ((60, 1), (40, 2)):
-        data, factor = _perturbed(rng, 1, count, 2 * order + 1, 0.0)
-        points, _, misfit = factor
-        cut = _cut(points)
-        (sums,) = _gram_sums(factor, [(order, cut)])
-        brackets = solver._measure_brackets(points, sums, misfit)
-        assert len(brackets) == tiers
-        built = []
-
-        def build():
-            built.append(order)
-            return build_localizing_matrix(data, order, cut)
-
-        record, _, matrix = solver._psd_record(data, order, Tolerances(), brackets, build, cut)
-        assert record.certified == (tiers == 2) and built == ([order] if tiers == 1 else [])
-        reference = build_localizing_matrix(data, order, cut)
-        assert not record.is_psd and not psd_check(reference).is_psd
-        assert record.rank == numeric_rank(reference)
+    data, factor = _perturbed(rng, 1, 40, 2 * order + 2, 0.0)
+    points, _, misfit = factor
+    x1 = MultivariatePoly.variable(1, 0)
+    cut, box = _cut(points), MultivariatePoly.constant(1, 4.0) - x1 * x1
+    signed, positive = _gram_sums(factor, [(order, cut), (order, box)])
+    assert len(list(solver._measure_brackets(points, signed, misfit))) == 2
+    assert len(list(solver._measure_brackets(points, positive, misfit))) == 1
+    shifted, brackets = shift_sequence(data, cut), solver._measure_brackets(points, signed, misfit)
+    record, _, matrix = solver._psd_record(shifted, order, Tolerances(), brackets)
+    assert record.certified and matrix is None and built_orders == []
+    reference = build_localizing_matrix(data, order, cut)
+    assert not record.is_psd and not psd_check(reference).is_psd
+    assert record.rank == numeric_rank(reference)
 
 
 def test_continued_gram_matches_the_direct_factor():
@@ -697,12 +696,12 @@ def test_bracket_of_overflowing_sums_is_none(eigvalsh_sizes):
     """Finite moments whose Gram sums overflow give no bracket, Gram or signed, before any
     eigvalsh runs."""
     points, weights = np.array([[1.0]]), np.array([1e307])
-    with np.errstate(over="ignore"):
-        values, (sums,) = moments.moments_and_grams(points, weights, 96, [(47, None)])
+    values, (sums,) = moments.moments_and_grams(points, weights, 96, [(47, None)])
     assert np.isfinite(values).all() and sums.total == np.inf
-    misfit = TruncatedSequence(1, 96, np.zeros(97))
-    assert moments.moment_bracket(sums, misfit) is None
-    assert moments.signed_bracket(points, sums, misfit) is None
+    bound = moments.misfit_bound(sums, TruncatedSequence(1, 96, np.zeros(97)))
+    assert bound == 0.0
+    assert moments.moment_bracket(sums, bound) is None
+    assert moments.signed_bracket(points, sums, bound) is None
     assert eigvalsh_sizes == []
 
 
@@ -734,22 +733,8 @@ def _grid_sequence(dim, nodes, degree, flip=None):
 
 
 @pytest.fixture
-def built_localizing(monkeypatch):
-    """Orders of every localizing matrix the solver builds."""
-    orders = []
-    original = solver.build_localizing_matrix
-
-    def recording(seq, order, poly):
-        orders.append(order)
-        return original(seq, order, poly)
-
-    monkeypatch.setattr(solver, "build_localizing_matrix", recording)
-    return orders
-
-
-@pytest.fixture
 def built_orders(monkeypatch):
-    """Orders of every moment matrix the solver builds."""
+    """Orders of every moment matrix the solver builds, M_q(n) being M(n) of q * beta."""
     orders = []
     original = solver.build_moment_matrix
 

@@ -206,6 +206,13 @@ def test_no_recurrence_on_noise():
     assert info.value.best_residual > 1e-6
 
 
+def test_a_fit_whose_sums_of_squares_overflow_is_scored():
+    """b = (1e150, 1e155) overflows b . b; the order-1 fit misses by 1e-5 of ||b||, above tol."""
+    with pytest.raises(NoRecurrenceError) as info:
+        detect_minimal_recurrence(TruncatedSequence(1, 2, [1.0, 1e150, 1e155]), 0)
+    assert info.value.best_residual == pytest.approx(1.0e-5, rel=1e-6)
+
+
 def test_inconsistent_recurrence_cross_check():
     """Conflicting producers along different axes raise with the index."""
     values = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 1.0, (2, 0): 7.0, (1, 1): 1.0, (0, 2): 1.0}

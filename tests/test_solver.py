@@ -102,6 +102,28 @@ def test_stage_error_statuses(values, status, detail):
     assert report.measure is None
 
 
+def test_a_conjugate_pair_within_tol_imag_is_a_complex_atom():
+    """Roots 0.5 -+ 1e-4 i both pass tol.imag = 1e-2 and realify to one point: ComplexAtom."""
+    roots, weights = (0.5 + 1e-4j, 0.5 - 1e-4j, -1.0), (2.5, 2.5, 5.0)
+    values = [sum(c * z**k for c, z in zip(weights, roots)).real for k in range(9)]
+    report = solve_full(TruncatedSequence(1, 8, values), Tolerances(imag=1e-2, residual=1e-12))
+    assert report.status == STATUS_COMPLEX_ATOM and report.measure is None
+    assert report.detail == "non-real coordinate 0.5+0.0001j at grid index (2,)"
+
+
+def test_recovered_atoms_fit_the_basis_of_degree_tau():
+    """r <= prod_l deg p_l <= C(tau + d, d): the bound that lets every bracketed matrix,
+    of order >= tau, hold at least as many rows as atoms."""
+    rng = np.random.default_rng(19)
+    inputs = [sample_instance(rng, dim=dim).moments for dim in (1, 2, 3, 4) for _ in range(10)]
+    for dim, nodes in ((1, 6), (1, 9), (2, 4), (2, 6), (3, 3), (3, 4), (4, 2), (4, 3)):
+        inputs.append(_grid_sequence(dim, nodes, 2 * dim * (nodes - 1) + 2))
+    for seq in inputs:
+        report = solve_full(seq)
+        assert report.status == STATUS_SUCCESS
+        assert report.measure.atom_count <= basis_size(seq.dim, report.tau)
+
+
 def test_solve_full_zero_sequence():
     """Identically zero moments give the empty measure, successfully."""
     zero = TruncatedSequence(2, 4, {idx: 0.0 for idx in iter_basis(2, 4)})
@@ -392,10 +414,10 @@ def test_cardinality_law_is_read_off_the_factor(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("a localizing matrix was built")
+        raise AssertionError("a moment or localizing matrix was built")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    monkeypatch.setattr(solver, "build_localizing_matrix", refused)
+    monkeypatch.setattr(solver, "build_moment_matrix", refused)
     x1 = MultivariatePoly.variable(3, 0)
     one = MultivariatePoly.constant(3, 1.0)
     constraints = SemialgebraicSet((one - x1 * x1, x1 + one))
