@@ -134,16 +134,19 @@ def _simple_roots(poly: UnivariatePoly, axis: int) -> tuple[complex, ...]:
 
 
 def _by_mode(
-    tensor: np.ndarray, operations: Sequence[Callable[[np.ndarray], np.ndarray]]
+    tensor: np.ndarray, operations: Sequence[Callable[[np.ndarray], np.ndarray] | None]
 ) -> np.ndarray:
     """Apply operations[l] to mode l, for the leading len(operations) modes in turn.
 
     Each acts on the (rows, rest) unfolding of the leading mode, which then
     moves to the back: the modes left untouched come first, and after all d
-    the modes end in their original order.
+    the modes end in their original order. A None operation only moves its
+    mode.
     """
     for operate in operations:
-        flat = operate(tensor.reshape(tensor.shape[0], -1))
+        flat = tensor.reshape(tensor.shape[0], -1)
+        if operate is not None:
+            flat = operate(flat)
         tensor = flat.T.reshape(tensor.shape[1:] + flat.shape[:1])
     return tensor
 
@@ -177,7 +180,8 @@ def multivariate_binet(
     k <= max_degree. The initial block prod_l {0..deg p_l - 1} of the
     sequence is solved against the leading square block of P_l along mode l,
     for l = 0..d-1 in that fixed order (the result does not depend on it
-    beyond rounding). The residual is the maximum relative reconstruction
+    beyond rounding); a variable with one root has the block [[1]] and
+    makes no solve. The residual is the maximum relative reconstruction
     error over every entry of ``seq``, not just the initial block, and the
     reconstruction is evaluated at those entries only: the tables of
     variables 0..d-2 contract their modes in turn, each keeping only the
@@ -200,7 +204,8 @@ def multivariate_binet(
             f"only {degree} available"
         )
     tables = [power_table(r, degree) for r in roots]
-    solves = [partial(np.linalg.solve, t[:m]) for t, m in zip(tables, shape)]
+    # a variable with one root has the block [[1]]: its mode needs no solve
+    solves = [partial(np.linalg.solve, t[:m]) if m > 1 else None for t, m in zip(tables, shape)]
     coefficients = _by_mode(seq.array[grid_plan(shape)].astype(complex), solves)
     # modes 0..d-2 contracted in turn; after mode c a column per prefix (the
     # exponents of variables 0..c) of degree <= max_degree, in degree-lex

@@ -10,17 +10,17 @@ shifted sequences, recurrence fits, extension steps, the Binet initial
 block) or into one (the moments of a measure and of an expansion, from
 their head-by-last-power tables) reads a *plan*: a read-only int32 array of
 positions that depends only on the shape (dimension, degrees, axis,
-exponents of q), never on the data. The basis arrays behind them, which
-numpy builds one degree block at a time from the basis in one variable
-fewer, are kept the same way as intp exponents, and so are the binomial
-terms the positions are summed from. Each plan and basis is
+recurrence orders, exponents of q), never on the data. The basis arrays
+behind them, which numpy builds one degree block at a time from the basis
+in one variable fewer, are kept the same way as intp exponents, and so are
+the binomial terms the positions are summed from. Each plan and basis is
 computed once per process and kept for later solves; together they hold at
 most ``PLAN_STORE_LIMIT`` = 2^22 entries, the least recently used leaving
 first. One basis array is kept per dimension, since it has one row per
 moment and so is no larger than the data it indexes: the highest degree
 asked for, whose prefixes are the lower degrees' bases. A plan or basis
-larger than the whole store is built for its call and leaves the store as
-it was.
+that is empty or larger than the whole store is built for its call and
+leaves the store as it was.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _plan(build):
                 _plans.move_to_end(key)
                 return plan
         plan = _read_only(build(*shape))
-        if _entries(plan) <= PLAN_STORE_LIMIT:
+        if 0 < _entries(plan) <= PLAN_STORE_LIMIT:
             with _plans_lock:
                 _store(key, plan)
         return plan
@@ -293,17 +293,29 @@ def shift_plan(dim: int, exponents: tuple[MultiIndex, ...], degree: int) -> np.n
 
 @_plan
 def extension_plan(
-    dim: int, degree: int, axis: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Where an order-``order`` recurrence along ``axis`` fills degree block ``degree``.
+    dim: int, degree: int, target: int, orders: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where one recurrence per axis, of the given orders, fills degrees degree + 1 .. target.
 
-    Returns (rows, ranks): the positions within the block of the tuples i
-    with i_axis >= order, and for each the ranks of i - k*e_axis, k = 1 .. order.
+    Returns (windows, producers, lowest, first) over the n new entries i, in
+    degree-lex order, each window padded to width = max(orders):
+
+    - windows (width, dim, n): entry [k, l, r] is the rank of i - (k + 1) e_l
+      where i_l >= orders[l] and k < orders[l], and 0 (beta_0) elsewhere;
+    - producers (dim, n), bool: i_l >= orders[l], the axes whose recurrence
+      reaches i;
+    - lowest (n,): the first such axis, 0 where there is none;
+    - first (width, n): the window along the lowest axis, windows[:, lowest[r], r].
     """
-    block = basis_array(dim, degree)[basis_size(dim, degree - 1) :]
-    rows = np.flatnonzero(block[:, axis] >= order).astype(np.int32)
-    steps = np.outer(np.arange(1, order + 1), np.eye(dim, dtype=np.intp)[axis])
-    return rows, degree_lex_pair_ranks(block[rows], -steps)
+    entries = basis_array(dim, target)[basis_size(dim, degree) :]
+    producers = (entries >= np.array(orders)).T
+    windows = np.zeros((max(orders), dim, len(entries)), dtype=np.int32)
+    for axis, order in enumerate(orders):
+        steps = np.outer(np.arange(1, order + 1), np.eye(dim, dtype=np.intp)[axis])
+        rows = producers[axis]
+        windows[:order, axis, rows] = degree_lex_pair_ranks(entries[rows], -steps).T
+    lowest = producers.argmax(axis=0).astype(np.int32)
+    return windows, producers, lowest, windows[:, lowest, np.arange(len(entries))]
 
 
 @_plan

@@ -6,7 +6,8 @@ polynomial is represented as ``(0.0,)``. Multivariate polynomials map
 exponent tuples to nonzero coefficients.
 
 Roots are the eigenvalues of the companion matrix that ``numpy.roots``
-builds, with multiplicities recovered by clustering.
+builds, with multiplicities recovered by clustering; a degree-one
+polynomial's root is read off its coefficients.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ class UnivariatePoly:
 def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
     """Roots with multiplicities via companion-matrix eigenvalues.
 
+    A degree-one polynomial c_0 + c_1 x with finite c_0 / c_1 != 0 has the
+    root -(c_0 / c_1), the value LAPACK returns for its 1 x 1 companion
+    matrix, and calls no LAPACK; c_0 = 0 takes numpy.roots' path to +0.
     Eigenvalues closer than ``ROOT_CLUSTER_TOL * (1 + max |root|)`` are merged
     into one root (their mean) with the cluster size as multiplicity.
     Returned sorted by (real, imag).
@@ -129,6 +133,8 @@ def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
         return []
     lead = p.coeffs[-1]
     coeffs = [c / lead for c in p.coeffs]
+    if len(coeffs) == 2 and coeffs[0] != 0.0 and math.isfinite(coeffs[0]):
+        return [(complex(-coeffs[0]), 1)]
     # numpy.roots' rules: exactly-zero low coefficients are roots at +0 kept
     # out of the matrix, whose first row is -c_{n-1} .. -c_0 over a shifted
     # identity; eigvals gives float roots when all are real

@@ -154,54 +154,62 @@ def extend_sequence(
 ) -> TruncatedSequence:
     """Fill the sequence up to target_degree using the recurrences.
 
-    Entries are produced in ascending total degree (degree-lex within each
-    block) by the lowest-index variable whose recurrence window is available;
-    any other applicable variable recomputes the value as a consistency check
-    within ``CONSISTENCY_TOL`` (relative). Entries reachable by no variable
-    raise InsufficientInitialDataError, and an entry that overflows raises
-    NonFiniteExtensionError, with no floating-point warning. A target basis
-    of 2^31 monomials or more raises ValueError before anything is allocated.
+    Each entry is produced by the lowest-index variable whose recurrence
+    window is available, its terms summed in order k = 1, 2, ... from 0, as
+    an entry-by-entry fill sums them; any other applicable variable
+    recomputes the value as a consistency check within ``CONSISTENCY_TOL``
+    (relative). Both are array passes over one ``indexing.extension_plan``:
+    the first fills the new degree blocks in ascending order, one gather per
+    block, and the second computes every applicable variable's value for
+    every new entry at once. The first failing entry in degree-lex order is
+    reported: one reachable by no variable raises
+    InsufficientInitialDataError, one that overflows NonFiniteExtensionError
+    and one whose producers disagree InconsistentRecurrenceError, with no
+    floating-point warning. A failing extension thus computes its later
+    blocks before the check. A target basis of 2^31 monomials or more raises
+    ValueError before anything is allocated.
     """
     if system.dim != seq.dim:
         raise ValueError("dimension mismatch between sequence and system")
     if target_degree <= seq.max_degree:
         return seq
     check_int32(seq.dim, target_degree)
-    degrees = [p.degree for p in system.polys]
-    # weights a_k with beta_{i+s e} = sum_k a_k beta_{i+(s-k) e}, k = 1..s
-    weights = [-np.array(p.coeffs[-2::-1]) for p in system.polys]
+    orders = tuple(p.degree for p in system.polys)
+    windows, producers, lowest, first = extension_plan(
+        seq.dim, seq.max_degree, target_degree, orders
+    )
+    # weights[k - 1, l] = a_k with beta_{i+s e_l} = sum_k a_k beta_{i+(s-k) e_l},
+    # k = 1..s, and 0 past s, where the windows read the finite beta_0: such a
+    # term adds +-0 to a sum started from 0, which is never -0, so no bit moves
+    weights = np.zeros((len(first), seq.dim))
+    for axis, poly in enumerate(system.polys):
+        weights[: poly.degree, axis] = -np.array(poly.coeffs[-2::-1])
+    known = seq.array.size
     values = np.empty(basis_size(seq.dim, target_degree))
-    values[: seq.array.size] = seq.array
-
+    values[:known] = seq.array
+    new = values[known:]
+    lowest_weights = weights[:, lowest]
     for t in range(seq.max_degree + 1, target_degree + 1):
-        # a block depends only on lower degrees, so it is produced in one step
-        start = basis_size(seq.dim, t - 1)
-        size = basis_size(seq.dim, t) - start
-        producers = np.zeros((size, seq.dim), dtype=bool)
-        produced = np.zeros((size, seq.dim))
-        for axis in range(seq.dim):
-            rows, ranks = extension_plan(seq.dim, t, axis, degrees[axis])
-            window = values[ranks]
-            producers[rows, axis] = True
-            # summed term by term in k, the order an entry-by-entry fill uses
-            produced[rows, axis] = sum(w * window[:, k] for k, w in enumerate(weights[axis]))
-        # the lowest producing variable sets the value, the others must agree
-        value = produced[np.arange(size), producers.argmax(axis=1)]
-        limit = CONSISTENCY_TOL * (1.0 + np.maximum(np.abs(value)[:, None], np.abs(produced)))
-        # written so that a non-finite value (its own gap is NaN) disagrees too
-        disagree = producers & ~(np.abs(produced - value[:, None]) <= limit)
-        failing = np.flatnonzero(~producers.any(axis=1) | disagree.any(axis=1))
-        if failing.size:
-            # report the first failing entry in degree-lex order
-            r = failing[0]
-            idx = tuple(basis_array(seq.dim, t)[start + r].tolist())
-            if not producers[r].any():
-                raise InsufficientInitialDataError(idx)
-            if not math.isfinite(value[r]):
-                raise NonFiniteExtensionError(idx, float(value[r]))
-            other = produced[r, disagree[r].argmax()]
-            raise InconsistentRecurrenceError(idx, float(value[r]), float(other))
-        values[start : start + size] = value
+        # a block depends only on lower degrees, so it is produced in one step;
+        # sum() adds the terms k = 1, 2, ... to 0 in turn
+        block = slice(basis_size(seq.dim, t - 1) - known, basis_size(seq.dim, t) - known)
+        new[block] = sum(lowest_weights[:, block] * values[first[:, block]])
+
+    # every applicable variable's value; the lowest one's is the entry itself
+    produced = sum(weights[:, :, None] * values[windows])
+    limit = CONSISTENCY_TOL * (1.0 + np.maximum(np.abs(new), np.abs(produced)))
+    # written so that a non-finite value (its own gap is NaN) disagrees too
+    disagree = producers & ~(np.abs(produced - new) <= limit)
+    failing = np.flatnonzero(~producers.any(axis=0) | disagree.any(axis=0))
+    if failing.size:
+        r = failing[0]
+        idx = tuple(basis_array(seq.dim, target_degree)[known + r].tolist())
+        if not producers[:, r].any():
+            raise InsufficientInitialDataError(idx)
+        if not math.isfinite(new[r]):
+            raise NonFiniteExtensionError(idx, float(new[r]))
+        other = produced[disagree[:, r].argmax(), r]
+        raise InconsistentRecurrenceError(idx, float(new[r]), float(other))
     return TruncatedSequence(seq.dim, target_degree, values)
 
 

@@ -127,6 +127,26 @@ def test_multivariate_product_with_sign():
     assert exp.coefficients[0, 0, 1] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_one_root_variables_make_no_lapack_call(monkeypatch):
+    """Atoms that share their x1 give x1 one root: only x2 takes an eigvals and a solve."""
+    from momentrec.solver import solve_full
+
+    measure = AtomicMeasure(2, ((0.5, -1.0), (0.5, 0.25), (0.5, 2.0)), (1.0, 2.0, 3.0))
+    calls = {"eigvals": [], "solve": []}
+    for name, shapes in calls.items():
+        function = getattr(np.linalg, name)
+
+        def counted(matrix, *args, function=function, shapes=shapes):
+            shapes.append(np.shape(matrix))
+            return function(matrix, *args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = solve_full(evaluate_moments(measure, 6))
+    assert report.status == "Success"
+    assert np.allclose(report.measure.points, measure.points, atol=1e-9)
+    assert calls == {"eigvals": [(3, 3)], "solve": [(3, 3)]}
+
+
 def test_residual_covers_entries_outside_the_block():
     """A doctored high-degree entry shows up in the reconstruction residual."""
     values = dict(PAIR_SEQ.values)

@@ -171,13 +171,25 @@ def test_plans_match_direct_ranks(empty_store):
                 for r in range(basis_size(dim, 4 - k), basis_size(dim, 5 - k)):
                     for p in range(k + 1):
                         assert plan[p, r] == degree_lex_rank(tuple(basis[r] + p * unit))
-            rows, ranks = extension_plan(dim, 4, axis, 2)
-            block = basis[basis_size(dim, 3) : basis_size(dim, 4)]
-            assert rows.tolist() == np.flatnonzero(block[:, axis] >= 2).tolist()
-            for row, window_row in zip(rows, ranks):
-                for k in (1, 2):
-                    shifted = block[row] - k * np.eye(dim, dtype=int)[axis]
-                    assert window_row[k - 1] == degree_lex_rank(tuple(shifted))
+        # recurrences of orders 2, 1, 3 filling degrees 3 .. 5 from degree-2 data
+        orders = (2, 1, 3)[:dim]
+        windows, producers, lowest, first = extension_plan(dim, 2, 5, orders)
+        entries = basis[basis_size(dim, 2) : basis_size(dim, 5)]
+        assert windows.shape == (max(orders), dim, len(entries))
+        assert producers.shape == (dim, len(entries)) and lowest.shape == (len(entries),)
+        for r, entry in enumerate(entries):
+            reaching = [axis for axis in range(dim) if entry[axis] >= orders[axis]]
+            assert np.flatnonzero(producers[:, r]).tolist() == reaching
+            assert lowest[r] == (reaching[0] if reaching else 0)
+            assert first[:, r].tolist() == windows[:, lowest[r], r].tolist()
+            for axis, order in enumerate(orders):
+                expected = [
+                    degree_lex_rank(tuple(entry - k * np.eye(dim, dtype=int)[axis]))
+                    if axis in reaching and k <= order
+                    else 0
+                    for k in range(1, max(orders) + 1)
+                ]
+                assert windows[:, axis, r].tolist() == expected
         shape = (2, 3, 1)[:dim]
         grid = grid_plan(shape)
         assert grid.shape == shape
@@ -192,11 +204,13 @@ def test_plans_match_direct_ranks(empty_store):
             rows = basis[basis[:, axis] >= 3]
             expected = [[position[tuple(row + step)] for step in steps] for row in rows]
             assert degree_lex_pair_ranks(rows, steps).tolist() == expected
-    # positions are int32; basis_array holds exponents and stays intp
+    # positions are int32; basis_array holds exponents and stays intp, and the
+    # extension plan's producer mask is bool
     for (name, *_), plan in empty_store.items():
-        for array in (plan,) if isinstance(plan, np.ndarray) else plan:
+        for k, array in enumerate((plan,) if isinstance(plan, np.ndarray) else plan):
             if isinstance(array, np.ndarray):
-                assert array.dtype == (np.intp if name == "basis_array" else np.int32)
+                expected = {"basis_array": np.intp, ("extension_plan", 1): bool}
+                assert array.dtype == expected.get(name, expected.get((name, k), np.int32))
 
 
 def test_plans_are_read_only_and_shared(empty_store):
@@ -207,13 +221,13 @@ def test_plans_are_read_only_and_shared(empty_store):
         shift_plan(2, ((1, 0), (0, 0)), 3),
         split_plan(2, 4),
         grid_plan((2, 2)),
-        *extension_plan(2, 5, 0, 2),
+        *extension_plan(2, 4, 6, (2, 1)),
     ]
     for plan in plans:
         with pytest.raises(ValueError):
             plan[0] = 7
     assert moment_plan(2, 3) is plans[1]
-    assert extension_plan(2, 5, 0, 2)[1] is plans[-1]
+    assert all(a is b for a, b in zip(extension_plan(2, 4, 6, (2, 1)), plans[-4:]))
     with pytest.raises(TypeError):
         basis_labels(2, 1)[0] = (5, 5)
     assert ("moment_plan", 2, 3) in empty_store
@@ -235,6 +249,16 @@ def test_oversized_plan_is_not_retained(empty_store, monkeypatch):
     assert indexing._plans_entries == entries
     assert moment_plan(3, 4) is not first
     assert moment_plan(3, 2) is kept[("moment_plan", 3, 2)]
+
+
+def test_empty_plan_is_not_retained(empty_store):
+    """A plan of no entries is built for its call and leaves the store as it was."""
+    indexing._rank_terms(2, 0)  # the binomial terms the plan is summed from
+    kept = dict(empty_store)
+    entries = indexing._plans_entries
+    plan = shift_plan(2, ((0, 0),), -1)
+    assert plan.shape == (1, 0)
+    assert empty_store == kept and indexing._plans_entries == entries
 
 
 def test_bases_are_kept_whatever_their_size(empty_store):

@@ -140,6 +140,11 @@ def test_roots_fast_path_matches_the_clustering_loop():
         "double root": UnivariatePoly.from_roots([1.0, 1.0, -2.0]),
         "pair 1e-9 apart": UnivariatePoly.from_roots([1.0, 1.0 + 1e-9, 3.0]),
         "x": UnivariatePoly((0.0, 1.0)),
+        "x - 3": UnivariatePoly((-3.0, 1.0)),
+        "2x + 5": UnivariatePoly((5.0, 2.0)),
+        "x - 0.1": UnivariatePoly((-0.1, 1.0)),
+        "3x + 1e-300": UnivariatePoly((1e-300, 3.0)),
+        "x - 1e300": UnivariatePoly((-1e300, 1.0)),
         "x(x - 1)": UnivariatePoly((0.0, -1.0, 1.0)),
         "x^2(x + 2)": UnivariatePoly((0.0, 0.0, 2.0, 1.0)),
         "2x^3 - x": UnivariatePoly((0.0, -1.0, 0.0, 2.0)),

@@ -1,5 +1,8 @@
 """Minimal recurrence detection, sequence extension, annihilation checks."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from momentrec.errors import (
     InsufficientInitialDataError,
     NoRecurrenceError,
 )
-from momentrec.indexing import iter_basis
+from momentrec.indexing import basis_size, enumerate_basis, iter_basis
 from momentrec.moments import TruncatedSequence, build_moment_matrix
 from momentrec.polynomials import UnivariatePoly
 from momentrec.recurrence import (
@@ -181,6 +184,85 @@ def test_extension_redetection_idempotent():
         for p, q in zip(system.polys, again.polys):
             assert p.degree == q.degree
             assert np.allclose(p.coeffs, q.coeffs, atol=1e-8)
+
+
+def _reference_fill(seq, system, target_degree):
+    """extend_sequence's values, one entry at a time in degree-lex order.
+
+    Each entry is the lowest reaching variable's sum of a_k beta_{i - k e_l},
+    k = 1, 2, ..., added to 0 in that order.
+    """
+    beta = dict(seq.values)
+    labels = enumerate_basis(seq.dim, target_degree)
+    for idx in labels[basis_size(seq.dim, seq.max_degree) :]:
+        axis = next(l for l, p in enumerate(system.polys) if idx[l] >= p.degree)
+        weights = [-c for c in system.polys[axis].coeffs[-2::-1]]
+        step = [0] * seq.dim
+        terms = []
+        for k, w in enumerate(weights, 1):
+            step[axis] = k
+            terms.append(w * beta[tuple(a - b for a, b in zip(idx, step))])
+        beta[idx] = sum(terms)
+    return np.array([beta[idx] for idx in labels])
+
+
+def test_extension_matches_an_entry_by_entry_fill_bit_for_bit():
+    """Multi-block extensions in 1 to 4 variables equal the reference fill in every bit.
+
+    The data are power sums over roots that include 0, so every
+    characteristic polynomial has a zero constant term (a weight of -0.0);
+    each exact zero in the data is stored as -0.0, and the other roots are
+    not binary fractions, up to three of them. So the signs of zeros, a sum
+    of terms not started from 0 and one added in another order would all
+    show.
+    """
+    rng = np.random.default_rng(20)
+    others = [-1.5, -0.7, 0.3, 1.1, 2.5]
+    for case in range(24):
+        dim = case % 4 + 1
+        roots = [
+            [0.0] + rng.choice(others, size=rng.integers(0, 4 if dim < 3 else 3), replace=False).tolist()
+            for _ in range(dim)
+        ]
+        weights = {
+            point: float(rng.uniform(0.5, 2.0))
+            for point in itertools.product(*(range(len(r)) for r in roots))
+        }
+        system = CharacteristicSystem.from_polys([UnivariatePoly.from_roots(r) for r in roots])
+        degree = system.tau + int(rng.integers(0, 3))
+
+        def moment(idx):
+            return sum(
+                c * math.prod(r[s] ** e for r, s, e in zip(roots, point, idx))
+                for point, c in weights.items()
+            )
+
+        seq = TruncatedSequence(
+            dim, degree, [moment(idx) or -0.0 for idx in iter_basis(dim, degree)]
+        )
+        target = degree + 4
+        ext = extend_sequence(seq, system, target)
+        assert ext.array.tobytes() == _reference_fill(seq, system, target).tobytes(), case
+        # and the fill continues the power sums
+        truth = [moment(idx) for idx in iter_basis(dim, target)]
+        assert ext.array == pytest.approx(truth, rel=1e-9, abs=1e-9)
+
+
+def test_inconsistency_is_reported_before_a_later_overflow():
+    """An inconsistent first new block is reported even where a later block overflows.
+
+    Along both axes beta_{i+e} = 1e100 beta_i: degree 3 disagrees at (2, 1)
+    (1e100 along x1, 7e100 along x2) and degree 6 overflows.
+    """
+    values = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 1.0, (2, 0): 7.0, (1, 1): 1.0, (0, 2): 1.0}
+    seq = TruncatedSequence(2, 2, values)
+    p = UnivariatePoly((-1e100, 1.0))
+    system = CharacteristicSystem.from_polys([p, p])
+    for target in (3, 8):
+        with pytest.raises(InconsistentRecurrenceError) as info:
+            extend_sequence(seq, system, target)
+        assert info.value.index == (2, 1)
+        assert (info.value.value_a, info.value.value_b) == (1e100 * 1.0, 1e100 * 7.0)
 
 
 def test_detection_degree_threshold():

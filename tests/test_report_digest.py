@@ -78,3 +78,23 @@ def test_plans_counts_no_build_after_the_first_pass():
     first, second, third, entries = map(int, re.fullmatch(pattern, lines[1]).groups())
     assert first > 0 and second == third == 0
     assert 0 < entries <= 1 << 22
+
+
+def test_calls_counts_numpy_linalg_calls_in_each_pass():
+    """--calls prints each pass's numpy.linalg calls by name; every pass makes the same ones."""
+    command = [sys.executable, str(TOOL), "--workload", "corpus", "--seed", "7", "--small"]
+    plain = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    lines = subprocess.run(
+        command + ["--plans", "--calls"], capture_output=True, text=True, timeout=120, check=True
+    ).stdout.splitlines()
+    assert lines[0] == plain.stdout.strip()
+    passes = []
+    for k, line in enumerate(lines[2:], 1):
+        prefix = f"corpus seed 7: 24 inputs, numpy.linalg calls in pass {k}: "
+        assert line.startswith(prefix)
+        counts = dict(item.split(" ") for item in line[len(prefix) :].split(", "))
+        passes.append({name: int(n) for name, n in counts.items()})
+    assert len(passes) == 3 and passes[0] == passes[1] == passes[2]
+    # one eigvals and one solve per variable with two roots or more
+    assert set(passes[0]) == {"eigvals", "eigvalsh", "lstsq", "solve"}
+    assert passes[0]["eigvals"] == passes[0]["solve"] > 0

@@ -41,15 +41,22 @@ how many pair-rank plans (``indexing.degree_lex_pair_ranks`` calls) each of
 the three passes built, and how many entries the plan store then holds. A
 store that keeps every plan it is asked for builds none after the first
 pass.
+
+``--calls`` prints, for each pass (three with ``--plans``), how often the
+package called each ``numpy.linalg`` function (those called at least once,
+by name), counted through the ``numpy.linalg`` attributes the package looks
+them up by.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +86,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--plans", action="store_true", help="solve twice more, counting pair-rank plan builds"
+    )
+    parser.add_argument(
+        "--calls", action="store_true", help="count numpy.linalg calls in each pass"
     )
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -136,6 +146,23 @@ def main(argv=None) -> int:
     # the plan builders look the name up in their module on every call
     indexing.degree_lex_pair_ranks = counting
 
+    calls = Counter()
+
+    def counted(name, function):
+        @functools.wraps(function)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    if args.calls:
+        # the package calls np.linalg.<name>, looked up on every call
+        for name in np.linalg.__all__:
+            function = getattr(np.linalg, name)
+            if callable(function) and not isinstance(function, type):
+                setattr(np.linalg, name, counted(name, function))
+
     def solve(case, moments):
         if case.constraints is None:
             return momentrec.solve_full(moments)
@@ -157,12 +184,13 @@ def main(argv=None) -> int:
         report = report.to_dict()
         digest.update(json.dumps(report).encode() + b"\n")
         decisions.update(json.dumps(blank_margins(report)).encode() + b"\n")
-    passes = [builds[0]]
+    passes = [(builds[0], dict(calls))]
     for _ in range(2 if args.plans else 0):
         builds[0] = 0
+        calls.clear()
         for case, moments in zip(cases, inputs):
             solve(case, moments)
-        passes.append(builds[0])
+        passes.append((builds[0], dict(calls)))
     head = f"{args.workload} seed {args.seed}: {len(cases)} inputs"
     print(f"{head}, sha256 {digest.hexdigest()}")
     if args.decisions:
@@ -174,10 +202,14 @@ def main(argv=None) -> int:
                 f"({large} of >= {CERTIFY_MIN_SIZE} rows)"
             )
     if args.plans:
-        counts = ", ".join(f"pass {k} {n}" for k, n in enumerate(passes, 1))
+        counts = ", ".join(f"pass {k} {n}" for k, (n, _) in enumerate(passes, 1))
         print(
             f"{head}, pair-rank builds: {counts}; plan store {indexing._plans_entries} entries"
         )
+    if args.calls:
+        for k, (_, counts) in enumerate(passes, 1):
+            named = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
+            print(f"{head}, numpy.linalg calls in pass {k}: {named}")
     return 0
 
 
