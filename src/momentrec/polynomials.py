@@ -182,6 +182,10 @@ class MultivariatePoly:
 
     dim: int
     terms: dict[MultiIndex, float] = field(default_factory=dict)
+    # set from the terms at construction: total degree (-1 for the zero
+    # polynomial) and largest |coefficient| (0.0 for it)
+    degree: int = field(init=False, repr=False, compare=False)
+    max_coefficient: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -199,19 +203,9 @@ class MultivariatePoly:
             if c != 0.0:
                 cleaned[key] = c
         object.__setattr__(self, "terms", cleaned)
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(total_degree(idx) for idx in self.terms)
-
-    @property
-    def max_coefficient(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(c) for c in self.terms.values())
+        # computed once, in one order, so every instance keeps a compact __dict__
+        object.__setattr__(self, "degree", max(map(total_degree, cleaned), default=-1))
+        object.__setattr__(self, "max_coefficient", max(map(abs, cleaned.values()), default=0.0))
 
     def evaluate(self, point) -> float:
         total = 0.0

@@ -40,6 +40,11 @@ __all__ = [
 
 DEFAULT_FIT_TOL = 1e-6
 CONSISTENCY_TOL = 1e-7
+# A scan of fewer candidate orders fits every one: below this the screen's QR
+# costs more than the fits it saves (the crossover measured in CHANGES.md).
+SCREEN_MIN_ORDERS = 10
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+_SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,107 @@ def _fit_order(a_mat: np.ndarray, b_vec: np.ndarray):
     return weights, math.sqrt(misfit @ misfit) / (1.0 / top + math.sqrt(b_vec @ b_vec))
 
 
+def _fit_along(seq: TruncatedSequence, steps: tuple, order: int):
+    """``_fit_order`` of the order-``order`` recurrence along the axis of ``steps``."""
+    # row p of the plan holds i + p*e_axis for every |i| <= max_degree - order
+    plan = shift_plan(seq.dim, steps[: order + 1], seq.max_degree - order)
+    return _fit_order(seq.array.take(plan[order - 1 :: -1].T), seq.array.take(plan[order]))
+
+
+def _certified_failures(seq: TruncatedSequence, steps: tuple, tol: float) -> tuple[int, ...]:
+    """The orders 2 .. K along the axis of ``steps`` whose fit provably scores >= tol.
+
+    ``steps`` holds the shifts x_l^0 .. x_l^K, K = max_degree // 2. Every
+    order's fit has the rows i with |i| <= max_degree - k, so all include
+    F = {i : |i| <= max_degree - K}. H (m x (K + 1), m = |F| >= K + 1 as
+    max_degree - K >= K) holds beta_{i + j e_l}, i in F, in column j: the
+    order-K fit's own plan. One Householder QR of H gives R, and one
+    inverse that of R's leading K x K block, whose leading k x k block is
+    the inverse of R's. Let n_j be the computed norm of R's column j, Z_k
+    the computed Frobenius norm of diag(n_0 .. n_{k-1}) times that k x k
+    inverse, N the number of moments, u the unit roundoff and
+    e = 16 u (m (K + 1) + 2 N). Order k is certified where
+    e sqrt(k) Z_k <= 1/8 and
+
+        |R_kk| - e n_k (1 + 2 sqrt(k) Z_k) >= tol (1 + ||beta||) (1 + e).
+
+    Nothing is certified unless beta . beta is finite and tol is at least
+    the square root of the smallest normal float, nor where LAPACK reports
+    an error.
+
+    Proof. Write rho(P) for min_v ||P_{:k} v - p_k||, the least-squares
+    residual of column k of a matrix P on the k columns before it, and
+    D = diag(n_j). Moving each column j of P by at most a n_j moves rho by
+    at most a (sqrt(k) ||D v|| + n_k), v the minimizer of either problem,
+    and ||D v|| <= ||p_k|| / s for s the smallest singular value of
+    P_{:k} D^-1 in that problem, which itself moves by at most a sqrt(k).
+
+    (1) Row-subset monotonicity. The rows in F of the order-k misfit
+    A_k w - b_k are H_{:k} w' - h_k restricted to F (the columns in the
+    other order), so ||A_k w - b_k|| >= rho(H) for any weights w, and so
+    for those lstsq returns.
+
+    (2) Householder backward error. The computed R is the exact R of
+    H + dH with ||dH_j|| <= g ||h_j||, g = c m (K + 1) u for a small
+    constant c (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm. 19.4), so rho(H + dH) >= |R_kk| and ||h_j|| <= (1 + 2 g) n_j. For
+    H + dH, s = sigma_min(R_k D^-1) >= 1 / ||D R_k^-1||_F. ``inv`` factors R
+    by LU with partial pivoting, which on an upper triangular R with a
+    nonzero diagonal swaps no rows and leaves U = R, so each column of the
+    computed inverse is a back substitution, with a componentwise backward
+    error of at most
+    gamma_{K+2} |R| (Higham Thm. 8.5, also where the kernel multiplies by
+    the reciprocals of the diagonal), so ||D R_k^-1||_F
+    <= Z_k / (1 - gamma_{K+2} sqrt(k) (1 + 2 g) Z_k) <= 16 Z_k / 15 under
+    the first condition, and s >= 7 / (8 Z_k) for H. This coefficient
+    bound turns the backward error into rho(H) >= |R_kk| - g n_k
+    (1 + 1.15 sqrt(k) Z_k).
+
+    (3) The fit's own roundoff. The computed misfit is exactly A' w - b'
+    with |A' - A| <= gamma_{k+1} |A| and |b' - b| <= u |b| entrywise (one
+    k-term dot product per entry, then a subtraction), a column move of
+    relative size gamma_{k+1} that leaves s >= 13 / (16 Z_k). By (1) for
+    A', b', its norm is at least rho(H) - gamma_{k+1} n_k
+    (1 + 1.25 sqrt(k) Z_k), whatever the weights, so with (2) at least the
+    certificate's left side. ``_fit_order`` divides the root of its sum of
+    squares by 1 + ||b_k|| (or computes the same ratio scaled by max |b_k|),
+    and ||b_k|| <= ||beta|| as b_k lists distinct moments. Its roundings
+    move the ratio by a relative gamma_{N+6} at most, and underflow moves
+    nothing, as every certified quantity is at least
+    tol >= sqrt(smallest normal). A misfit that overflows to inf or NaN
+    scores a residual that is not < tol either. e covers g for c up to 8
+    and every other rounding (gamma_{k+1}, gamma_{K+2}, the ratio's, and
+    those of ||beta||, n_j and Z_k) at least twice.
+
+    (4) Where a block is too ill-conditioned for the first condition, or an
+    inverse overflows, nothing is certified and the order is fitted.
+    """
+    max_order = len(steps) - 1
+    squares = float(seq.array @ seq.array)
+    if not (math.isfinite(squares) and tol >= _SQRT_TINY):
+        return ()
+    plan = shift_plan(seq.dim, steps, seq.max_degree - max_order)
+    try:
+        # mode "raw" is LAPACK's geqrf output, transposed: R is its upper
+        # triangle read along rows
+        raw, _ = np.linalg.qr(seq.array.take(plan).T, mode="raw")
+        r = np.triu(raw[:, : max_order + 1].T)
+        inverse = np.linalg.inv(r[:max_order, :max_order])
+    except np.linalg.LinAlgError:
+        return ()
+    norms = np.sqrt((r * r).sum(axis=0))
+    e = 16.0 * _UNIT_ROUNDOFF * (plan.size + 2 * seq.array.size)
+    # the inverse is upper triangular, so block k sums its first k columns
+    scaled = norms[:max_order, None] * inverse
+    z = np.sqrt(np.cumsum((scaled * scaled).sum(axis=0)))
+    root_k = np.sqrt(np.arange(1, max_order + 1))
+    lower = np.abs(np.diagonal(r))[1:] - e * norms[1:] * (1.0 + 2.0 * root_k * z)
+    threshold = tol * (1.0 + math.sqrt(squares)) * (1.0 + e)
+    # written so that a NaN certifies nothing
+    proven = (e * root_k * z <= 0.125) & (lower >= threshold)
+    return tuple((np.flatnonzero(proven[1:]) + 2).tolist())
+
+
 # moments near the float range may overflow in a fit; extend_sequence reports them
 @np.errstate(over="ignore", invalid="ignore")
 def detect_minimal_recurrence(
@@ -118,31 +224,43 @@ def detect_minimal_recurrence(
     Candidate orders are scanned upward; the first whose joint fit residual
     drops below ``tol`` wins. Orders beyond max_degree // 2 are not data
     supported (the fit would be underdetermined and trivially consistent),
-    so exceeding that bound raises NoRecurrenceError.
+    so exceeding that bound raises NoRecurrenceError with the least residual
+    of all orders. Where order 1 fails and there are ``SCREEN_MIN_ORDERS``
+    orders or more, ``_certified_failures`` proves from one QR which orders
+    fail; the scan skips those and fits the others, so the accepted fit is
+    the one an order-by-order scan makes, bit for bit. Where every order
+    fails, the skipped ones are fitted too, for the exact least residual.
     """
     if not 0 <= axis < seq.dim:
         raise ValueError(f"axis {axis} out of range for dimension {seq.dim}")
     max_order = seq.max_degree // 2
-    steps = ((0,) * seq.dim,)
+    steps = tuple((0,) * axis + (j,) + (0,) * (seq.dim - axis - 1) for j in range(max_order + 1))
     best = np.inf
+    certified: tuple[int, ...] = ()
     for order in range(1, max_order + 1):
-        # row p of the plan holds i + p*e_axis for every |i| <= max_degree - order
-        steps += ((0,) * axis + (order,) + (0,) * (seq.dim - axis - 1),)
-        plan = shift_plan(seq.dim, steps, seq.max_degree - order)
-        a_mat = seq.array.take(plan[order - 1 :: -1].T)
-        weights, residual = _fit_order(a_mat, seq.array.take(plan[order]))
+        if order in certified:
+            continue
+        weights, residual = _fit_along(seq, steps, order)
         if residual < tol:
             # x^order - sum_k a_k x^(order-k), lowest coefficient first
             coeffs = [-float(w) for w in weights[::-1]] + [1.0]
             return UnivariatePoly(tuple(coeffs)), residual
         best = min(best, residual)
+        if order == 1 and max_order >= SCREEN_MIN_ORDERS:
+            certified = _certified_failures(seq, steps, tol)
+    for order in certified:
+        best = min(best, _fit_along(seq, steps, order)[1])
     raise NoRecurrenceError(axis, max_order, best)
 
 
 def detect_characteristic_system(
     seq: TruncatedSequence, tol: float = DEFAULT_FIT_TOL
 ) -> CharacteristicSystem:
-    """Minimal recurrences for every variable, with tau = sum(deg - 1)."""
+    """Minimal recurrences for every variable, with tau = sum(deg - 1).
+
+    Each variable is one ``detect_minimal_recurrence`` scan, screened as
+    there; the first variable with no recurrence raises NoRecurrenceError.
+    """
     fits = [detect_minimal_recurrence(seq, axis, tol) for axis in range(seq.dim)]
     polys, residuals = zip(*fits)
     return CharacteristicSystem.from_polys(polys, residual=max(residuals))

@@ -348,12 +348,12 @@ def _run_stages(
     except (*_STAGE_STATUS, InsufficientDataError, np.linalg.LinAlgError) as exc:
         stage_error = exc
     else:
-        # one pass over the measure: its moments give the misfit and the
-        # moment check, its Gram sums the brackets
+        # one pass over the measure: its moments give the moment check and,
+        # where a matrix is bracketed, the misfit; its Gram sums the brackets
         points = np.array(measure.points).reshape(-1, ext.dim)
         requests = [matrices[k] for k in large]
         moments, sums = moments_and_grams(points, measure.weights, ext.max_degree, requests)
-        if np.isfinite(moments).all():
+        if large and np.isfinite(moments).all():
             misfit = TruncatedSequence(ext.dim, ext.max_degree, ext.array - moments)
             brackets = {k: _measure_brackets(points, s, misfit) for k, s in zip(large, sums)}
 

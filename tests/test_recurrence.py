@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from momentrec.errors import (
 )
 from momentrec.indexing import basis_size, enumerate_basis, iter_basis
 from momentrec.moments import TruncatedSequence, build_moment_matrix
+from momentrec import recurrence
 from momentrec.polynomials import UnivariatePoly
 from momentrec.recurrence import (
     CharacteristicSystem,
@@ -356,3 +358,134 @@ def test_system_validation():
         CharacteristicSystem.from_polys([])
     with pytest.raises(ValueError):
         CharacteristicSystem.from_polys([UnivariatePoly((1.0, 2.0))])
+
+
+def _grid(dim, nodes, degree=None):
+    """Moments of the equally spaced product grid on [-1, 1] with weights 1 + 0.01 i."""
+    axis = np.linspace(-1.0, 1.0, nodes)
+    points = tuple(itertools.product(*([tuple(axis.tolist())] * dim)))
+    weights = tuple(1.0 + 0.01 * i for i in range(len(points)))
+    tau = dim * (nodes - 1)
+    return evaluate_moments(AtomicMeasure(dim, points, weights), degree or 2 * (tau + 1))
+
+
+def _screen_inputs():
+    """Grid ladder, long 1-D grids, 5-D 3^5, 2-D 12^2, and sampled draws and grids
+    with relative noise 1e-7 or 1e-5."""
+    seqs = [_grid(1, m) for m in range(4, 21)]
+    seqs += [_grid(2, 10), _grid(2, 12), _grid(3, 5), _grid(3, 6), _grid(4, 3)]
+    seqs += [_grid(3, 5, 12), _grid(4, 3, 8), _grid(5, 3)]
+    rng = np.random.default_rng(21)
+    draws = [sample_instance(rng).moments for _ in range(24)]
+    # long scans on which no order fits, so that the certified orders are fitted too
+    draws += [_grid(1, 12), _grid(1, 12), _grid(2, 6), _grid(2, 6)]
+    for n, seq in enumerate(draws):
+        level = (1e-7, 1e-5)[n % 2]
+        seqs.append(TruncatedSequence(
+            seq.dim, seq.max_degree, seq.array * (1.0 + level * rng.standard_normal(seq.array.size))
+        ))
+    return seqs
+
+
+def _steps(seq, axis):
+    return tuple(
+        (0,) * axis + (j,) + (0,) * (seq.dim - axis - 1) for j in range(seq.max_degree // 2 + 1)
+    )
+
+
+def test_screen_certifies_only_failing_orders():
+    """Every order the screen certifies scores a fit residual >= tol, for data scaled by
+    2^-30, 1 and 2^30 and tol 1e-2, 1e-6 and 1e-12; most failing orders are certified."""
+    certified = failing = 0
+    for seq in _screen_inputs():
+        for scale in (2.0**-30, 1.0, 2.0**30):
+            scaled = TruncatedSequence(seq.dim, seq.max_degree, seq.array * scale)
+            for axis in range(seq.dim):
+                steps = _steps(seq, axis)
+                residuals = [
+                    recurrence._fit_along(scaled, steps, k)[1] for k in range(1, len(steps))
+                ]
+                for tol in (1e-2, 1e-6, 1e-12):
+                    proven = recurrence._certified_failures(scaled, steps, tol)
+                    assert set(proven) <= set(range(2, len(steps)))
+                    for k in proven:
+                        assert not residuals[k - 1] < tol, (seq.dim, seq.max_degree, axis, k, tol)
+                    certified += len(proven)
+                    failing += sum(not r < tol for r in residuals[1:])
+    assert certified >= 0.75 * failing
+
+
+def _plain_scan(seq, axis, tol):
+    """The order-by-order scan: every order fitted until one scores below tol."""
+    steps, best = _steps(seq, axis), math.inf
+    for order in range(1, len(steps)):
+        weights, residual = recurrence._fit_along(seq, steps, order)
+        if residual < tol:
+            return UnivariatePoly(tuple([-float(w) for w in weights[::-1]] + [1.0])), residual
+        best = min(best, residual)
+    raise NoRecurrenceError(axis, len(steps) - 1, best)
+
+
+def _outcome(detect, *args):
+    try:
+        found = detect(*args)
+    except NoRecurrenceError as exc:
+        return str(exc)
+    if isinstance(found, CharacteristicSystem):
+        return [p.coeffs for p in found.polys], found.residual
+    return found[0].coeffs, found[1]
+
+
+@pytest.mark.parametrize("gate", [recurrence.SCREEN_MIN_ORDERS, 1])
+def test_screened_scans_match_an_order_by_order_scan(monkeypatch, gate):
+    """Both detect functions return the plain scan's polynomials, residuals and
+    NoRecurrenceError text, at the default gate and with every scan screened."""
+    monkeypatch.setattr(recurrence, "SCREEN_MIN_ORDERS", gate)
+    screened, fallbacks = [0], [0]
+    certify = recurrence._certified_failures
+
+    def counting(*args):
+        screened[0] += 1
+        return certify(*args)
+
+    monkeypatch.setattr(recurrence, "_certified_failures", counting)
+    seqs = [seq for seq in _screen_inputs() if seq.dim < 5]
+    for seq in seqs:
+        for tol in (1e-2, 1e-6, 1e-12):
+            plain = []
+            for axis in range(seq.dim):
+                before = screened[0]
+                expected = _outcome(_plain_scan, seq, axis, tol)
+                assert _outcome(detect_minimal_recurrence, seq, axis, tol) == expected
+                fallbacks[0] += isinstance(expected, str) and screened[0] > before
+                plain.append(expected)
+            failed = [p for p in plain if isinstance(p, str)]
+            if failed:
+                expected = failed[0]
+            else:
+                expected = [c for c, _ in plain], max(r for _, r in plain)
+            assert _outcome(detect_characteristic_system, seq, tol) == expected
+    assert screened[0] > 0 and fallbacks[0] > 0
+
+
+def test_a_scan_below_the_gate_makes_the_plain_fits(monkeypatch):
+    """A scan of fewer than SCREEN_MIN_ORDERS orders fits every order up to the accepted
+    one and makes no QR; one at the gate makes one QR and fewer fits."""
+    calls = Counter()
+    for name in ("lstsq", "qr", "inv"):
+        function = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    below = _grid(1, recurrence.SCREEN_MIN_ORDERS - 1)
+    poly, _ = detect_minimal_recurrence(below, 0)
+    assert below.max_degree // 2 == poly.degree == recurrence.SCREEN_MIN_ORDERS - 1
+    assert calls == {"lstsq": poly.degree}
+    calls.clear()
+    at = _grid(1, recurrence.SCREEN_MIN_ORDERS)
+    poly, _ = detect_minimal_recurrence(at, 0)
+    assert at.max_degree // 2 == recurrence.SCREEN_MIN_ORDERS and poly.degree > 1
+    assert calls["qr"] == calls["inv"] == 1 and calls["lstsq"] < poly.degree

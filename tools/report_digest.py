@@ -34,7 +34,11 @@ localizing matrices M_q, how many records a bracket of the recovered measure
 certified and how many eigvalsh decided, and how many of the latter have
 ``CERTIFY_MIN_SIZE`` rows or more (the size the solver brackets).
 ``PsdRecord.certified`` is not part of ``SolveReport.to_dict()``, so no
-digest shows it.
+digest shows it. It also prints, for each pass (three with ``--plans``),
+the recurrence detection's screen counts: the axes screened by one QR
+(``recurrence._certified_failures``), the orders it certified to fail, the
+orders fitted by least squares, and the screened axes on which every order
+failed, so that the certified ones were fitted too.
 
 ``--plans`` solves the workload twice more after the digest pass and prints
 how many pair-rank plans (``indexing.degree_lex_pair_ranks`` calls) each of
@@ -99,7 +103,8 @@ def main(argv=None) -> int:
     import numpy as np
 
     import momentrec
-    from momentrec import indexing
+    from momentrec import indexing, recurrence
+    from momentrec.errors import NoRecurrenceError
     from momentrec.indexing import basis_size
     from momentrec.moments import CERTIFY_MIN_SIZE
     from perfbench.workloads import make_cases
@@ -163,6 +168,34 @@ def main(argv=None) -> int:
             if callable(function) and not isinstance(function, type):
                 setattr(np.linalg, name, counted(name, function))
 
+    screen = Counter()
+    certify, fit = recurrence._certified_failures, recurrence._fit_along
+    detect = recurrence.detect_minimal_recurrence
+
+    def certifying(*args):
+        orders = certify(*args)
+        screen["axes screened"] += 1
+        screen["orders certified"] += len(orders)
+        return orders
+
+    def fitting(*args):
+        screen["orders fitted"] += 1
+        return fit(*args)
+
+    def detecting(*args, **kwargs):
+        screened = screen["axes screened"]
+        try:
+            return detect(*args, **kwargs)
+        except NoRecurrenceError:
+            screen["all-fail fallbacks"] += screen["axes screened"] > screened
+            raise
+
+    if args.certified:
+        # the scan looks these up in its module on every call
+        recurrence._certified_failures = certifying
+        recurrence._fit_along = fitting
+        recurrence.detect_minimal_recurrence = detecting
+
     def solve(case, moments):
         if case.constraints is None:
             return momentrec.solve_full(moments)
@@ -184,13 +217,14 @@ def main(argv=None) -> int:
         report = report.to_dict()
         digest.update(json.dumps(report).encode() + b"\n")
         decisions.update(json.dumps(blank_margins(report)).encode() + b"\n")
-    passes = [(builds[0], dict(calls))]
+    passes = [(builds[0], dict(calls), dict(screen))]
     for _ in range(2 if args.plans else 0):
         builds[0] = 0
         calls.clear()
+        screen.clear()
         for case, moments in zip(cases, inputs):
             solve(case, moments)
-        passes.append((builds[0], dict(calls)))
+        passes.append((builds[0], dict(calls), dict(screen)))
     head = f"{args.workload} seed {args.seed}: {len(cases)} inputs"
     print(f"{head}, sha256 {digest.hexdigest()}")
     if args.decisions:
@@ -201,13 +235,17 @@ def main(argv=None) -> int:
                 f"{head}, {kind} records: {certified} certified, {eigvalsh} by eigvalsh "
                 f"({large} of >= {CERTIFY_MIN_SIZE} rows)"
             )
+        names = ("axes screened", "orders certified", "orders fitted", "all-fail fallbacks")
+        for k, (_, _, counts) in enumerate(passes, 1):
+            named = ", ".join(f"{counts.get(name, 0)} {name}" for name in names)
+            print(f"{head}, detection in pass {k}: {named}")
     if args.plans:
-        counts = ", ".join(f"pass {k} {n}" for k, (n, _) in enumerate(passes, 1))
+        counts = ", ".join(f"pass {k} {n}" for k, (n, _, _) in enumerate(passes, 1))
         print(
             f"{head}, pair-rank builds: {counts}; plan store {indexing._plans_entries} entries"
         )
     if args.calls:
-        for k, (_, counts) in enumerate(passes, 1):
+        for k, (_, counts, _) in enumerate(passes, 1):
             named = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
             print(f"{head}, numpy.linalg calls in pass {k}: {named}")
     return 0
