@@ -294,18 +294,17 @@ def shift_plan(dim: int, exponents: tuple[MultiIndex, ...], degree: int) -> np.n
 @_plan
 def extension_plan(
     dim: int, degree: int, target: int, orders: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where one recurrence per axis, of the given orders, fills degrees degree + 1 .. target.
 
-    Returns (windows, producers, lowest, first) over the n new entries i, in
+    Returns (windows, producers, lowest) over the n new entries i, in
     degree-lex order, each window padded to width = max(orders):
 
     - windows (width, dim, n): entry [k, l, r] is the rank of i - (k + 1) e_l
       where i_l >= orders[l] and k < orders[l], and 0 (beta_0) elsewhere;
     - producers (dim, n), bool: i_l >= orders[l], the axes whose recurrence
       reaches i;
-    - lowest (n,): the first such axis, 0 where there is none;
-    - first (width, n): the window along the lowest axis, windows[:, lowest[r], r].
+    - lowest (n,): the first such axis, 0 where there is none.
     """
     entries = basis_array(dim, target)[basis_size(dim, degree) :]
     producers = (entries >= np.array(orders)).T
@@ -314,8 +313,7 @@ def extension_plan(
         steps = np.outer(np.arange(1, order + 1), np.eye(dim, dtype=np.intp)[axis])
         rows = producers[axis]
         windows[:order, axis, rows] = degree_lex_pair_ranks(entries[rows], -steps).T
-    lowest = producers.argmax(axis=0).astype(np.int32)
-    return windows, producers, lowest, windows[:, lowest, np.arange(len(entries))]
+    return windows, producers, producers.argmax(axis=0).astype(np.int32)
 
 
 @_plan

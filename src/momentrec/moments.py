@@ -457,6 +457,8 @@ def _gram_sums(tables, weights: np.ndarray, requests, step: int) -> list[GramSum
     return out
 
 
+# a misfit near the float range may overflow the sum; an inf bound brackets nothing
+@np.errstate(over="ignore")
 def misfit_bound(sums: GramSum, misfit: TruncatedSequence) -> float:
     """A bound on ||E||_F, E the misfit's M_q(order) for ``sums``' order and q.
 

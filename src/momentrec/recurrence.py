@@ -273,19 +273,19 @@ def extend_sequence(
     """Fill the sequence up to target_degree using the recurrences.
 
     Each entry is produced by the lowest-index variable whose recurrence
-    window is available, its terms summed in order k = 1, 2, ... from 0, as
-    an entry-by-entry fill sums them; any other applicable variable
-    recomputes the value as a consistency check within ``CONSISTENCY_TOL``
-    (relative). Both are array passes over one ``indexing.extension_plan``:
-    the first fills the new degree blocks in ascending order, one gather per
-    block, and the second computes every applicable variable's value for
-    every new entry at once. The first failing entry in degree-lex order is
-    reported: one reachable by no variable raises
-    InsufficientInitialDataError, one that overflows NonFiniteExtensionError
-    and one whose producers disagree InconsistentRecurrenceError, with no
-    floating-point warning. A failing extension thus computes its later
-    blocks before the check. A target basis of 2^31 monomials or more raises
-    ValueError before anything is allocated.
+    window is available; any other applicable variable recomputes the value
+    as a consistency check within ``CONSISTENCY_TOL`` (relative). The new
+    degree blocks are filled in ascending order over one
+    ``indexing.extension_plan``, one gather of every variable's windows per
+    block: each variable's terms are summed in order k = 1, 2, ... from 0, as
+    an entry-by-entry fill sums them, those sums are kept, and the block takes
+    its lowest producer's. One check over the kept sums then reports the
+    first failing entry in degree-lex order: one reachable by no variable
+    raises InsufficientInitialDataError, one that overflows
+    NonFiniteExtensionError and one whose producers disagree
+    InconsistentRecurrenceError, with no floating-point warning. A failing
+    extension thus computes its later blocks before the check. A target basis
+    of 2^31 monomials or more raises ValueError before anything is allocated.
     """
     if system.dim != seq.dim:
         raise ValueError("dimension mismatch between sequence and system")
@@ -293,28 +293,26 @@ def extend_sequence(
         return seq
     check_int32(seq.dim, target_degree)
     orders = tuple(p.degree for p in system.polys)
-    windows, producers, lowest, first = extension_plan(
-        seq.dim, seq.max_degree, target_degree, orders
-    )
-    # weights[k - 1, l] = a_k with beta_{i+s e_l} = sum_k a_k beta_{i+(s-k) e_l},
+    windows, producers, lowest = extension_plan(seq.dim, seq.max_degree, target_degree, orders)
+    # weights[k - 1, l, 0] = a_k with beta_{i+s e_l} = sum_k a_k beta_{i+(s-k) e_l},
     # k = 1..s, and 0 past s, where the windows read the finite beta_0: such a
     # term adds +-0 to a sum started from 0, which is never -0, so no bit moves
-    weights = np.zeros((len(first), seq.dim))
+    weights = np.zeros((len(windows), seq.dim, 1))
     for axis, poly in enumerate(system.polys):
-        weights[: poly.degree, axis] = -np.array(poly.coeffs[-2::-1])
+        weights[: poly.degree, axis, 0] = -np.array(poly.coeffs[-2::-1])
     known = seq.array.size
     values = np.empty(basis_size(seq.dim, target_degree))
     values[:known] = seq.array
     new = values[known:]
-    lowest_weights = weights[:, lowest]
+    # every variable's value for every new entry; the lowest producer's is the entry
+    produced = np.empty((seq.dim, new.size))
     for t in range(seq.max_degree + 1, target_degree + 1):
         # a block depends only on lower degrees, so it is produced in one step;
         # sum() adds the terms k = 1, 2, ... to 0 in turn
-        block = slice(basis_size(seq.dim, t - 1) - known, basis_size(seq.dim, t) - known)
-        new[block] = sum(lowest_weights[:, block] * values[first[:, block]])
+        lo, hi = basis_size(seq.dim, t - 1) - known, basis_size(seq.dim, t) - known
+        produced[:, lo:hi] = sum(weights * values[windows[:, :, lo:hi]])
+        new[lo:hi] = produced[lowest[lo:hi], np.arange(lo, hi)]
 
-    # every applicable variable's value; the lowest one's is the entry itself
-    produced = sum(weights[:, :, None] * values[windows])
     limit = CONSISTENCY_TOL * (1.0 + np.maximum(np.abs(new), np.abs(produced)))
     # written so that a non-finite value (its own gap is NaN) disagrees too
     disagree = producers & ~(np.abs(produced - new) <= limit)

@@ -123,3 +123,18 @@ def test_calls_counts_numpy_linalg_calls_in_each_pass():
     # one eigvals and one solve per variable with two roots or more
     assert set(passes[0]) == {"eigvals", "eigvalsh", "lstsq", "solve"}
     assert passes[0]["eigvals"] == passes[0]["solve"] > 0
+
+
+def test_transform_moves_no_status_or_atom_count():
+    """--transform reflect solves the small constrained workload with x_1 -> -x_1 in the data
+    and the constraints, and no status or atom count moves."""
+    command = [sys.executable, str(TOOL), "--workload", "constrained", "--seed", "7", "--small"]
+    plain = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    lines = subprocess.run(
+        command + ["--transform", "reflect"],
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert lines == [
+        plain.stdout.strip(),
+        "constrained seed 7: 24 inputs, reflect transform moved 0 statuses and 0 atom counts",
+    ]

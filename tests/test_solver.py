@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -245,6 +246,73 @@ def test_an_overflowing_extension_is_not_recursive():
     report = solve_constrained(seq, SemialgebraicSet((MultivariatePoly.constant(1, 4.0) - x * x,)))
     assert report.status == STATUS_NOT_RECURSIVE
     assert report.detail == "extended entry (4,) is not finite: inf"
+
+
+def test_moments_near_the_float_range_solve_with_no_warning():
+    """Moments times 2^900 overflow the misfit bound to inf: eigvalsh decides, silently."""
+    seq = sample_instance(np.random.default_rng(0)).moments
+    assert (seq.dim, seq.max_degree) == (3, 16)
+    big = TruncatedSequence(seq.dim, seq.max_degree, seq.array * 2.0**900)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve_full(big)
+    assert report.status == STATUS_SUCCESS
+    assert len(report.measure.points) == 7
+
+
+MIRRORS = {
+    # (term map, point map) of x -> (x_d, ..., x_1) and of x_1 -> -x_1; each is
+    # its own inverse, so the point map also takes a transform's atoms back
+    "reverse": (lambda idx, c: (idx[::-1], c), lambda point: point[::-1]),
+    "reflect": (
+        lambda idx, c: (idx, -c if idx[0] % 2 else c),
+        lambda point: (-point[0],) + point[1:],
+    ),
+}
+
+
+def test_reversing_and_reflecting_the_variables_move_no_verdict():
+    """Reversed variables and x_1 -> -x_1, on the data and the constraints, give the same
+    status, atom count, and atoms and weights mapped back within 1e-9 relative."""
+    rng = np.random.default_rng(39)
+    inputs = [(sample_instance(rng, dim).moments, None) for dim in (1, 2, 3, 3)]
+    for dim, nodes in ((1, 6), (2, 4), (3, 3)):
+        axis = np.linspace(-1.0, 1.0, nodes).tolist()
+        points = tuple(itertools.product(*[axis] * dim))
+        weights = tuple(1.0 + 0.1 * k for k in range(len(points)))
+        grid = AtomicMeasure(dim=dim, points=points, weights=weights)
+        inputs.append((evaluate_moments(grid, 2 * dim * (nodes - 1) + 2), None))
+    draw = sample_instance(rng, 2)
+    x1 = MultivariatePoly.variable(2, 0)
+    cut = x1 - MultivariatePoly.constant(2, draw.measure.points[0][0])
+    inputs.append((draw.moments, (cut, MultivariatePoly.constant(2, 4.0) - x1 * x1)))
+
+    def solve(seq, constraints):
+        if constraints is None:
+            return solve_full(seq)
+        return solve_constrained(seq, SemialgebraicSet(constraints))
+
+    for seq, constraints in inputs:
+        base = solve(seq, constraints)
+        for term, point in MIRRORS.values():
+            mirrored = TruncatedSequence(
+                seq.dim, seq.max_degree, dict(term(*t) for t in seq.values.items())
+            )
+            polys = None if constraints is None else tuple(
+                MultivariatePoly(seq.dim, dict(term(*t) for t in q.terms.items()))
+                for q in constraints
+            )
+            moved = solve(mirrored, polys)
+            assert moved.status == base.status
+            if base.measure is None:
+                assert moved.measure is None
+                continue
+            assert len(moved.measure.points) == len(base.measure.points)
+            found = {point(p): w for p, w in zip(moved.measure.points, moved.measure.weights)}
+            for p, w in zip(base.measure.points, base.measure.weights):
+                near = min(found, key=lambda q: max(abs(a - b) for a, b in zip(p, q)))
+                assert near == pytest.approx(p, rel=1e-9, abs=1e-9)
+                assert found[near] == pytest.approx(w, rel=1e-9)
 
 
 def test_solve_constrained_empty_set_matches_full():

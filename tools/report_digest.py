@@ -46,6 +46,12 @@ the three passes built, and how many entries the plan store then holds. A
 store that keeps every plan it is asked for builds none after the first
 pass.
 
+``--transform reverse`` (the variables in reverse order) or ``--transform
+reflect`` (x_1 -> -x_1) also solves each input with its moments, and any
+constraints, transformed that way, and prints how many statuses and how many
+atom counts moved. Both maps are symmetries of the problem, so a sound
+solver moves none.
+
 ``--calls`` prints, for each pass (three with ``--plans``), how often the
 package called each ``numpy.linalg`` function (those called at least once,
 by name), counted through the ``numpy.linalg`` attributes the package looks
@@ -75,6 +81,13 @@ def blank_margins(report: dict) -> dict:
     return report
 
 
+def transform(kind: str, idx: tuple, value: float) -> tuple[tuple, float]:
+    """The term value * x^idx after reversing the variables or mapping x_1 to -x_1."""
+    if kind == "reverse":
+        return idx[::-1], value
+    return idx, -value if idx[0] % 2 else value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -93,6 +106,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--calls", action="store_true", help="count numpy.linalg calls in each pass"
+    )
+    parser.add_argument(
+        "--transform", choices=("reverse", "reflect"), help="also solve each input transformed"
     )
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -196,16 +212,21 @@ def main(argv=None) -> int:
         recurrence._fit_along = fitting
         recurrence.detect_minimal_recurrence = detecting
 
-    def solve(case, moments):
-        if case.constraints is None:
+    def solve(moments, constraints):
+        if constraints is None:
             return momentrec.solve_full(moments)
-        return momentrec.solve_constrained(moments, case.constraints)
+        return momentrec.solve_constrained(moments, constraints)
+
+    def summary(report) -> tuple[str, int]:
+        return report.status, 0 if report.measure is None else len(report.measure.points)
 
     digest, decisions = hashlib.sha256(), hashlib.sha256()
     # kind -> [certified, by eigvalsh, by eigvalsh with CERTIFY_MIN_SIZE rows or more]
     tally = {"M(n)": [0, 0, 0], "M_q": [0, 0, 0]}
+    outcomes = []
     for case, moments in zip(cases, inputs):
-        report = solve(case, moments)
+        report = solve(moments, case.constraints)
+        outcomes.append(summary(report))
         for kind, records in (("M(n)", report.psd_records), ("M_q", report.constraint_records)):
             for record in records:
                 counts = tally[kind]
@@ -223,8 +244,24 @@ def main(argv=None) -> int:
         calls.clear()
         screen.clear()
         for case, moments in zip(cases, inputs):
-            solve(case, moments)
+            solve(moments, case.constraints)
         passes.append((builds[0], dict(calls), dict(screen)))
+
+    def mirror(terms: dict) -> dict:
+        return dict(transform(args.transform, idx, value) for idx, value in terms.items())
+
+    moved = Counter()
+    for case, moments, outcome in zip(cases, inputs, outcomes) if args.transform else ():
+        constraints = None
+        if case.constraints is not None:
+            polys = case.constraints.constraints
+            constraints = momentrec.SemialgebraicSet(
+                [momentrec.MultivariatePoly(q.dim, mirror(q.terms)) for q in polys]
+            )
+        seq = momentrec.TruncatedSequence(moments.dim, moments.max_degree, mirror(moments.values))
+        status, atoms = summary(solve(seq, constraints))
+        moved["statuses"] += status != outcome[0]
+        moved["atom counts"] += atoms != outcome[1]
     head = f"{args.workload} seed {args.seed}: {len(cases)} inputs"
     print(f"{head}, sha256 {digest.hexdigest()}")
     if args.decisions:
@@ -248,6 +285,11 @@ def main(argv=None) -> int:
         for k, (_, counts, _) in enumerate(passes, 1):
             named = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
             print(f"{head}, numpy.linalg calls in pass {k}: {named}")
+    if args.transform:
+        print(
+            f"{head}, {args.transform} transform moved {moved['statuses']} statuses "
+            f"and {moved['atom counts']} atom counts"
+        )
     return 0
 
 
