@@ -292,6 +292,18 @@ def shift_plan(dim: int, exponents: tuple[MultiIndex, ...], degree: int) -> np.n
 
 
 @_plan
+def marginal_plan(dim: int, degree: int, order: int) -> np.ndarray:
+    """Every variable's marginal Hankel: entry [l, j, s] is the rank of (j + s) e_l.
+
+    Shape (dim, degree - order + 1, order + 1): row j of variable l's block
+    holds the pure powers x_l^j .. x_l^(j + order).
+    """
+    powers = np.add.outer(np.arange(degree - order + 1), np.arange(order + 1))
+    exponents = np.eye(dim, dtype=np.intp)[:, None, None, :] * powers[None, :, :, None]
+    return degree_lex_ranks(exponents).astype(np.int32)
+
+
+@_plan
 def extension_plan(
     dim: int, degree: int, target: int, orders: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

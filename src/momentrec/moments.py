@@ -127,10 +127,21 @@ class TruncatedSequence:
         if bad.size:
             index = tuple(basis_array(dim, max_degree)[bad[0]].tolist())
             raise ValueError(f"moment {index} is not finite: {array[bad[0]]}")
+        self._hold(dim, max_degree, array)
+
+    def _hold(self, dim: int, max_degree: int, array: np.ndarray) -> None:
         array.flags.writeable = False
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "array", array)
+
+    @classmethod
+    def _of_finite(cls, dim: int, max_degree: int, array: np.ndarray) -> "TruncatedSequence":
+        """The sequence held in ``array``, not copied: the caller's own float array of
+        basis_size(dim, max_degree) values, all of which it has checked are finite."""
+        seq = cls.__new__(cls)
+        seq._hold(dim, max_degree, array)
+        return seq
 
     @cached_property
     def values(self) -> Mapping[MultiIndex, float]:

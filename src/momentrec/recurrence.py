@@ -26,7 +26,14 @@ from .errors import (
     NoRecurrenceError,
     NonFiniteExtensionError,
 )
-from .indexing import basis_array, basis_size, check_int32, extension_plan, shift_plan
+from .indexing import (
+    basis_array,
+    basis_size,
+    check_int32,
+    extension_plan,
+    marginal_plan,
+    shift_plan,
+)
 from .moments import MomentMatrix, TruncatedSequence
 from .polynomials import MultivariatePoly, UnivariatePoly
 
@@ -40,9 +47,9 @@ __all__ = [
 
 DEFAULT_FIT_TOL = 1e-6
 CONSISTENCY_TOL = 1e-7
-# A scan of fewer candidate orders fits every one: below this the screen's QR
-# costs more than the fits it saves (the crossover measured in CHANGES.md).
-SCREEN_MIN_ORDERS = 10
+# Detection with fewer candidate orders per variable fits every one: below this
+# the screen costs more than the fits it saves (the crossover measured in CHANGES.md).
+SCREEN_MIN_ORDERS = 6
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 _SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))
 
@@ -120,26 +127,29 @@ def _fit_along(seq: TruncatedSequence, steps: tuple, order: int):
     return _fit_order(seq.array.take(plan[order - 1 :: -1].T), seq.array.take(plan[order]))
 
 
-def _certified_failures(seq: TruncatedSequence, steps: tuple, tol: float) -> tuple[int, ...]:
-    """The orders 2 .. K along the axis of ``steps`` whose fit provably scores >= tol.
+def _certified_failures(seq: TruncatedSequence, axes: slice, tol: float) -> np.ndarray:
+    """Which orders 1 .. K along each variable in ``axes`` provably fit with residual >= tol.
 
-    ``steps`` holds the shifts x_l^0 .. x_l^K, K = max_degree // 2. Every
-    order's fit has the rows i with |i| <= max_degree - k, so all include
-    F = {i : |i| <= max_degree - K}. H (m x (K + 1), m = |F| >= K + 1 as
-    max_degree - K >= K) holds beta_{i + j e_l}, i in F, in column j: the
-    order-K fit's own plan. One Householder QR of H gives R, and one
-    inverse that of R's leading K x K block, whose leading k x k block is
-    the inverse of R's. Let n_j be the computed norm of R's column j, Z_k
-    the computed Frobenius norm of diag(n_0 .. n_{k-1}) times that k x k
-    inverse, N the number of moments, u the unit roundoff and
-    e = 16 u (m (K + 1) + 2 N). Order k is certified where
-    e sqrt(k) Z_k <= 1/8 and
+    Returns a (variables, K) bool array, K = max_degree // 2, whose entry
+    [l, k - 1] is set where order k along the l-th variable of ``axes`` is
+    certified to fail. Every order's fit has the rows i with
+    |i| <= max_degree - k, so all include the pure powers j e_l,
+    j = 0 .. max_degree - K. H (m x (K + 1), m = max_degree - K + 1 >= K + 1)
+    holds beta_{(j + s) e_l} in row j and column s: the Hankel matrix of the
+    moments of x_l's marginal, the rows j e_l of the order-K fit's own plan.
+    All variables' H are gathered through one ``indexing.marginal_plan`` and
+    take one stacked Householder QR, giving R, and one stacked inverse, that
+    of R's leading K x K block, whose leading k x k block is the inverse of
+    R's. Let n_j be the computed norm of R's column j, Z_k the computed
+    Frobenius norm of diag(n_0 .. n_{k-1}) times that k x k inverse, N the
+    number of moments, u the unit roundoff and e = 16 u (m (K + 1) + 2 N).
+    Order k is certified where e sqrt(k) Z_k <= 1/8 and
 
         |R_kk| - e n_k (1 + 2 sqrt(k) Z_k) >= tol (1 + ||beta||) (1 + e).
 
     Nothing is certified unless beta . beta is finite and tol is at least
-    the square root of the smallest normal float, nor where LAPACK reports
-    an error.
+    the square root of the smallest normal float, nor for any variable
+    where LAPACK reports an error for one.
 
     Proof. Write rho(P) for min_v ||P_{:k} v - p_k||, the least-squares
     residual of column k of a matrix P on the k columns before it, and
@@ -148,10 +158,10 @@ def _certified_failures(seq: TruncatedSequence, steps: tuple, tol: float) -> tup
     and ||D v|| <= ||p_k|| / s for s the smallest singular value of
     P_{:k} D^-1 in that problem, which itself moves by at most a sqrt(k).
 
-    (1) Row-subset monotonicity. The rows in F of the order-k misfit
-    A_k w - b_k are H_{:k} w' - h_k restricted to F (the columns in the
-    other order), so ||A_k w - b_k|| >= rho(H) for any weights w, and so
-    for those lstsq returns.
+    (1) Row-subset monotonicity. The rows j e_l of the order-k misfit
+    A_k w - b_k are H_{:k} w' - h_k (the columns in the other order), so
+    ||A_k w - b_k|| >= rho(H) for any weights w, and so for those lstsq
+    returns.
 
     (2) Householder backward error. The computed R is the exact R of
     H + dH with ||dH_j|| <= g ||h_j||, g = c m (K + 1) u for a small
@@ -188,55 +198,38 @@ def _certified_failures(seq: TruncatedSequence, steps: tuple, tol: float) -> tup
     (4) Where a block is too ill-conditioned for the first condition, or an
     inverse overflows, nothing is certified and the order is fitted.
     """
-    max_order = len(steps) - 1
+    max_order = seq.max_degree // 2
+    plan = marginal_plan(seq.dim, seq.max_degree, max_order)[axes]
     squares = float(seq.array @ seq.array)
     if not (math.isfinite(squares) and tol >= _SQRT_TINY):
-        return ()
-    plan = shift_plan(seq.dim, steps, seq.max_degree - max_order)
+        return np.zeros((len(plan), max_order), dtype=bool)
     try:
-        # mode "raw" is LAPACK's geqrf output, transposed: R is its upper
-        # triangle read along rows
-        raw, _ = np.linalg.qr(seq.array.take(plan).T, mode="raw")
-        r = np.triu(raw[:, : max_order + 1].T)
-        inverse = np.linalg.inv(r[:max_order, :max_order])
+        r = np.linalg.qr(seq.array.take(plan), mode="r")
+        inverse = np.linalg.inv(r[:, :max_order, :max_order])
     except np.linalg.LinAlgError:
-        return ()
-    norms = np.sqrt((r * r).sum(axis=0))
-    e = 16.0 * _UNIT_ROUNDOFF * (plan.size + 2 * seq.array.size)
-    # the inverse is upper triangular, so block k sums its first k columns
-    scaled = norms[:max_order, None] * inverse
-    z = np.sqrt(np.cumsum((scaled * scaled).sum(axis=0)))
+        return np.zeros((len(plan), max_order), dtype=bool)
+    norms = np.sqrt((r * r).sum(axis=1))
+    e = 16.0 * _UNIT_ROUNDOFF * (plan[0].size + 2 * seq.array.size)
+    # each inverse is upper triangular, so block k sums its first k columns
+    scaled = norms[:, :max_order, None] * inverse
+    z = np.sqrt(np.cumsum((scaled * scaled).sum(axis=1), axis=1))
     root_k = np.sqrt(np.arange(1, max_order + 1))
-    lower = np.abs(np.diagonal(r))[1:] - e * norms[1:] * (1.0 + 2.0 * root_k * z)
+    diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    lower = diagonal[:, 1:] - e * norms[:, 1:] * (1.0 + 2.0 * root_k * z)
     threshold = tol * (1.0 + math.sqrt(squares)) * (1.0 + e)
     # written so that a NaN certifies nothing
-    proven = (e * root_k * z <= 0.125) & (lower >= threshold)
-    return tuple((np.flatnonzero(proven[1:]) + 2).tolist())
+    return (e * root_k * z <= 0.125) & (lower >= threshold)
 
 
-# moments near the float range may overflow in a fit; extend_sequence reports them
-@np.errstate(over="ignore", invalid="ignore")
-def detect_minimal_recurrence(
-    seq: TruncatedSequence, axis: int, tol: float = DEFAULT_FIT_TOL
-) -> tuple[UnivariatePoly, float]:
-    """Least-order recurrence along one variable, as a monic polynomial.
+def _scan(seq: TruncatedSequence, axis: int, tol: float, certified: list[int]):
+    """The least order along ``axis`` whose fit scores below tol, skipping ``certified``.
 
-    Candidate orders are scanned upward; the first whose joint fit residual
-    drops below ``tol`` wins. Orders beyond max_degree // 2 are not data
-    supported (the fit would be underdetermined and trivially consistent),
-    so exceeding that bound raises NoRecurrenceError with the least residual
-    of all orders. Where order 1 fails and there are ``SCREEN_MIN_ORDERS``
-    orders or more, ``_certified_failures`` proves from one QR which orders
-    fail; the scan skips those and fits the others, so the accepted fit is
-    the one an order-by-order scan makes, bit for bit. Where every order
-    fails, the skipped ones are fitted too, for the exact least residual.
+    Where every order fails, the certified ones are fitted too, so that
+    NoRecurrenceError carries the least residual of all orders.
     """
-    if not 0 <= axis < seq.dim:
-        raise ValueError(f"axis {axis} out of range for dimension {seq.dim}")
     max_order = seq.max_degree // 2
     steps = tuple((0,) * axis + (j,) + (0,) * (seq.dim - axis - 1) for j in range(max_order + 1))
     best = np.inf
-    certified: tuple[int, ...] = ()
     for order in range(1, max_order + 1):
         if order in certified:
             continue
@@ -246,11 +239,46 @@ def detect_minimal_recurrence(
             coeffs = [-float(w) for w in weights[::-1]] + [1.0]
             return UnivariatePoly(tuple(coeffs)), residual
         best = min(best, residual)
-        if order == 1 and max_order >= SCREEN_MIN_ORDERS:
-            certified = _certified_failures(seq, steps, tol)
     for order in certified:
         best = min(best, _fit_along(seq, steps, order)[1])
     raise NoRecurrenceError(axis, max_order, best)
+
+
+# moments near the float range may overflow in a fit; extend_sequence reports them
+@np.errstate(over="ignore", invalid="ignore")
+def _detect(seq: TruncatedSequence, axes: slice, tol: float) -> list:
+    """``_scan`` along each variable in ``axes``, in order, after one screen of them all.
+
+    The screen runs where there are ``SCREEN_MIN_ORDERS`` candidate orders or
+    more; below that the screen costs more than the fits it saves.
+    """
+    scanned = range(seq.dim)[axes]
+    certified = [[]] * len(scanned)
+    if seq.max_degree // 2 >= SCREEN_MIN_ORDERS:
+        proven = _certified_failures(seq, axes, tol)
+        certified = [(np.flatnonzero(row) + 1).tolist() for row in proven]
+    return [_scan(seq, axis, tol, orders) for axis, orders in zip(scanned, certified)]
+
+
+def detect_minimal_recurrence(
+    seq: TruncatedSequence, axis: int, tol: float = DEFAULT_FIT_TOL
+) -> tuple[UnivariatePoly, float]:
+    """Least-order recurrence along one variable, as a monic polynomial.
+
+    Candidate orders are scanned upward; the first whose joint fit residual
+    drops below ``tol`` wins. Orders beyond max_degree // 2 are not data
+    supported (the fit would be underdetermined and trivially consistent),
+    so exceeding that bound raises NoRecurrenceError with the least residual
+    of all orders. Where there are ``SCREEN_MIN_ORDERS`` orders or more,
+    ``_certified_failures`` first proves from the variable's marginal Hankel
+    which orders fail; the scan skips those and fits the others, so the
+    accepted fit is the one an order-by-order scan makes, bit for bit. Where
+    every order fails, the skipped ones are fitted too, for the exact least
+    residual.
+    """
+    if not 0 <= axis < seq.dim:
+        raise ValueError(f"axis {axis} out of range for dimension {seq.dim}")
+    return _detect(seq, slice(axis, axis + 1), tol)[0]
 
 
 def detect_characteristic_system(
@@ -258,11 +286,11 @@ def detect_characteristic_system(
 ) -> CharacteristicSystem:
     """Minimal recurrences for every variable, with tau = sum(deg - 1).
 
-    Each variable is one ``detect_minimal_recurrence`` scan, screened as
-    there; the first variable with no recurrence raises NoRecurrenceError.
+    Each variable is scanned as in ``detect_minimal_recurrence``, after one
+    screen of every variable's marginal Hankel together (one QR, one
+    inverse); the first variable with no recurrence raises NoRecurrenceError.
     """
-    fits = [detect_minimal_recurrence(seq, axis, tol) for axis in range(seq.dim)]
-    polys, residuals = zip(*fits)
+    polys, residuals = zip(*_detect(seq, slice(None), tol))
     return CharacteristicSystem.from_polys(polys, residual=max(residuals))
 
 
@@ -326,7 +354,8 @@ def extend_sequence(
             raise NonFiniteExtensionError(idx, float(new[r]))
         other = produced[disagree[:, r].argmax(), r]
         raise InconsistentRecurrenceError(idx, float(new[r]), float(other))
-    return TruncatedSequence(seq.dim, target_degree, values)
+    # the data are finite, and the check above failed every non-finite new entry
+    return TruncatedSequence._of_finite(seq.dim, target_degree, values)
 
 
 def verify_annihilation(

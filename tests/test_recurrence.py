@@ -250,6 +250,19 @@ def test_extension_matches_an_entry_by_entry_fill_bit_for_bit():
         assert ext.array == pytest.approx(truth, rel=1e-9, abs=1e-9)
 
 
+def test_an_extension_checks_its_values_once(monkeypatch):
+    """The extended sequence holds the filled array itself, read-only: its values were
+    checked by the extension, so the constructor's finiteness pass does not run again."""
+    system = detect_characteristic_system(PAIR_SEQ)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *args: calls.append(args) or isfinite(*args))
+    ext = extend_sequence(PAIR_SEQ, system, 8)
+    assert calls == [] and not ext.array.flags.writeable
+    assert ext.array.tobytes() == TruncatedSequence(2, 8, ext.array).array.tobytes()
+    assert len(calls) == 1
+
+
 def test_inconsistency_is_reported_before_a_later_overflow():
     """An inconsistent first new block is reported even where a later block overflows.
 
@@ -394,24 +407,30 @@ def _steps(seq, axis):
 
 
 def test_screen_certifies_only_failing_orders():
-    """Every order the screen certifies scores a fit residual >= tol, for data scaled by
-    2^-30, 1 and 2^30 and tol 1e-2, 1e-6 and 1e-12; most failing orders are certified."""
+    """Every order the screen certifies, order 1 included, scores a fit residual >= tol, for
+    data scaled by 2^-30, 1 and 2^30 and tol 1e-2, 1e-6 and 1e-12; most failing orders of 2
+    or more are certified, and screening one variable alone certifies what the stacked
+    screen of all variables certifies for it."""
     certified = failing = 0
     for seq in _screen_inputs():
         for scale in (2.0**-30, 1.0, 2.0**30):
             scaled = TruncatedSequence(seq.dim, seq.max_degree, seq.array * scale)
-            for axis in range(seq.dim):
-                steps = _steps(seq, axis)
-                residuals = [
-                    recurrence._fit_along(scaled, steps, k)[1] for k in range(1, len(steps))
-                ]
-                for tol in (1e-2, 1e-6, 1e-12):
-                    proven = recurrence._certified_failures(scaled, steps, tol)
-                    assert set(proven) <= set(range(2, len(steps)))
-                    for k in proven:
-                        assert not residuals[k - 1] < tol, (seq.dim, seq.max_degree, axis, k, tol)
-                    certified += len(proven)
-                    failing += sum(not r < tol for r in residuals[1:])
+            residuals = [
+                [recurrence._fit_along(scaled, _steps(seq, axis), k)[1]
+                 for k in range(1, seq.max_degree // 2 + 1)]
+                for axis in range(seq.dim)
+            ]
+            for tol in (1e-2, 1e-6, 1e-12):
+                proven = recurrence._certified_failures(scaled, slice(None), tol)
+                assert proven.shape == (seq.dim, seq.max_degree // 2)
+                for axis in range(seq.dim):
+                    alone = recurrence._certified_failures(scaled, slice(axis, axis + 1), tol)
+                    assert np.array_equal(alone, proven[axis : axis + 1])
+                    for k in np.flatnonzero(proven[axis]) + 1:
+                        residual = residuals[axis][k - 1]
+                        assert not residual < tol, (seq.dim, seq.max_degree, axis, k, tol)
+                    certified += int(proven[axis, 1:].sum())
+                    failing += sum(not r < tol for r in residuals[axis][1:])
     assert certified >= 0.75 * failing
 
 
@@ -468,9 +487,8 @@ def test_screened_scans_match_an_order_by_order_scan(monkeypatch, gate):
     assert screened[0] > 0 and fallbacks[0] > 0
 
 
-def test_a_scan_below_the_gate_makes_the_plain_fits(monkeypatch):
-    """A scan of fewer than SCREEN_MIN_ORDERS orders fits every order up to the accepted
-    one and makes no QR; one at the gate makes one QR and fewer fits."""
+def _count_linalg(monkeypatch) -> Counter:
+    """Count the package's lstsq, qr and inv calls (looked up in np.linalg on every call)."""
     calls = Counter()
     for name in ("lstsq", "qr", "inv"):
         function = getattr(np.linalg, name)
@@ -480,6 +498,13 @@ def test_a_scan_below_the_gate_makes_the_plain_fits(monkeypatch):
             return _function(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_a_scan_below_the_gate_makes_the_plain_fits(monkeypatch):
+    """A scan of fewer than SCREEN_MIN_ORDERS orders fits every order up to the accepted
+    one and makes no QR; one at the gate makes one QR and fewer fits."""
+    calls = _count_linalg(monkeypatch)
     below = _grid(1, recurrence.SCREEN_MIN_ORDERS - 1)
     poly, _ = detect_minimal_recurrence(below, 0)
     assert below.max_degree // 2 == poly.degree == recurrence.SCREEN_MIN_ORDERS - 1
@@ -489,3 +514,19 @@ def test_a_scan_below_the_gate_makes_the_plain_fits(monkeypatch):
     poly, _ = detect_minimal_recurrence(at, 0)
     assert at.max_degree // 2 == recurrence.SCREEN_MIN_ORDERS and poly.degree > 1
     assert calls["qr"] == calls["inv"] == 1 and calls["lstsq"] < poly.degree
+
+
+def test_a_system_takes_one_screen_and_one_fit_per_variable_on_grids(monkeypatch):
+    """Above the gate, detect_characteristic_system makes one qr and one inv whatever the
+    dimension; on 2-D and 3-D grids the screen proves every order below each variable's
+    own, so each variable takes exactly one lstsq."""
+    calls = _count_linalg(monkeypatch)
+    for dim, nodes, degree in ((1, 12, None), (2, 6, None), (3, 5, None), (4, 3, 20)):
+        seq = _grid(dim, nodes, degree)
+        assert seq.max_degree // 2 >= recurrence.SCREEN_MIN_ORDERS
+        calls.clear()
+        system = detect_characteristic_system(seq)
+        assert calls["qr"] == calls["inv"] == 1, (dim, calls)
+        if dim in (2, 3):
+            assert [p.degree for p in system.polys] == [nodes] * dim
+            assert calls["lstsq"] == dim

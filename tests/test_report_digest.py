@@ -65,27 +65,29 @@ def test_certified_counts_every_record():
 
 def test_certified_counts_the_detection_screen_in_each_pass():
     """--certified prints each pass's detection screen counts on the small grid workload: its
-    1-D rung of 10 nodes is screened, every pass counts the same, and the least-squares and QR
-    calls that --calls counts are the fits and the screens."""
+    1-D rung of 10 nodes is screened, every pass counts the same, and the QR and inverse
+    calls that --calls counts are one per solve screened and the least-squares calls the
+    orders fitted."""
     command = [sys.executable, str(TOOL), "--workload", "grid", "--seed", "7", "--small"]
     lines = subprocess.run(
         command + ["--certified", "--plans", "--calls"],
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout.splitlines()
     pattern = (
-        r"grid seed 7: 5 inputs, detection in pass (\d): (\d+) axes screened, "
-        r"(\d+) orders certified, (\d+) orders fitted, (\d+) all-fail fallbacks"
+        r"grid seed 7: 5 inputs, detection in pass (\d): (\d+) solves screened, "
+        r"(\d+) axes screened, (\d+) orders proven, (\d+) orders fitted, "
+        r"(\d+) all-fail fallbacks"
     )
     passes = [re.fullmatch(pattern, line) for line in lines if "detection in pass" in line]
     counts = [tuple(map(int, found.groups()[1:])) for found in passes]
     assert [found.group(1) for found in passes] == ["1", "2", "3"]
     assert counts[0] == counts[1] == counts[2]
-    screened, certified, fitted, fallbacks = counts[0]
-    assert screened >= 1 and certified >= 1 and fallbacks == 0
+    solves, axes, proven, fitted, fallbacks = counts[0]
+    assert 1 <= solves <= axes and proven >= 1 and fallbacks == 0
     calls = [line for line in lines if "numpy.linalg calls in pass 1" in line][0]
     named = dict(item.split(" ") for item in calls.split(": ")[-1].split(", "))
     assert int(named["lstsq"]) == fitted
-    assert int(named["qr"]) == int(named["inv"]) == screened
+    assert int(named["qr"]) == int(named["inv"]) == solves
 
 
 def test_plans_counts_no_build_after_the_first_pass():

@@ -35,10 +35,11 @@ certified and how many eigvalsh decided, and how many of the latter have
 ``CERTIFY_MIN_SIZE`` rows or more (the size the solver brackets).
 ``PsdRecord.certified`` is not part of ``SolveReport.to_dict()``, so no
 digest shows it. It also prints, for each pass (three with ``--plans``),
-the recurrence detection's screen counts: the axes screened by one QR
-(``recurrence._certified_failures``), the orders it certified to fail, the
-orders fitted by least squares, and the screened axes on which every order
-failed, so that the certified ones were fitted too.
+the recurrence detection's screen counts: the solves screened (one stacked
+QR of every variable's marginal Hankel, ``recurrence._certified_failures``),
+the axes they screened, the orders proven to fail (order 1 included), the
+orders fitted by least squares, and the all-fail fallbacks: axes on which
+every order failed after the screen proved some, so those were fitted too.
 
 ``--plans`` solves the workload twice more after the digest pass and prints
 how many pair-rank plans (``indexing.degree_lex_pair_ranks`` calls) each of
@@ -185,32 +186,31 @@ def main(argv=None) -> int:
                 setattr(np.linalg, name, counted(name, function))
 
     screen = Counter()
-    certify, fit = recurrence._certified_failures, recurrence._fit_along
-    detect = recurrence.detect_minimal_recurrence
+    certify, fit, scan = recurrence._certified_failures, recurrence._fit_along, recurrence._scan
 
     def certifying(*args):
-        orders = certify(*args)
-        screen["axes screened"] += 1
-        screen["orders certified"] += len(orders)
-        return orders
+        proven = certify(*args)
+        screen["solves screened"] += 1
+        screen["axes screened"] += len(proven)
+        screen["orders proven"] += int(proven.sum())
+        return proven
 
     def fitting(*args):
         screen["orders fitted"] += 1
         return fit(*args)
 
-    def detecting(*args, **kwargs):
-        screened = screen["axes screened"]
+    def scanning(seq, axis, tol, certified):
         try:
-            return detect(*args, **kwargs)
+            return scan(seq, axis, tol, certified)
         except NoRecurrenceError:
-            screen["all-fail fallbacks"] += screen["axes screened"] > screened
+            screen["all-fail fallbacks"] += bool(certified)
             raise
 
     if args.certified:
-        # the scan looks these up in its module on every call
+        # detection looks these up in its module on every call
         recurrence._certified_failures = certifying
         recurrence._fit_along = fitting
-        recurrence.detect_minimal_recurrence = detecting
+        recurrence._scan = scanning
 
     def solve(moments, constraints):
         if constraints is None:
@@ -272,7 +272,10 @@ def main(argv=None) -> int:
                 f"{head}, {kind} records: {certified} certified, {eigvalsh} by eigvalsh "
                 f"({large} of >= {CERTIFY_MIN_SIZE} rows)"
             )
-        names = ("axes screened", "orders certified", "orders fitted", "all-fail fallbacks")
+        names = (
+            "solves screened", "axes screened", "orders proven", "orders fitted",
+            "all-fail fallbacks",
+        )
         for k, (_, _, counts) in enumerate(passes, 1):
             named = ", ".join(f"{counts.get(name, 0)} {name}" for name in names)
             print(f"{head}, detection in pass {k}: {named}")
