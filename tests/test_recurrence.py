@@ -455,10 +455,11 @@ def _outcome(detect, *args):
     return found[0].coeffs, found[1]
 
 
-@pytest.mark.parametrize("gate", [recurrence.SCREEN_MIN_ORDERS, 1])
+@pytest.mark.parametrize("gate", sorted({recurrence.SCREEN_MIN_ORDERS, 10, 1}, reverse=True))
 def test_screened_scans_match_an_order_by_order_scan(monkeypatch, gate):
     """Both detect functions return the plain scan's polynomials, residuals and
-    NoRecurrenceError text, at the default gate and with every scan screened."""
+    NoRecurrenceError text, at the default gate, at the earlier gate 10 and with
+    every scan screened."""
     monkeypatch.setattr(recurrence, "SCREEN_MIN_ORDERS", gate)
     screened, fallbacks = [0], [0]
     certify = recurrence._certified_failures
