@@ -98,6 +98,16 @@ class AtomicMeasure:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def _of_checked(cls, dim, points, weights, support) -> "AtomicMeasure":
+        """The measure of tuples of float tuples and floats that the caller has
+        checked: distinct finite points of dimension dim, finite positive weights."""
+        measure = cls.__new__(cls)
+        fields = {"dim": dim, "points": points, "weights": weights, "support": support}
+        for name, value in fields.items():
+            object.__setattr__(measure, name, value)
+        return measure
+
     @property
     def atom_count(self) -> int:
         return len(self.points)
@@ -245,38 +255,48 @@ def expansion_to_measure(
     max_abs = float(magnitudes.max(initial=0.0))
     # grid indices and coefficients in C order; an all-zero tensor has none
     kept = magnitudes > tol_weight * max_abs
-    survivors = [tuple(i) for i in np.argwhere(kept).tolist()]
-    if not survivors:
+    columns = [axis.tolist() for axis in kept.nonzero()]
+    if not columns[0]:
         return AtomicMeasure(dim=expansion.dim, points=(), weights=(), support=())
-    values = coef[kept].tolist()
+    survivors = list(zip(*columns))
+    picked = coef[kept]
+    values = picked.tolist()
     scale = 1.0 + max(abs(c.real) for c in values)
     threshold = tol_imag * scale
+    # each root is tested and split once: the axes with a root that is not
+    # real, and every root's real part, from which each point is read
+    complex_axes, real_parts, finite = [], [], True
+    for axis, roots in enumerate(expansion.roots):
+        flags = [abs(r.imag) > threshold for r in roots]
+        if True in flags:
+            complex_axes.append((axis, flags))
+        parts = [float(r.real) for r in roots]
+        finite = finite and all(map(math.isfinite, parts))
+        real_parts.append(parts)
+    points = list(zip(*(map(parts.__getitem__, k) for parts, k in zip(real_parts, columns))))
     seen: dict = {}  # each real point's grid index, in survivor order
-    weights = []
-    for grid_idx, c in zip(survivors, values):
-        raw_point = [roots[k] for roots, k in zip(expansion.roots, grid_idx)]
-        for coord in raw_point:
-            if abs(coord.imag) > threshold:
-                raise ComplexAtomError(grid_idx, coord, "coordinate")
+    for grid_idx, point, c in zip(survivors, points, values):
+        for axis, flags in complex_axes:
+            k = grid_idx[axis]
+            if flags[k]:
+                raise ComplexAtomError(grid_idx, expansion.roots[axis][k], "coordinate")
         if abs(c.imag) > threshold:
             raise ComplexAtomError(grid_idx, c, "weight")
-        point = tuple(x.real for x in raw_point)
         if c.real <= 0.0:
             raise NegativeWeightError(grid_idx, point, c.real)
         earlier = seen.setdefault(point, grid_idx)
-        if earlier != grid_idx:
+        if earlier is not grid_idx:
             # the roots are simple: on the first axis the indices differ, the
             # two roots share a real part, so one of them is not real
             axis = next(l for l, (a, b) in enumerate(zip(earlier, grid_idx)) if a != b)
-            witness = grid_idx if raw_point[axis].imag else earlier
+            witness = grid_idx if expansion.roots[axis][grid_idx[axis]].imag else earlier
             raise ComplexAtomError(witness, expansion.roots[axis][witness[axis]], "coordinate")
-        weights.append(c.real)
-    return AtomicMeasure(
-        dim=expansion.dim,
-        points=tuple(seen),
-        weights=tuple(weights),
-        support=tuple(survivors),
-    )
+    weights = tuple(picked.real.astype(float).tolist())
+    points, support = tuple(points), tuple(survivors)
+    if not (finite and all(map(math.isfinite, weights))):
+        # the validating constructor names the offending atom
+        return AtomicMeasure(expansion.dim, points, weights, support)
+    return AtomicMeasure._of_checked(expansion.dim, points, weights, support)
 
 
 def evaluate_moments(measure: AtomicMeasure, degree: int) -> TruncatedSequence:

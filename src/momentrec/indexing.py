@@ -18,7 +18,9 @@ computed once per process and kept for later solves; together they hold at
 most ``PLAN_STORE_LIMIT`` = 2^22 entries, the least recently used leaving
 first. One basis array is kept per dimension, since it has one row per
 moment and so is no larger than the data it indexes: the highest degree
-asked for, whose prefixes are the lower degrees' bases. A plan or basis
+asked for, whose prefixes are the lower degrees' bases. The label index
+that maps each exponent tuple to its position, which every sequence's
+``values`` reads, is kept the same way, one per dimension. A plan or basis
 that is empty or larger than the whole store is built for its call and
 leaves the store as it was.
 """
@@ -116,9 +118,12 @@ def degree_lex_rank(index: MultiIndex) -> int:
 
 
 def _entries(plan) -> int:
-    """Integers held by a plan: an array, or a tuple of arrays or of tuples."""
+    """Integers held by a plan: an array, a tuple of arrays or of tuples, or a
+    label index (each label's exponents and its position)."""
     if isinstance(plan, np.ndarray):
         return plan.size
+    if isinstance(plan, dict):
+        return len(plan) * (1 + len(next(iter(plan), ())))
     return sum(p.size if isinstance(p, np.ndarray) else len(p) for p in plan)
 
 
@@ -175,31 +180,58 @@ def _rank_terms(dim: int, top: int) -> np.ndarray:
     )
 
 
-def basis_array(dim: int, degree: int) -> np.ndarray:
-    """The degree-lex basis as an (n, dim) array; lower degrees are prefixes.
+def _per_dimension(name: str, dim: int, degree: int, build):
+    """The kept ``name`` of dimension dim if it covers the degree, else build(dim, degree).
 
-    One basis is kept per dimension, whatever its size: the highest degree
-    asked for so far, which serves every lower degree as a read-only prefix
-    view and replaces the one it outgrows. An empty basis (degree < 0) is
-    never kept.
+    One is kept per dimension, whatever its size: the highest degree asked
+    for so far, replaced by the one that outgrows it. An empty one (degree
+    < 0) is never kept.
     """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    check_int32(dim, degree)
     size = basis_size(dim, degree)
-    key = ("basis_array", dim)
+    key = (name, dim)
     with _plans_lock:
         kept = _plans.get(key)
         if kept is not None and len(kept) >= size:
             _plans.move_to_end(key)
-            return kept if len(kept) == size else kept[:size]
-    basis = _read_only(_build_basis(dim, degree))
-    if 0 < basis.size <= PLAN_STORE_LIMIT:
+            return kept
+    made = build(dim, degree)
+    if 0 < _entries(made) <= PLAN_STORE_LIMIT:
         with _plans_lock:
             kept = _plans.get(key)
             if kept is None or len(kept) < size:
-                _store(key, basis)
-    return basis
+                _store(key, made)
+    return made
+
+
+def basis_array(dim: int, degree: int) -> np.ndarray:
+    """The degree-lex basis as an (n, dim) array; lower degrees are prefixes.
+
+    The kept basis of the dimension serves every lower degree as a read-only
+    prefix view.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    check_int32(dim, degree)
+    basis = _per_dimension("basis_array", dim, degree, _build_basis)
+    size = basis_size(dim, degree)
+    return basis if len(basis) == size else basis[:size]
+
+
+def label_index(dim: int, degree: int) -> dict[MultiIndex, int]:
+    """Each label's degree-lex position, for every label of degree <= degree and maybe more.
+
+    Kept per dimension like ``basis_array``, in degree-lex insertion order: the
+    labels of a lower degree are its first basis_size(dim, degree) keys, and
+    a label of higher degree has a position at or past that size, which a
+    caller reading the lower degree must refuse. The dict is shared, so
+    callers must not change it.
+    """
+    return _per_dimension("label_index", dim, degree, _build_index)
+
+
+def _build_index(dim: int, degree: int) -> dict[MultiIndex, int]:
+    labels = map(tuple, basis_array(dim, degree).tolist())
+    return {label: position for position, label in enumerate(labels)}
 
 
 def _build_basis(dim: int, degree: int) -> np.ndarray:
@@ -209,20 +241,20 @@ def _build_basis(dim: int, degree: int) -> np.ndarray:
     (int32 exponents made evaluate_moments about 40% slower).
     """
     if dim == 1:
-        return np.arange(degree + 1, dtype=np.intp)[:, None]
+        return _read_only(np.arange(degree + 1, dtype=np.intp)[:, None])
     rest = basis_array(dim - 1, degree)
     rest_degree = rest.sum(axis=1)
     block, row = np.nonzero(rest_degree <= np.arange(degree + 1)[:, None])
     basis = np.empty((len(row), dim), dtype=np.intp)
     basis[:, 0] = block - rest_degree[row]
     basis[:, 1:] = rest[row]
-    return basis
+    return _read_only(basis)
 
 
 @_plan
 def basis_labels(dim: int, degree: int) -> tuple[MultiIndex, ...]:
     """basis_array as tuples: the labels of M(degree), the keys of a sequence."""
-    return tuple(map(tuple, basis_array(dim, degree).tolist()))
+    return tuple(itertools.islice(label_index(dim, degree), basis_size(dim, degree)))
 
 
 @_plan

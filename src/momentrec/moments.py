@@ -1,7 +1,9 @@
 """Truncated moment sequences, moment matrices, and localizing matrices.
 
 A truncated sequence stores one real value per exponent tuple of total degree
-up to ``max_degree`` (dense), in one degree-lex array. The moment matrix of
+up to ``max_degree`` (dense), in one degree-lex array, and nothing else: read
+by exponent tuple (``values``), it is a view over that array through the
+label index ``indexing`` keeps once per dimension. The moment matrix of
 order n has rows and columns labeled by the degree-lex monomial basis of
 degree <= n and entries ``beta[row + col]``, gathered from that array
 through a position plan that ``indexing`` computes once per (dimension,
@@ -33,11 +35,11 @@ from a bracket where it decides them as eigvalsh would.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .indexing import (
     check_int32,
     degree_lex_ranks,
     diagonal_plan,
+    label_index,
     moment_plan,
     pair_counts,
     shift_plan,
@@ -93,7 +96,9 @@ class TruncatedSequence:
 
     The only stored state is ``array``: the finite values in degree-lex order,
     read-only. ``values`` may be given as that array or as a mapping from
-    exponent tuples; read back, it is a read-only mapping built on first use.
+    exponent tuples; read back, it is a read-only mapping view over the array,
+    made on each access, whose lookups go through the dimension's shared
+    ``indexing.label_index``. Reading it keeps nothing on the sequence.
     """
 
     dim: int
@@ -143,11 +148,9 @@ class TruncatedSequence:
         seq._hold(dim, max_degree, array)
         return seq
 
-    @cached_property
+    @property
     def values(self) -> Mapping[MultiIndex, float]:
-        return MappingProxyType(
-            dict(zip(basis_labels(self.dim, self.max_degree), self.array.tolist()))
-        )
+        return _Values(self)
 
     def __getitem__(self, index: MultiIndex) -> float:
         return self.values[tuple(index)]
@@ -176,6 +179,53 @@ class TruncatedSequence:
                 raise ValueError(f"duplicate moment index {idx}")
             values[idx] = float(entry["value"])
         return cls(dim, degree, values)
+
+
+class _Values(Mapping):
+    """A sequence's moments by exponent tuple: a read-only view over its array.
+
+    Keys iterate in degree-lex order and map to Python floats. A lookup is
+    one probe of the shared label index, whose labels of higher degree than
+    the sequence's sit at positions past its array; the index is fetched on
+    the first read by label, so a length needs none.
+    """
+
+    __slots__ = ("_seq", "_labels")
+
+    def __init__(self, seq: TruncatedSequence):
+        self._seq = seq
+        self._labels = None
+
+    def _index(self) -> dict[MultiIndex, int]:
+        if self._labels is None:
+            self._labels = label_index(self._seq.dim, self._seq.max_degree)
+        return self._labels
+
+    def __len__(self) -> int:
+        return self._seq.array.size
+
+    def __iter__(self):
+        return itertools.islice(self._index(), len(self))
+
+    def __getitem__(self, key) -> float:
+        array = self._seq.array
+        position = self._index().get(key, array.size)
+        if position >= array.size:
+            raise KeyError(key)
+        return array.item(position)
+
+    def items(self):
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    """The (label, value) pairs, read in one pass over the array."""
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._seq.array.tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -148,8 +148,9 @@ def _certified_failures(seq: TruncatedSequence, axes: slice, tol: float) -> np.n
         |R_kk| - e n_k (1 + 2 sqrt(k) Z_k) >= tol (1 + ||beta||) (1 + e).
 
     Nothing is certified unless beta . beta is finite and tol is at least
-    the square root of the smallest normal float, nor for any variable
-    where LAPACK reports an error for one.
+    the square root of the smallest normal float, nor for a variable whose
+    R block has a zero on its diagonal (and so no inverse), nor for any
+    variable where LAPACK reports an error for one.
 
     Proof. Write rho(P) for min_v ||P_{:k} v - p_k||, the least-squares
     residual of column k of a matrix P on the k columns before it, and
@@ -205,7 +206,12 @@ def _certified_failures(seq: TruncatedSequence, axes: slice, tol: float) -> np.n
         return np.zeros((len(plan), max_order), dtype=bool)
     try:
         r = np.linalg.qr(seq.array.take(plan), mode="r")
-        inverse = np.linalg.inv(r[:, :max_order, :max_order])
+        # a block with a zero pivot has no inverse; its NaN certifies nothing
+        blocks = r[:, :max_order, :max_order]
+        invertible = np.diagonal(blocks, axis1=1, axis2=2).all(axis=1)
+        inverse = np.full_like(blocks, np.nan)
+        if invertible.any():
+            inverse[invertible] = np.linalg.inv(blocks[invertible])
     except np.linalg.LinAlgError:
         return np.zeros((len(plan), max_order), dtype=bool)
     norms = np.sqrt((r * r).sum(axis=1))

@@ -257,6 +257,80 @@ def test_measure_rejects_survivors_that_realify_to_one_point(roots, grid_index, 
     assert info.value.what == "coordinate"
 
 
+@pytest.mark.parametrize(
+    "roots, coefficients, options, error, message",
+    [
+        (
+            ((1.0 + 0j, 2.0 + 0j), (0.5 + 0j,), (4.0 + 0j, 5.0 + 2.0j)),
+            np.ones((2, 1, 2)),
+            {},
+            ComplexAtomError,
+            "non-real coordinate 5+2j at grid index (0, 0, 1)",
+        ),
+        (
+            ((1.0 + 0j, 2.0 + 0j), (0.5 + 0j, 3.0 + 0j)),
+            [[1.0, 1.0], [1.0 + 0.5j, 1.0]],
+            {},
+            ComplexAtomError,
+            "non-real weight 1+0.5j at grid index (1, 0)",
+        ),
+        (
+            ((1.0 + 0j, 2.0 + 0j), (0.5 + 0j, 3.0 + 0j)),
+            [[1.0, 1.0], [1.0, -2.0]],
+            {},
+            NegativeWeightError,
+            "negative weight -2 at grid index (1, 1), point (2.0, 3.0)",
+        ),
+        (
+            ((1.0 + 0j, 2.0 + 0j), (0.5 - 1e-4j, 0.5 + 1e-4j)),
+            np.ones((2, 2)),
+            {"tol_imag": 1e-2},
+            ComplexAtomError,
+            "non-real coordinate 0.5+0.0001j at grid index (0, 1)",
+        ),
+        (
+            ((1.0 + 0j, 2.0 + 0j),),
+            [1.0, math.inf],
+            {"tol_weight": -1.0},
+            ValueError,
+            "atom 1 at (2.0,) has weight inf: coordinates must be finite and weights finite "
+            "and strictly positive",
+        ),
+        (
+            ((1.0 + 0j, math.inf + 0j),),
+            [1.0, 1.0],
+            {},
+            ValueError,
+            "atom 1 at (inf,) has weight 1.0: coordinates must be finite and weights finite "
+            "and strictly positive",
+        ),
+    ],
+    ids=["later-axis-coordinate", "weight", "negative", "one-real-point", "inf-weight", "inf-root"],
+)
+def test_measure_errors_keep_their_type_and_message(roots, coefficients, options, error, message):
+    """Each kind of failing survivor raises the exception, with the message, that a check of
+    every atom coordinate followed by the validating AtomicMeasure constructor gives."""
+    exp = BinetExpansion(
+        roots=roots, coefficients=np.array(coefficients, dtype=complex), source_residual=0.0
+    )
+    with pytest.raises(error) as info:
+        expansion_to_measure(exp, **options)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_measure_conversion_matches_the_validating_constructor():
+    """The measure of a 3-D 6^3 grid's expansion holds the same float tuples the validating
+    constructor makes, and equals the measure that constructor builds from them."""
+    seq = evaluate_moments(_grid(3, 6), 32)
+    measure = expansion_to_measure(multivariate_binet(detect_characteristic_system(seq), seq))
+    assert measure.atom_count == 216
+    assert all(type(x) is float for p in measure.points for x in p)
+    assert all(type(w) is float for w in measure.weights)
+    assert all(type(k) is int for idx in measure.support for k in idx)
+    again = AtomicMeasure(3, measure.points, measure.weights, measure.support)
+    assert again == measure
+
+
 def test_measure_prunes_tiny_coefficients():
     """Coefficients at the relative weight floor are dropped."""
     exp = BinetExpansion(

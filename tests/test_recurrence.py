@@ -531,3 +531,31 @@ def test_a_system_takes_one_screen_and_one_fit_per_variable_on_grids(monkeypatch
         if dim in (2, 3):
             assert [p.degree for p in system.polys] == [nodes] * dim
             assert calls["lstsq"] == dim
+
+
+def test_a_variable_with_a_zero_pivot_leaves_the_others_screened(monkeypatch):
+    """Seven atoms (k/7, y) at degree 14: with every atom at y = 0 the x_2 block of the
+    screen is singular, yet x_1's orders are still proven, and detection makes the same
+    three fits, and finds the same x_1 recurrence, as with the atoms at y = 0.5."""
+    fits = Counter()
+    fit = recurrence._fit_along
+
+    def counted(*args):
+        fits["lstsq"] += 1
+        return fit(*args)
+
+    monkeypatch.setattr(recurrence, "_fit_along", counted)
+    seqs, systems = [], []
+    for y in (0.0, 0.5):
+        points = tuple((k / 7, y) for k in range(7))
+        weights = tuple(1.0 + 0.1 * k for k in range(7))
+        seqs.append(evaluate_moments(AtomicMeasure(2, points, weights), 14))
+        assert seqs[-1].max_degree // 2 >= recurrence.SCREEN_MIN_ORDERS
+        fits.clear()
+        systems.append(detect_characteristic_system(seqs[-1]))
+        assert fits["lstsq"] == 3, y
+    flat, shifted = systems
+    assert [p.degree for p in flat.polys] == [p.degree for p in shifted.polys]
+    assert flat.polys[1].coeffs == (0.0, 1.0)
+    proven = recurrence._certified_failures(seqs[0], slice(None), 1e-6)
+    assert proven[0].any() and not proven[1].any()

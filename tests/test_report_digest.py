@@ -140,3 +140,18 @@ def test_transform_moves_no_status_or_atom_count():
         plain.stdout.strip(),
         "constrained seed 7: 24 inputs, reflect transform moved 0 statuses and 0 atom counts",
     ]
+
+
+def test_retained_counts_what_reading_values_keeps():
+    """--retained reads every small corpus input's values after the pass, as the benchmark's
+    set-up does, and prints what that kept: under 64 KB, not a mapping per input (97 KB)."""
+    command = [sys.executable, str(TOOL), "--workload", "corpus", "--seed", "7", "--small"]
+    plain = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    lines = subprocess.run(
+        command + ["--retained"], capture_output=True, text=True, timeout=120, check=True
+    ).stdout.splitlines()
+    assert lines[0] == plain.stdout.strip() and len(lines) == 2
+    pattern = r"corpus seed 7: 24 inputs, values read: (\d+) bytes retained, ru_maxrss (\S+) MB"
+    retained, peak = re.fullmatch(pattern, lines[1]).groups()
+    assert int(retained) < 2**16
+    assert float(peak) > 0.0

@@ -53,6 +53,12 @@ constraints, transformed that way, and prints how many statuses and how many
 atom counts moved. Both maps are symmetries of the problem, so a sound
 solver moves none.
 
+``--retained`` reads every input's ``values`` after the passes, as
+``perfbench/run.py``'s set-up does when it picks its warm-up input, and
+prints the bytes tracemalloc finds still held after that read and the
+process's ``ru_maxrss``: a sequence that kept a mapping per input would
+show it here, without a benchmark run.
+
 ``--calls`` prints, for each pass (three with ``--plans``), how often the
 package called each ``numpy.linalg`` function (those called at least once,
 by name), counted through the ``numpy.linalg`` attributes the package looks
@@ -66,7 +72,9 @@ import functools
 import hashlib
 import json
 import os
+import resource
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -107,6 +115,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--calls", action="store_true", help="count numpy.linalg calls in each pass"
+    )
+    parser.add_argument(
+        "--retained", action="store_true", help="bytes kept by reading every input's values"
     )
     parser.add_argument(
         "--transform", choices=("reverse", "reflect"), help="also solve each input transformed"
@@ -247,6 +258,14 @@ def main(argv=None) -> int:
             solve(moments, case.constraints)
         passes.append((builds[0], dict(calls), dict(screen)))
 
+    retained = None
+    if args.retained:
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        min(inputs, key=lambda seq: len(seq.values))
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+
     def mirror(terms: dict) -> dict:
         return dict(transform(args.transform, idx, value) for idx, value in terms.items())
 
@@ -288,6 +307,10 @@ def main(argv=None) -> int:
         for k, (_, counts, _) in enumerate(passes, 1):
             named = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
             print(f"{head}, numpy.linalg calls in pass {k}: {named}")
+    if args.retained:
+        # ru_maxrss is in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"{head}, values read: {retained} bytes retained, ru_maxrss {peak:.1f} MB")
     if args.transform:
         print(
             f"{head}, {args.transform} transform moved {moved['statuses']} statuses "
