@@ -26,6 +26,7 @@ from .errors import (
     NegativeWeightError,
     NoRecurrenceError,
     NonFiniteExtensionError,
+    NonFiniteShiftError,
     RepeatedRootsError,
 )
 from .indexing import (
@@ -100,6 +101,7 @@ __all__ = [
     "NegativeWeightError",
     "NoRecurrenceError",
     "NonFiniteExtensionError",
+    "NonFiniteShiftError",
     "PsdCheck",
     "PsdRecord",
     "RepeatedRootsError",

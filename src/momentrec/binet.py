@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -140,25 +139,7 @@ def _simple_roots(poly: UnivariatePoly, axis: int) -> tuple[complex, ...]:
     for root, multiplicity in roots:
         if multiplicity > 1:
             raise RepeatedRootsError(axis, root, multiplicity)
-    return tuple(root for root, _ in roots)
-
-
-def _by_mode(
-    tensor: np.ndarray, operations: Sequence[Callable[[np.ndarray], np.ndarray] | None]
-) -> np.ndarray:
-    """Apply operations[l] to mode l, for the leading len(operations) modes in turn.
-
-    Each acts on the (rows, rest) unfolding of the leading mode, which then
-    moves to the back: the modes left untouched come first, and after all d
-    the modes end in their original order. A None operation only moves its
-    mode.
-    """
-    for operate in operations:
-        flat = tensor.reshape(tensor.shape[0], -1)
-        if operate is not None:
-            flat = operate(flat)
-        tensor = flat.T.reshape(tensor.shape[1:] + flat.shape[:1])
-    return tensor
+    return tuple([root for root, _ in roots])
 
 
 def univariate_binet(
@@ -200,13 +181,11 @@ def multivariate_binet(
     product; the heads (exponents of variables 0..d-2) then take one product
     with P_{d-1}, and ``split_plan`` gathers the entries from it.
     """
-    if system.dim != seq.dim:
+    if len(system.polys) != seq.dim:
         raise ValueError("dimension mismatch between system and sequence")
-    roots = tuple(
-        _simple_roots(poly, axis) for axis, poly in enumerate(system.polys)
-    )
-    shape = tuple(len(r) for r in roots)
-    block_degree = sum(m - 1 for m in shape)
+    roots = tuple([_simple_roots(poly, axis) for axis, poly in enumerate(system.polys)])
+    shape = tuple(map(len, roots))
+    block_degree = sum(shape) - len(shape)
     degree = seq.max_degree
     if degree < block_degree:
         raise InsufficientDataError(
@@ -214,25 +193,38 @@ def multivariate_binet(
             f"only {degree} available"
         )
     tables = [power_table(r, degree) for r in roots]
-    # a variable with one root has the block [[1]]: its mode needs no solve
-    solves = [partial(np.linalg.solve, t[:m]) if m > 1 else None for t, m in zip(tables, shape)]
-    coefficients = _by_mode(seq.array[grid_plan(shape)].astype(complex), solves)
+    # mode l in turn: the unfolding of the leading mode is solved against
+    # P_l's leading block, a variable with one root (the block [[1]]) makes
+    # no solve, and the mode moves to the back, so after all d the modes end
+    # in their original order
+    coefficients = seq.array[grid_plan(shape)].astype(complex)
+    for table, m in zip(tables, shape):
+        flat = coefficients.reshape(m, -1)
+        if m > 1:
+            flat = np.linalg.solve(table[:m], flat)
+        coefficients = flat.T.reshape(coefficients.shape[1:] + (m,))
     # modes 0..d-2 contracted in turn; after mode c a column per prefix (the
     # exponents of variables 0..c) of degree <= max_degree, in degree-lex
-    # order, which split_plan picks from the prefix-by-power product
+    # order, which split_plan picks from the prefix-by-power product (the
+    # split plan of one variable is the identity, so mode 0 needs no pick)
     heads = coefficients.reshape(-1, 1)
     for axis, table in enumerate(tables[:-1]):
         rows = math.prod(shape[axis + 1 :])
         heads = (table @ heads.reshape(shape[axis], -1)).T.reshape(rows, -1)
-        heads = heads[:, split_plan(axis + 1, degree)]
-    recon = heads.T @ tables[-1].T
-    residual = relative_misfit(seq.array, recon.ravel()[split_plan(seq.dim, degree)])
+        if axis:
+            heads = heads[:, split_plan(axis + 1, degree)]
+    recon = (heads.T @ tables[-1].T).ravel()
+    if seq.dim > 1:
+        recon = recon[split_plan(seq.dim, degree)]
+    residual = relative_misfit(seq.array, recon)
     return BinetExpansion(roots=roots, coefficients=coefficients, source_residual=residual)
 
 
 def relative_misfit(data: np.ndarray, model: np.ndarray) -> float:
     """max |data - model| / (1 + |data|), the reconstruction error of a sequence."""
-    return float(np.max(np.abs(data - model) / (1.0 + np.abs(data))))
+    gap = np.abs(data - model)
+    gap /= 1.0 + np.abs(data)
+    return float(gap.max())
 
 
 def expansion_to_measure(
@@ -261,19 +253,20 @@ def expansion_to_measure(
     survivors = list(zip(*columns))
     picked = coef[kept]
     values = picked.tolist()
-    scale = 1.0 + max(abs(c.real) for c in values)
-    threshold = tol_imag * scale
+    weights = picked.real.tolist()
+    threshold = tol_imag * (1.0 + max(map(abs, weights)))
     # each root is tested and split once: the axes with a root that is not
-    # real, and every root's real part, from which each point is read
-    complex_axes, real_parts, finite = [], [], True
-    for axis, roots in enumerate(expansion.roots):
+    # real, and every root's real part, from which each point's coordinate
+    # along the axis is read
+    complex_axes, coordinates, finite = [], [], True
+    for axis, (roots, k) in enumerate(zip(expansion.roots, columns)):
         flags = [abs(r.imag) > threshold for r in roots]
         if True in flags:
             complex_axes.append((axis, flags))
         parts = [float(r.real) for r in roots]
         finite = finite and all(map(math.isfinite, parts))
-        real_parts.append(parts)
-    points = list(zip(*(map(parts.__getitem__, k) for parts, k in zip(real_parts, columns))))
+        coordinates.append(list(map(parts.__getitem__, k)))
+    points = list(zip(*coordinates))
     seen: dict = {}  # each real point's grid index, in survivor order
     for grid_idx, point, c in zip(survivors, points, values):
         for axis, flags in complex_axes:
@@ -291,12 +284,11 @@ def expansion_to_measure(
             axis = next(l for l, (a, b) in enumerate(zip(earlier, grid_idx)) if a != b)
             witness = grid_idx if expansion.roots[axis][grid_idx[axis]].imag else earlier
             raise ComplexAtomError(witness, expansion.roots[axis][witness[axis]], "coordinate")
-    weights = tuple(picked.real.astype(float).tolist())
-    points, support = tuple(points), tuple(survivors)
+    weights, points, support = tuple(weights), tuple(points), tuple(survivors)
     if not (finite and all(map(math.isfinite, weights))):
         # the validating constructor names the offending atom
-        return AtomicMeasure(expansion.dim, points, weights, support)
-    return AtomicMeasure._of_checked(expansion.dim, points, weights, support)
+        return AtomicMeasure(len(expansion.roots), points, weights, support)
+    return AtomicMeasure._of_checked(len(expansion.roots), points, weights, support)
 
 
 def evaluate_moments(measure: AtomicMeasure, degree: int) -> TruncatedSequence:

@@ -55,6 +55,15 @@ class NonFiniteExtensionError(MomentError):
         super().__init__(f"extended entry {index} is not finite: {value!r}")
 
 
+class NonFiniteShiftError(MomentError):
+    """A shifted sequence q * beta has an entry out of the float range."""
+
+    def __init__(self, index: tuple[int, ...], value: float):
+        self.index = index
+        self.value = value
+        super().__init__(f"shifted entry {index} is not finite: {value!r}")
+
+
 class InsufficientDataError(MomentError):
     """The sequence is too short for the requested computation."""
 

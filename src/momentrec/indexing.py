@@ -148,9 +148,11 @@ def _read_only(plan):
 def _plan(build):
     """Memoize a plan builder in the shared store, within its limit."""
 
+    name = build.__name__
+
     @wraps(build)
     def lookup(*shape):
-        key = (build.__name__,) + shape
+        key = (name, *shape)
         with _plans_lock:
             plan = _plans.get(key)
             if plan is not None:
@@ -321,6 +323,12 @@ def shift_plan(dim: int, exponents: tuple[MultiIndex, ...], degree: int) -> np.n
     """Row g holds the ranks of exponents[g] + i for every |i| <= degree."""
     gammas = np.array(exponents, dtype=np.intp).reshape(-1, dim)
     return degree_lex_pair_ranks(gammas, basis_array(dim, degree))
+
+
+@_plan
+def axis_steps(dim: int, axis: int, count: int) -> tuple[MultiIndex, ...]:
+    """The exponents j e_axis, j = 0 .. count - 1: the shifts of a recurrence fit along it."""
+    return tuple([(0,) * axis + (j,) + (0,) * (dim - axis - 1) for j in range(count)])
 
 
 @_plan

@@ -43,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NonFiniteShiftError
 from .indexing import (
     MultiIndex,
     basis_array,
@@ -315,10 +316,14 @@ def build_moment_matrix(seq: TruncatedSequence, order: int) -> MomentMatrix:
     return MomentMatrix(order, basis_labels(seq.dim, order), entries)
 
 
+# a near-overflow sequence may overflow the sums; the first non-finite entry is reported
+@np.errstate(over="ignore", invalid="ignore")
 def shift_sequence(seq: TruncatedSequence, poly: MultivariatePoly) -> TruncatedSequence:
     """The sequence (q * beta)_a = sum_g q_g beta_{g+a}.
 
-    The result is dense up to seq.max_degree - deg q.
+    The result is dense up to seq.max_degree - deg q. A sum that leaves the
+    float range raises NonFiniteShiftError for the first such entry in
+    degree-lex order, with no floating-point warning.
     """
     if poly.dim != seq.dim:
         raise ValueError("dimension mismatch between sequence and polynomial")
@@ -331,7 +336,11 @@ def shift_sequence(seq: TruncatedSequence, poly: MultivariatePoly) -> TruncatedS
     new_degree = seq.max_degree - max(deg, 0)
     coefs = np.array(list(poly.terms.values()), dtype=float)
     shifted = coefs @ seq.array[shift_plan(seq.dim, tuple(poly.terms), new_degree)]
-    return TruncatedSequence(seq.dim, new_degree, shifted)
+    bad = np.flatnonzero(~np.isfinite(shifted))
+    if bad.size:
+        index = tuple(basis_array(seq.dim, new_degree)[bad[0]].tolist())
+        raise NonFiniteShiftError(index, float(shifted[bad[0]]))
+    return TruncatedSequence._of_finite(seq.dim, new_degree, shifted)
 
 
 def max_localizing_order(seq: TruncatedSequence, poly: MultivariatePoly) -> int:
@@ -565,14 +574,20 @@ def _padded(eigenvalues: np.ndarray, n: int) -> np.ndarray:
     return np.sort(np.concatenate([eigenvalues, np.zeros(n - r)]))
 
 
-def moment_bracket(sums: GramSum, bound: float) -> tuple[np.ndarray, float] | None:
+def moment_bracket(
+    sums: GramSum, bound: float, rank_tol: float | None = None, scale: float | None = None
+) -> tuple[np.ndarray, float] | None:
     """Ascending centers and a radius for the spectrum of the data's M(order).
 
     The data are the moments of an atomic measure (``sums``, from
     ``moments_and_grams``) plus a misfit e whose ``misfit_bound`` is
     ``bound``; with ``sums.poly`` = q the matrix is the localizing
     M_q(order). Eigenvalue i of the matrix lies within the radius of
-    center i. None if the sums overflow, before any eigvalsh runs.
+    center i. None if the sums overflow, before any eigvalsh runs. Where
+    ``rank_tol`` is given, also None, before eigvalsh, when the radius
+    alone leaves ``bracket_check``'s rank at ``rank_tol`` and ``scale``
+    undecided, whatever the centers: N > r and
+    rank_tol * max(2 ||G||_F, scale) < radius (see the last paragraph).
 
     Proof. Take q = 1 for M(order). Let N be the row count, r the atom
     count, u the unit roundoff, V[s, i] = x_s^{a_i}, and d, m, n_s and T as
@@ -609,11 +624,30 @@ def moment_bracket(sums: GramSum, bound: float) -> tuple[np.ndarray, float] | No
     V^T D- V as its measure term) covers every item at least twice, and a
     bracket that decides a question decides it as eigvalsh's eigenvalues of
     A would.
+
+    The rank rule. For N > r the centers hold N - r padded zeros, and
+    ``_bracket_rank`` decides a center sigma = 0 only if 0 > high + radius,
+    which fails as high >= 0 and radius > 0, or 0 <= low - radius with
+    low = rank_tol * max(sigma_max - radius, scale or 0), sigma_max the
+    largest |eigenvalue| eigvalsh computes for the computed G. Those are
+    within about r u ||G||_2 of G's exact eigenvalues (backward stability),
+    ||G||_2 <= ||G||_F, and the computed ||G||_F is within (r^2 + 1) u of
+    the exact one, so sigma_max <= 2 ||G||_F as computed for any r < 2^20
+    (a Gram matrix of 2^20 atoms would hold 8 TB).
+    Then low <= rank_tol * max(2 ||G||_F, scale) < radius puts the zeros
+    inside the undecided band: the rank, and so ``bracket_check``, is None.
+    A norm or radius that is not finite skips nothing.
     """
     radius = _radius(sums, bound, 0, sums.negative)
     if not math.isfinite(radius):
         return None
-    return _padded(np.linalg.eigvalsh(sums.gram), basis_size(sums.dim, sums.order)), radius
+    n = basis_size(sums.dim, sums.order)
+    if rank_tol is not None and n > len(sums.diagonal):
+        flat = sums.gram.ravel()
+        top = 2.0 * math.sqrt(flat @ flat)
+        if rank_tol * max(top, 0.0 if scale is None else scale) < radius:
+            return None
+    return _padded(np.linalg.eigvalsh(sums.gram), n), radius
 
 
 def signed_bracket(points, sums: GramSum, bound: float) -> tuple[np.ndarray, float] | None:

@@ -13,6 +13,7 @@ polynomial's root is read off its coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -44,6 +45,14 @@ class UnivariatePoly:
         if not cleaned:
             cleaned = [0.0]
         object.__setattr__(self, "coeffs", tuple(cleaned))
+
+    @classmethod
+    def _of_monic(cls, coeffs: tuple[float, ...]) -> "UnivariatePoly":
+        """The polynomial of ``coeffs``, not copied: the caller's own tuple of
+        floats, whose last entry is 1.0."""
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     @property
     def degree(self) -> int:
@@ -127,9 +136,9 @@ def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
     into one root (their mean) with the cluster size as multiplicity.
     Returned sorted by (real, imag).
     """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no well-defined roots")
-    if p.degree == 0:
+    if len(p.coeffs) == 1:
+        if p.coeffs[0] == 0.0:
+            raise ValueError("the zero polynomial has no well-defined roots")
         return []
     lead = p.coeffs[-1]
     coeffs = [c / lead for c in p.coeffs]
@@ -139,10 +148,12 @@ def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
     # out of the matrix, whose first row is -c_{n-1} .. -c_0 over a shifted
     # identity; eigvals gives float roots when all are real
     zeros = next(k for k, c in enumerate(coeffs) if c != 0.0)
-    companion = np.eye(len(coeffs) - 1 - zeros, k=-1)
+    n = len(coeffs) - 1 - zeros
+    companion = np.zeros((n, n))
+    companion.ravel()[n :: n + 1] = 1.0
     companion[:1] = [-c for c in reversed(coeffs[zeros:-1])]
     raw = np.linalg.eigvals(companion).tolist() + [0.0] * zeros
-    raw.sort(key=lambda z: (z.real, z.imag))
+    raw.sort(key=_real_imag)
     threshold = ROOT_CLUSTER_TOL * (1.0 + max(map(abs, raw)))
     # the loop compares each root with its neighbour's cluster: if no two
     # neighbours are that close, each root is a cluster of one, its own mean
@@ -158,13 +169,16 @@ def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
     return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
+_real_imag = operator.attrgetter("real", "imag")
+
+
 def power_table(values, degree: int) -> np.ndarray:
     """Row k holds values ** k for k = 0..degree, by repeated products, in their dtype."""
     values = np.asarray(values)
     table = np.empty((degree + 1, len(values)), dtype=values.dtype)
     table[0] = 1.0
     for k in range(1, degree + 1):
-        table[k] = table[k - 1] * values
+        np.multiply(table[k - 1], values, out=table[k])
     return table
 
 

@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteExtensionError,
 )
 from .indexing import (
+    axis_steps,
     basis_array,
     basis_size,
     check_int32,
@@ -98,6 +99,16 @@ class CharacteristicSystem:
         polys = tuple(polys)
         tau = sum(p.degree - 1 for p in polys)
         return cls(polys=polys, tau=tau, residual=residual)
+
+    @classmethod
+    def _of_fitted(cls, polys: tuple, residual: float) -> "CharacteristicSystem":
+        """The system of monic polynomials of degree >= 1 that the detection has
+        just fitted, with tau = sum(deg - 1), not validated again."""
+        system = cls.__new__(cls)
+        tau = sum([len(p.coeffs) for p in polys]) - 2 * len(polys)
+        for name, value in (("polys", polys), ("tau", tau), ("residual", residual)):
+            object.__setattr__(system, name, value)
+        return system
 
 
 def _fit_order(a_mat: np.ndarray, b_vec: np.ndarray):
@@ -234,7 +245,7 @@ def _scan(seq: TruncatedSequence, axis: int, tol: float, certified: list[int]):
     NoRecurrenceError carries the least residual of all orders.
     """
     max_order = seq.max_degree // 2
-    steps = tuple((0,) * axis + (j,) + (0,) * (seq.dim - axis - 1) for j in range(max_order + 1))
+    steps = axis_steps(seq.dim, axis, max_order + 1)
     best = np.inf
     for order in range(1, max_order + 1):
         if order in certified:
@@ -242,8 +253,7 @@ def _scan(seq: TruncatedSequence, axis: int, tol: float, certified: list[int]):
         weights, residual = _fit_along(seq, steps, order)
         if residual < tol:
             # x^order - sum_k a_k x^(order-k), lowest coefficient first
-            coeffs = [-float(w) for w in weights[::-1]] + [1.0]
-            return UnivariatePoly(tuple(coeffs)), residual
+            return UnivariatePoly._of_monic(tuple((-weights[::-1]).tolist() + [1.0])), residual
         best = min(best, residual)
     for order in certified:
         best = min(best, _fit_along(seq, steps, order)[1])
@@ -297,10 +307,9 @@ def detect_characteristic_system(
     inverse); the first variable with no recurrence raises NoRecurrenceError.
     """
     polys, residuals = zip(*_detect(seq, slice(None), tol))
-    return CharacteristicSystem.from_polys(polys, residual=max(residuals))
+    return CharacteristicSystem._of_fitted(polys, max(residuals))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def extend_sequence(
     seq: TruncatedSequence, system: CharacteristicSystem, target_degree: int
 ) -> TruncatedSequence:
@@ -321,19 +330,28 @@ def extend_sequence(
     extension thus computes its later blocks before the check. A target basis
     of 2^31 monomials or more raises ValueError before anything is allocated.
     """
-    if system.dim != seq.dim:
+    if len(system.polys) != seq.dim:
         raise ValueError("dimension mismatch between sequence and system")
     if target_degree <= seq.max_degree:
         return seq
     check_int32(seq.dim, target_degree)
-    orders = tuple(p.degree for p in system.polys)
+    return _extend(seq, system, target_degree)
+
+
+# windows near the float range may overflow; the check reports the first such entry
+@np.errstate(over="ignore", invalid="ignore")
+def _extend(
+    seq: TruncatedSequence, system: CharacteristicSystem, target_degree: int
+) -> TruncatedSequence:
+    """``extend_sequence`` to a target degree above the data's."""
+    orders = tuple([len(p.coeffs) - 1 for p in system.polys])
     windows, producers, lowest = extension_plan(seq.dim, seq.max_degree, target_degree, orders)
     # weights[k - 1, l, 0] = a_k with beta_{i+s e_l} = sum_k a_k beta_{i+(s-k) e_l},
     # k = 1..s, and 0 past s, where the windows read the finite beta_0: such a
     # term adds +-0 to a sum started from 0, which is never -0, so no bit moves
     weights = np.zeros((len(windows), seq.dim, 1))
     for axis, poly in enumerate(system.polys):
-        weights[: poly.degree, axis, 0] = -np.array(poly.coeffs[-2::-1])
+        weights[: orders[axis], axis, 0] = -np.array(poly.coeffs[-2::-1])
     known = seq.array.size
     values = np.empty(basis_size(seq.dim, target_degree))
     values[:known] = seq.array

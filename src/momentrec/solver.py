@@ -16,14 +16,18 @@ degree, hence the data's misfit and the moment residual, and the Gram sums
 of every matrix of ``CERTIFY_MIN_SIZE`` rows or more. Such a matrix is
 checked from its bracket (``moments.moment_bracket``, then
 ``moments.signed_bracket`` for a constraint negative at some atom) and
-built from its sequence for eigvalsh only where neither certifies it;
-smaller ones always go to eigvalsh.
+gathered from its sequence for eigvalsh only where neither certifies it;
+smaller ones always go to eigvalsh. The eigvalsh path is the arithmetic of
+``moments.psd_check`` and ``moments.numeric_rank`` on the gathered entries
+(``indexing.moment_plan``), M(tau) being the leading block of M(tau+1)'s,
+with no ``MomentMatrix`` made.
 
 One solve builds one SolveReport, at whichever exit it reaches. Its status is
 the first failing check in this order:
 
-    NotRecursive      detection/extension failed, or the recovered measure
-                      does not reproduce the data within tolerance
+    NotRecursive      detection/extension failed, the recovered measure
+                      does not reproduce the data within tolerance, or a
+                      constraint's shifted sequence q * beta overflows
     NotPositive       M(tau) or M(tau+1) has a significantly negative eigenvalue
     stage error       the expansion or measure conversion raised: RepeatedRoots
                       -> NotPositive (it certifies the same obstruction),
@@ -57,16 +61,17 @@ from .errors import (
     InsufficientDataError,
     MomentError,
     NegativeWeightError,
+    NonFiniteShiftError,
     RepeatedRootsError,
 )
-from .indexing import basis_size
+from .indexing import basis_size, moment_plan
 from .moments import (
     CERTIFY_MIN_SIZE,
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
     GramSum,
-    MomentMatrix,
     TruncatedSequence,
+    _bracket_rank,
     bracket_check,
     build_moment_matrix,
     max_localizing_order,
@@ -74,7 +79,7 @@ from .moments import (
     moment_bracket,
     moments_and_grams,
     numeric_rank,
-    psd_check,
+    psd_check,  # unused here; bound for perfbench's stage tracer, which looks it up
     shift_sequence,
     signed_bracket,
 )
@@ -275,17 +280,28 @@ def count_atoms_in_zero_set(
     return sum(1 for p in measure.points if abs(q.evaluate(p)) <= threshold)
 
 
-def _measure_brackets(points: np.ndarray, sums: GramSum, misfit: TruncatedSequence) -> Iterator:
+def _measure_brackets(
+    points: np.ndarray | None,
+    sums: GramSum | None,
+    misfit: TruncatedSequence | None,
+    rank_tol: float,
+    scale: float | None,
+) -> Iterator:
     """One matrix's brackets from the measure's ``sums``, each made when it is tried.
 
     First the Gram bracket, then, where the diagonal w q(x) has a negative
     entry, the factor's ``signed_bracket``, which can certify a failing
-    verdict; both take one ``misfit_bound``. A bracketed matrix has order
-    >= tau, so its N rows are at least the r atoms on the root grid:
-    r <= prod_l deg p_l <= C(tau + d, d) <= N.
+    verdict; both take one ``misfit_bound``. The Gram bracket is None, with
+    no eigvalsh, where its radius alone leaves the rank at ``rank_tol`` and
+    ``scale`` undecided (see ``moment_bracket``). A bracketed matrix has
+    order >= tau, so its N rows are at least the r atoms on the root grid:
+    r <= prod_l deg p_l <= C(tau + d, d) <= N. No sums (no measure, or a
+    matrix too small to bracket) give no bracket.
     """
+    if sums is None:
+        return
     bound = misfit_bound(sums, misfit)
-    yield moment_bracket(sums, bound)
+    yield moment_bracket(sums, bound, rank_tol, scale)
     if (sums.diagonal < 0.0).any():
         yield signed_bracket(points, sums, bound)
 
@@ -295,29 +311,37 @@ def _psd_record(
     order: int,
     tol: Tolerances,
     brackets: Iterable[tuple | None],
-    full: MomentMatrix | None = None,
+    full: np.ndarray | None = None,
     scale: float | None = None,
-) -> tuple[PsdRecord, np.ndarray, MomentMatrix | None]:
-    """M(order) of ``seq``: its record, its eigenvalues and any matrix built.
+) -> tuple[PsdRecord, np.ndarray, np.ndarray | None]:
+    """M(order) of ``seq``: its record, its eigenvalues and any entries gathered.
 
     The record comes from the first of the measure's ``brackets`` whose
     check certifies it, and the eigenvalues are then its centers; otherwise
-    the matrix, cut from ``full`` (a built M(n) of ``seq``, n > order) where
-    given, goes to eigvalsh.
+    the entries, the leading block of ``full`` (the gathered entries of an
+    M(n) of ``seq``, n > order) where given, go to eigvalsh, and the record
+    is ``psd_check``'s and ``numeric_rank``'s of that matrix, bit for bit:
+    the threshold from the entries' trace, the rank from the same
+    ``_bracket_rank``.
     """
     for found in brackets:
         decided = None if found is None else bracket_check(
             seq, order, found, tol.psd, tol.rank, scale
         )
         if decided is not None:
-            (check, rank), spectrum, matrix = decided, found[0], None
-            break
+            check, rank = decided
+            record = PsdRecord(order, check.min_eigenvalue, check.is_psd, rank, certified=True)
+            return record, found[0], None
+    if full is None:
+        entries = seq.array[moment_plan(seq.dim, order)]
     else:
-        matrix = build_moment_matrix(seq, order) if full is None else full.truncate(order)
-        check, rank = psd_check(matrix, tol.psd), numeric_rank(matrix, tol.rank, scale=scale)
-        spectrum = matrix.eigenvalues
-    record = PsdRecord(order, check.min_eigenvalue, check.is_psd, rank, certified=check.certified)
-    return record, spectrum, matrix
+        n = basis_size(seq.dim, order)
+        entries = full[:n, :n]
+    spectrum = np.linalg.eigvalsh(entries)
+    lowest = float(spectrum[0])
+    threshold = -tol.psd * (1.0 + abs(float(entries.trace())))
+    rank = _bracket_rank(spectrum, 0.0, tol.rank, scale)
+    return PsdRecord(order, lowest, lowest >= threshold, rank), spectrum, entries
 
 
 def _run_stages(
@@ -329,7 +353,7 @@ def _run_stages(
     """Run the pipeline into ``found`` (SolveReport fields); return status, detail."""
     try:
         system = found["system"] = detect_characteristic_system(seq, tol.residual)
-        extra = max((q.degree for q in polys), default=0)
+        extra = max([q.degree for q in polys], default=0)
         ext = extend_sequence(seq, system, max(seq.max_degree, 2 * (system.tau + 1) + extra))
     except MomentError as exc:  # any failure of detection or extension
         return STATUS_NOT_RECURSIVE, str(exc)
@@ -337,10 +361,11 @@ def _run_stages(
     # M(tau), M(tau+1) and each M_q; those of CERTIFY_MIN_SIZE rows or more
     # are bracketed from the measure's Gram sums and factor where there is a measure
     tau = system.tau
-    matrices = [(tau, None), (tau + 1, None), *((max_localizing_order(ext, q), q) for q in polys)]
+    matrices = [(tau, None), (tau + 1, None), *[(max_localizing_order(ext, q), q) for q in polys]]
     large = [k for k, (n, _) in enumerate(matrices) if basis_size(ext.dim, n) >= CERTIFY_MIN_SIZE]
     stage_error: Exception | None = None
-    brackets: dict = {}
+    grams: dict = {}
+    points = misfit = None
     try:
         expansion = multivariate_binet(system, ext)
         found["expansion_residual"] = expansion.source_residual
@@ -355,11 +380,13 @@ def _run_stages(
         moments, sums = moments_and_grams(points, measure.weights, ext.max_degree, requests)
         if large and np.isfinite(moments).all():
             misfit = TruncatedSequence(ext.dim, ext.max_degree, ext.array - moments)
-            brackets = {k: _measure_brackets(points, s, misfit) for k, s in zip(large, sums)}
+            grams = dict(zip(large, sums))
 
-    # M(tau) is the leading block of M(tau+1): cut it from there if that was built
-    high, spectrum, full = _psd_record(ext, tau + 1, tol, brackets.get(1, ()))
-    low, _, _ = _psd_record(ext, tau, tol, brackets.get(0, ()), full)
+    # M(tau) is the leading block of M(tau+1): cut it from there if that was gathered
+    brackets = _measure_brackets(points, grams.get(1), misfit, tol.rank, None)
+    high, spectrum, full = _psd_record(ext, tau + 1, tol, brackets)
+    brackets = _measure_brackets(points, grams.get(0), misfit, tol.rank, None)
+    low, _, _ = _psd_record(ext, tau, tol, brackets, full)
     psd_records = found["psd_records"] = (low, high)
 
     failing = [
@@ -384,6 +411,14 @@ def _run_stages(
     if not polys:
         return STATUS_SUCCESS, None
 
+    # every M_q is M(n) of q * beta; a sum that overflows refuses the solve
+    shifted = []
+    for k, q in enumerate(polys):
+        try:
+            shifted.append(shift_sequence(ext, q))
+        except NonFiniteShiftError as exc:
+            return STATUS_NOT_RECURSIVE, f"constraint {k}: {exc}"
+
     # localizing and support checks; the first violated constraint names the status
     noise_scale = float(np.abs(spectrum).max(initial=0.0))
     records = []
@@ -393,8 +428,8 @@ def _run_stages(
         # roundoff; its own sigma_max is then noise, so the rank cutoff is
         # floored at the parent matrix's scale times the coefficient size
         scale = noise_scale * (1.0 + q.max_coefficient)
-        order, shifted = matrices[2 + k][0], shift_sequence(ext, q)
-        psd, _, _ = _psd_record(shifted, order, tol, brackets.get(2 + k, ()), scale=scale)
+        brackets = _measure_brackets(points, grams.get(2 + k), misfit, tol.rank, scale)
+        psd, _, _ = _psd_record(shifted[k], matrices[2 + k][0], tol, brackets, scale=scale)
         threshold = tol.residual * (1.0 + q.max_coefficient)
         values = [q.evaluate(p) for p in measure.points]
         in_zero = sum(1 for value in values if abs(value) <= threshold)

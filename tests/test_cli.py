@@ -353,6 +353,20 @@ def test_an_overflowing_extension_exits_two(capsys, tmp_path):
     }
 
 
+def test_an_overflowing_shift_exits_two(capsys, tmp_path):
+    """Moments whose q * beta overflows are a structured NotRecursive outcome, exit 2."""
+    seq = momentrec.sample_instance(np.random.default_rng(11)).moments
+    big = TruncatedSequence(seq.dim, seq.max_degree, seq.array * 2.0**1021)
+    moments = write_json(tmp_path, "big.json", big.to_dict())
+    box = [{"idx": [0], "coef": 4.0}, {"idx": [2], "coef": -1.0}]
+    box_path = write_json(tmp_path, "k_box.json", {"constraints": [{"dim": 1, "terms": box}]})
+    code, out = run(capsys, "solve-k", "--in", moments, "--constraints", box_path)
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "NotRecursive"
+    assert report["detail"] == "constraint 0: shifted entry (0,) is not finite: inf"
+
+
 def test_invalid_constraint_exits_one_on_failing_data(capsys, tmp_path):
     """A zero constraint is an input error even where the data would fail."""
     signed = TruncatedSequence(1, 4, [0.0, -1.0, -1.0, -1.0, -1.0])

@@ -705,9 +705,10 @@ def test_signed_bracket_is_made_only_where_the_gram_bracket_fails(built_orders):
     x1 = MultivariatePoly.variable(1, 0)
     cut, box = _cut(points), MultivariatePoly.constant(1, 4.0) - x1 * x1
     signed, positive = _gram_sums(factor, [(order, cut), (order, box)])
-    assert len(list(solver._measure_brackets(points, signed, misfit))) == 2
-    assert len(list(solver._measure_brackets(points, positive, misfit))) == 1
-    shifted, brackets = shift_sequence(data, cut), solver._measure_brackets(points, signed, misfit)
+    assert len(list(solver._measure_brackets(points, signed, misfit, 1e-8, None))) == 2
+    assert len(list(solver._measure_brackets(points, positive, misfit, 1e-8, None))) == 1
+    shifted = shift_sequence(data, cut)
+    brackets = solver._measure_brackets(points, signed, misfit, 1e-8, None)
     record, _, matrix = solver._psd_record(shifted, order, Tolerances(), brackets)
     assert record.certified and matrix is None and built_orders == []
     reference = build_localizing_matrix(data, order, cut)
@@ -743,6 +744,42 @@ def test_continued_gram_matches_the_direct_factor():
             assert np.linalg.norm(s.gram - factor.T @ factor) <= allowance
             assert abs(s.total - magnitude @ norms) <= allowance
             assert abs(s.negative - np.maximum(-diagonal, 0.0) @ norms) <= allowance
+
+
+def test_the_rank_rule_skips_only_undecided_brackets(eigvalsh_sizes):
+    """moment_bracket with a rank tolerance is None, with no eigvalsh, only where the full
+    bracket leaves bracket_check's rank undecided; otherwise it is the full bracket. Noisy
+    measures with fewer atoms than rows take the skip."""
+    rng = np.random.default_rng(21)
+    skipped = kept = 0
+    for dim, order, counts in ((1, 47, (3, 20, 60)), (2, 9, (10, 40, 70)), (3, 5, (8, 30, 80))):
+        for count in counts:
+            for noise in (0.0, 1e-10, 1e-7, 1e-4):
+                data, factor = _perturbed(rng, dim, count, 2 * order + 2, noise)
+                (sums,) = _gram_sums(factor, [(order, None)])
+                bound = moments.misfit_bound(sums, factor[2])
+                full = moments.moment_bracket(sums, bound)
+                for tol, scale in ((1e-8, None), (1e-8, 1e3), (1e-3, 0.5)):
+                    eigvalsh_sizes.clear()
+                    ruled = moments.moment_bracket(sums, bound, tol, scale)
+                    if ruled is None:
+                        skipped += 1
+                        assert eigvalsh_sizes == [] and count < len(full[0])
+                        assert moments.bracket_check(data, order, full, tol, tol, scale) is None
+                    else:
+                        kept += 1
+                        assert np.array_equal(ruled[0], full[0]) and ruled[1] == full[1]
+    assert skipped >= 10 and kept >= 50
+
+
+def test_the_grid_of_100_atoms_makes_no_gram_eigvalsh(eigvalsh_sizes):
+    """The 2-D 10^2 grid: both Gram brackets' radii leave the rank undecided, so only the
+    built M(tau+1) goes to eigvalsh (M(tau) is its leading block), no 100 x 100 Gram matrix."""
+    seq = _grid_sequence(2, 10, 38)
+    report = solve_full(seq)
+    low, high = report.psd_records
+    assert not (low.certified or high.certified)
+    assert eigvalsh_sizes == [indexing.basis_size(2, high.order), indexing.basis_size(2, low.order)]
 
 
 def test_bracket_of_overflowing_sums_is_none(eigvalsh_sizes):
@@ -787,15 +824,16 @@ def _grid_sequence(dim, nodes, degree, flip=None):
 
 @pytest.fixture
 def built_orders(monkeypatch):
-    """Orders of every moment matrix the solver builds, M_q(n) being M(n) of q * beta."""
+    """Orders of every moment matrix the solver gathers for eigvalsh (its ``moment_plan``
+    lookups), M_q(n) being M(n) of q * beta; M(tau) cut from M(tau+1) gathers nothing."""
     orders = []
-    original = solver.build_moment_matrix
+    original = solver.moment_plan
 
-    def recording(seq, order):
+    def recording(dim, order):
         orders.append(order)
-        return original(seq, order)
+        return original(dim, order)
 
-    monkeypatch.setattr(solver, "build_moment_matrix", recording)
+    monkeypatch.setattr(solver, "moment_plan", recording)
     return orders
 
 

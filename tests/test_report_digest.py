@@ -127,6 +127,28 @@ def test_calls_counts_numpy_linalg_calls_in_each_pass():
     assert passes[0]["eigvals"] == passes[0]["solve"] > 0
 
 
+def test_pycalls_counts_python_calls_in_each_pass():
+    """--pycalls prints each pass's Python-level calls by owner and the median per solve; the
+    two warm passes count the same, and the first, which builds the plans, no fewer."""
+    command = [sys.executable, str(TOOL), "--workload", "corpus", "--seed", "7", "--small"]
+    plain = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    lines = subprocess.run(
+        command + ["--plans", "--pycalls"], capture_output=True, text=True, timeout=120, check=True
+    ).stdout.splitlines()
+    assert lines[0] == plain.stdout.strip()
+    pattern = (
+        r"corpus seed 7: 24 inputs, Python calls in pass (\d): momentrec (\d+), numpy (\d+), "
+        r"other (\d+); median per solve (\d+(?:\.5)?)"
+    )
+    passes = [re.fullmatch(pattern, line) for line in lines[2:]]
+    assert [found.group(1) for found in passes] == ["1", "2", "3"]
+    counts = [tuple(float(n) for n in found.groups()[1:]) for found in passes]
+    assert counts[1] == counts[2]
+    package, numpy, _, median = counts[1]
+    assert package > 0 and numpy > 0 and median > 0
+    assert all(first >= warm for first, warm in zip(counts[0][:3], counts[1][:3]))
+
+
 def test_transform_moves_no_status_or_atom_count():
     """--transform reflect solves the small constrained workload with x_1 -> -x_1 in the data
     and the constraints, and no status or atom count moves."""

@@ -11,7 +11,7 @@ import pytest
 
 from momentrec import indexing, moments, solver
 from momentrec.binet import AtomicMeasure, evaluate_moments
-from momentrec.errors import NoRecurrenceError
+from momentrec.errors import NoRecurrenceError, NonFiniteShiftError
 from momentrec.indexing import basis_size, iter_basis
 from momentrec.moments import TruncatedSequence
 from momentrec.polynomials import MultivariatePoly, UnivariatePoly
@@ -246,6 +246,81 @@ def test_an_overflowing_extension_is_not_recursive():
     report = solve_constrained(seq, SemialgebraicSet((MultivariatePoly.constant(1, 4.0) - x * x,)))
     assert report.status == STATUS_NOT_RECURSIVE
     assert report.detail == "extended entry (4,) is not finite: inf"
+
+
+def test_an_overflowing_shift_is_not_recursive():
+    """Moments times 2^1021 with q = 4 - x1^2: 4 * beta_0 overflows q * beta. The solve is a
+    NotRecursive report naming the constraint and the first non-finite shifted entry, with no
+    warning; shift_sequence itself raises NonFiniteShiftError."""
+    seq = sample_instance(np.random.default_rng(11)).moments
+    assert (seq.dim, seq.max_degree) == (1, 2)
+    big = TruncatedSequence(seq.dim, seq.max_degree, seq.array * 2.0**1021)
+    x = MultivariatePoly.variable(1, 0)
+    box = MultivariatePoly.constant(1, 4.0) - x * x
+    constraints = SemialgebraicSet((x + MultivariatePoly.constant(1, 1.0), box))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve_constrained(big, constraints)
+        with pytest.raises(NonFiniteShiftError) as raised:
+            moments.shift_sequence(big, box)
+    assert report.status == STATUS_NOT_RECURSIVE
+    assert report.detail == "constraint 1: shifted entry (0,) is not finite: inf"
+    assert report.constraint_records == ()
+    assert (raised.value.index, raised.value.value) == ((0,), math.inf)
+
+
+def _eigvalsh_path_inputs():
+    """(moments, constraints) of sampled corpus and constrained draws, product-grid rungs
+    and a signed input: every solve of them reaches the PSD records."""
+    rng = np.random.default_rng(2026)
+    inputs = []
+    for _ in range(30):
+        instance = sample_instance(rng)
+        dim, first = instance.moments.dim, instance.measure.points[0][0]
+        x1 = MultivariatePoly.variable(dim, 0)
+        cut = x1 - MultivariatePoly.constant(dim, first)
+        inputs.append((instance.moments, (cut, MultivariatePoly.constant(dim, 4.0) - x1 * x1)))
+    for dim, nodes in ((1, 9), (2, 4), (3, 3)):
+        axis = tuple(float(x) for x in np.linspace(-1.0, 1.0, nodes))
+        points = tuple(itertools.product(*([axis] * dim)))
+        weights = tuple(1.0 + 0.01 * i for i in range(len(points)))
+        grid = evaluate_moments(AtomicMeasure(dim, points, weights), 2 * dim * (nodes - 1) + 2)
+        inputs.append((grid, ()))
+    # the pair with its atom at (1, 1) of weight -1
+    inputs.append((TruncatedSequence(2, 4, PAIR_SEQ.array - 2.0 * SPIKE_SEQ.array), ()))
+    return inputs
+
+
+def test_eigvalsh_path_matches_psd_check_and_numeric_rank():
+    """The solver's eigvalsh-path records of M(tau+1), of M(tau) cut from its entries and of
+    each M_q with its rank floor equal psd_check and numeric_rank of the built matrices, bit
+    for bit, and so do the spectra."""
+    tol = Tolerances()
+    signs = set()
+    for seq, polys in _eigvalsh_path_inputs():
+        system = solver.detect_characteristic_system(seq, tol.residual)
+        extra = max([q.degree for q in polys], default=0)
+        ext = solver.extend_sequence(seq, system, max(seq.max_degree, 2 * system.tau + 2 + extra))
+        high, spectrum, full = solver._psd_record(ext, system.tau + 1, tol, ())
+        low, _, _ = solver._psd_record(ext, system.tau, tol, (), full)
+        checked = [(low, ext, None), (high, ext, None)]
+        noise = float(np.abs(spectrum).max(initial=0.0))
+        for q in polys:
+            scale = noise * (1.0 + q.max_coefficient)
+            order = moments.max_localizing_order(ext, q)
+            shifted = moments.shift_sequence(ext, q)
+            record, _, _ = solver._psd_record(shifted, order, tol, (), scale=scale)
+            checked.append((record, shifted, scale))
+        for record, source, scale in checked:
+            matrix = moments.build_moment_matrix(source, record.order)
+            check = moments.psd_check(matrix, tol.psd)
+            rank = moments.numeric_rank(matrix, tol.rank, scale=scale)
+            assert record.min_eigenvalue.hex() == check.min_eigenvalue.hex()
+            assert (record.is_psd, record.rank, record.certified) == (check.is_psd, rank, False)
+            signs.add(record.is_psd)
+        reference = moments.build_moment_matrix(ext, system.tau + 1).eigenvalues
+        assert np.array_equal(spectrum, reference)
+    assert signs == {True, False}
 
 
 def test_moments_near_the_float_range_solve_with_no_warning():

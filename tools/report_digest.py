@@ -63,6 +63,14 @@ show it here, without a benchmark run.
 package called each ``numpy.linalg`` function (those called at least once,
 by name), counted through the ``numpy.linalg`` attributes the package looks
 them up by.
+
+``--pycalls`` prints, for each pass (three with ``--plans``), the Python-level
+function calls made during the solves (``sys.setprofile`` ``call`` events; a
+C function is not one), grouped by the file's owner: the package, numpy, and
+other (the standard library), and the median count per solve; this tool's
+own wrappers and counters are not counted.
+The first pass also builds the plans; later passes show a warm solve's fixed
+cost.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ import hashlib
 import json
 import os
 import resource
+import statistics
 import sys
 import tracemalloc
 from collections import Counter
@@ -115,6 +124,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--calls", action="store_true", help="count numpy.linalg calls in each pass"
+    )
+    parser.add_argument(
+        "--pycalls", action="store_true", help="count Python-level calls in each pass"
     )
     parser.add_argument(
         "--retained", action="store_true", help="bytes kept by reading every input's values"
@@ -223,10 +235,43 @@ def main(argv=None) -> int:
         recurrence._fit_along = fitting
         recurrence._scan = scanning
 
-    def solve(moments, constraints):
+    package_dir = str(Path(momentrec.__file__).resolve().parent) + os.sep
+    numpy_dir = str(Path(np.__file__).resolve().parent) + os.sep
+    owners: dict = {}  # file name -> its owner, read once per file
+    pycalls, per_solve = Counter(), []
+
+    def owner(filename: str) -> str | None:
+        path = os.path.realpath(filename)
+        if path == str(Path(__file__).resolve()):
+            return None  # this tool's own wrappers and counters
+        if path.startswith(package_dir):
+            return "momentrec"
+        return "numpy" if path.startswith(numpy_dir) else "other"
+
+    def profile(frame, event, arg):
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename not in owners:
+                owners[filename] = owner(filename)
+            name = owners[filename]
+            if name is not None:
+                pycalls[name] += 1
+
+    def run(moments, constraints):
         if constraints is None:
             return momentrec.solve_full(moments)
         return momentrec.solve_constrained(moments, constraints)
+
+    def solve(moments, constraints):
+        if not args.pycalls:
+            return run(moments, constraints)
+        before = sum(pycalls.values())
+        sys.setprofile(profile)
+        try:
+            return run(moments, constraints)
+        finally:
+            sys.setprofile(None)
+            per_solve.append(sum(pycalls.values()) - before)
 
     def summary(report) -> tuple[str, int]:
         return report.status, 0 if report.measure is None else len(report.measure.points)
@@ -249,14 +294,15 @@ def main(argv=None) -> int:
         report = report.to_dict()
         digest.update(json.dumps(report).encode() + b"\n")
         decisions.update(json.dumps(blank_margins(report)).encode() + b"\n")
-    passes = [(builds[0], dict(calls), dict(screen))]
+    passes = [(builds[0], dict(calls), dict(screen), dict(pycalls), list(per_solve))]
     for _ in range(2 if args.plans else 0):
         builds[0] = 0
-        calls.clear()
-        screen.clear()
+        for counter in (calls, screen, pycalls):
+            counter.clear()
+        per_solve.clear()
         for case, moments in zip(cases, inputs):
             solve(moments, case.constraints)
-        passes.append((builds[0], dict(calls), dict(screen)))
+        passes.append((builds[0], dict(calls), dict(screen), dict(pycalls), list(per_solve)))
 
     retained = None
     if args.retained:
@@ -295,18 +341,26 @@ def main(argv=None) -> int:
             "solves screened", "axes screened", "orders proven", "orders fitted",
             "all-fail fallbacks",
         )
-        for k, (_, _, counts) in enumerate(passes, 1):
+        for k, (_, _, counts, _, _) in enumerate(passes, 1):
             named = ", ".join(f"{counts.get(name, 0)} {name}" for name in names)
             print(f"{head}, detection in pass {k}: {named}")
     if args.plans:
-        counts = ", ".join(f"pass {k} {n}" for k, (n, _, _) in enumerate(passes, 1))
+        counts = ", ".join(f"pass {k} {n}" for k, (n, *_) in enumerate(passes, 1))
         print(
             f"{head}, pair-rank builds: {counts}; plan store {indexing._plans_entries} entries"
         )
     if args.calls:
-        for k, (_, counts, _) in enumerate(passes, 1):
+        for k, (_, counts, _, _, _) in enumerate(passes, 1):
             named = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
             print(f"{head}, numpy.linalg calls in pass {k}: {named}")
+    if args.pycalls:
+        for k, (_, _, _, counts, solves) in enumerate(passes, 1):
+            owned = ("momentrec", "numpy", "other")
+            named = ", ".join(f"{name} {counts.get(name, 0)}" for name in owned)
+            print(
+                f"{head}, Python calls in pass {k}: {named}; "
+                f"median per solve {statistics.median(solves):g}"
+            )
     if args.retained:
         # ru_maxrss is in KiB on Linux
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
