@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     ComplexAtomError,
     InsufficientDataError,
@@ -158,7 +159,7 @@ def univariate_binet(
             f"need exactly {m} initial terms, got {len(initial)}"
         )
     roots = _simple_roots(poly, axis=0)
-    coef = np.linalg.solve(power_table(roots, m - 1), np.asarray(initial, dtype=complex))
+    coef = _lapack.solve(power_table(roots, m - 1), np.asarray(initial, dtype=complex))
     return [(roots[i], complex(coef[i])) for i in range(m)]
 
 
@@ -201,7 +202,7 @@ def multivariate_binet(
     for table, m in zip(tables, shape):
         flat = coefficients.reshape(m, -1)
         if m > 1:
-            flat = np.linalg.solve(table[:m], flat)
+            flat = _lapack.solve(table[:m], flat)
         coefficients = flat.T.reshape(coefficients.shape[1:] + (m,))
     # modes 0..d-2 contracted in turn; after mode c a column per prefix (the
     # exponents of variables 0..c) of degree <= max_degree, in degree-lex

@@ -43,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _lapack
 from .errors import NonFiniteShiftError
 from .indexing import (
     MultiIndex,
@@ -253,7 +254,7 @@ class MomentMatrix:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues; their absolute values are the singular values."""
-        return np.linalg.eigvalsh(self.entries)
+        return _lapack.eigvalsh(self.entries)
 
     def truncate(self, order: int) -> "MomentMatrix":
         """The same matrix at a lower order: its leading principal block."""
@@ -647,7 +648,7 @@ def moment_bracket(
         top = 2.0 * math.sqrt(flat @ flat)
         if rank_tol * max(top, 0.0 if scale is None else scale) < radius:
             return None
-    return _padded(np.linalg.eigvalsh(sums.gram), n), radius
+    return _padded(_lapack.eigvalsh(sums.gram), n), radius
 
 
 def signed_bracket(points, sums: GramSum, bound: float) -> tuple[np.ndarray, float] | None:
@@ -692,8 +693,8 @@ def signed_bracket(points, sums: GramSum, bound: float) -> tuple[np.ndarray, flo
     if not math.isfinite(radius):
         return None
     tables = [power_table(axis, sums.order) for axis in np.asarray(points, dtype=float).T]
-    factor = np.linalg.qr(monomials(tables, basis_array(sums.dim, sums.order)), mode="r")
-    return _padded(np.linalg.eigvalsh((factor * sums.diagonal) @ factor.T), n), radius
+    factor = _lapack.qr(monomials(tables, basis_array(sums.dim, sums.order)))
+    return _padded(_lapack.eigvalsh((factor * sums.diagonal) @ factor.T), n), radius
 
 
 def bracket_check(

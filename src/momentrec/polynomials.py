@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import _lapack
 from .indexing import MultiIndex, basis_size, degree_lex_rank, degree_lex_ranks, total_degree
 
 __all__ = [
@@ -152,7 +153,7 @@ def poly_roots(p: UnivariatePoly) -> list[tuple[complex, int]]:
     companion = np.zeros((n, n))
     companion.ravel()[n :: n + 1] = 1.0
     companion[:1] = [-c for c in reversed(coeffs[zeros:-1])]
-    raw = np.linalg.eigvals(companion).tolist() + [0.0] * zeros
+    raw = _lapack.eigvals(companion).tolist() + [0.0] * zeros
     raw.sort(key=_real_imag)
     threshold = ROOT_CLUSTER_TOL * (1.0 + max(map(abs, raw)))
     # the loop compares each root with its neighbour's cluster: if no two

@@ -20,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     InconsistentRecurrenceError,
     InsufficientInitialDataError,
@@ -119,7 +120,7 @@ def _fit_order(a_mat: np.ndarray, b_vec: np.ndarray):
     |i| + order <= max_degree: one equation b = sum_k a_k A[:, k-1] each.
     Returns the weights and the relative residual ||A a - b|| / (1 + ||b||).
     """
-    weights, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    weights = _lapack.lstsq(a_mat, b_vec)[0]
     # the dot product and square root np.linalg.norm takes on a 1-D vector
     misfit = a_mat @ weights - b_vec
     squares, b_squares = misfit @ misfit, b_vec @ b_vec
@@ -216,13 +217,13 @@ def _certified_failures(seq: TruncatedSequence, axes: slice, tol: float) -> np.n
     if not (math.isfinite(squares) and tol >= _SQRT_TINY):
         return np.zeros((len(plan), max_order), dtype=bool)
     try:
-        r = np.linalg.qr(seq.array.take(plan), mode="r")
+        r = _lapack.qr(seq.array.take(plan))
         # a block with a zero pivot has no inverse; its NaN certifies nothing
         blocks = r[:, :max_order, :max_order]
         invertible = np.diagonal(blocks, axis1=1, axis2=2).all(axis=1)
         inverse = np.full_like(blocks, np.nan)
         if invertible.any():
-            inverse[invertible] = np.linalg.inv(blocks[invertible])
+            inverse[invertible] = _lapack.inv(blocks[invertible])
     except np.linalg.LinAlgError:
         return np.zeros((len(plan), max_order), dtype=bool)
     norms = np.sqrt((r * r).sum(axis=1))

@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import _lapack
 from .binet import (
     DEFAULT_IMAG_TOL,
     DEFAULT_WEIGHT_TOL,
@@ -337,7 +338,7 @@ def _psd_record(
     else:
         n = basis_size(seq.dim, order)
         entries = full[:n, :n]
-    spectrum = np.linalg.eigvalsh(entries)
+    spectrum = _lapack.eigvalsh(entries)
     lowest = float(spectrum[0])
     threshold = -tol.psd * (1.0 + abs(float(entries.trace())))
     rank = _bracket_rank(spectrum, 0.0, tol.rank, scale)

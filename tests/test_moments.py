@@ -7,7 +7,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from momentrec import indexing, moments, solver
+from momentrec import _lapack, indexing, moments, solver
 from momentrec.binet import AtomicMeasure, evaluate_moments, multivariate_binet
 from momentrec.indexing import basis_labels, enumerate_basis, iter_basis
 from momentrec.moments import (
@@ -518,15 +518,15 @@ def _reference(entries, tol, scale):
 
 @pytest.fixture
 def eigvalsh_sizes(monkeypatch):
-    """Row counts of every matrix numpy.linalg.eigvalsh receives."""
+    """Row counts of every matrix the package's eigvalsh receives."""
     sizes = []
-    original = np.linalg.eigvalsh
+    original = _lapack.eigvalsh
 
     def recording(a, *args, **kwargs):
         sizes.append(np.shape(a)[0])
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(_lapack, "eigvalsh", recording)
     return sizes
 
 

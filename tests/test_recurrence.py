@@ -15,7 +15,7 @@ from momentrec.errors import (
 )
 from momentrec.indexing import basis_size, enumerate_basis, iter_basis
 from momentrec.moments import TruncatedSequence, build_moment_matrix
-from momentrec import recurrence
+from momentrec import _lapack, recurrence
 from momentrec.polynomials import UnivariatePoly
 from momentrec.recurrence import (
     CharacteristicSystem,
@@ -489,16 +489,16 @@ def test_screened_scans_match_an_order_by_order_scan(monkeypatch, gate):
 
 
 def _count_linalg(monkeypatch) -> Counter:
-    """Count the package's lstsq, qr and inv calls (looked up in np.linalg on every call)."""
+    """Count the package's lstsq, qr and inv calls (looked up in _lapack on every call)."""
     calls = Counter()
     for name in ("lstsq", "qr", "inv"):
-        function = getattr(np.linalg, name)
+        function = getattr(_lapack, name)
 
         def counted(*args, _name=name, _function=function, **kwargs):
             calls[_name] += 1
             return _function(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(_lapack, name, counted)
     return calls
 
 

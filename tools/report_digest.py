@@ -60,9 +60,10 @@ process's ``ru_maxrss``: a sequence that kept a mapping per input would
 show it here, without a benchmark run.
 
 ``--calls`` prints, for each pass (three with ``--plans``), how often the
-package called each ``numpy.linalg`` function (those called at least once,
-by name), counted through the ``numpy.linalg`` attributes the package looks
-them up by.
+package called each LAPACK routine (those called at least once, by the name
+of the ``numpy.linalg`` function it stands for), counted through the
+attributes of ``momentrec._lapack``, which makes every LAPACK call and
+which the package looks them up in.
 
 ``--pycalls`` prints, for each pass (three with ``--plans``), the Python-level
 function calls made during the solves (``sys.setprofile`` ``call`` events; a
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
         "--plans", action="store_true", help="solve twice more, counting pair-rank plan builds"
     )
     parser.add_argument(
-        "--calls", action="store_true", help="count numpy.linalg calls in each pass"
+        "--calls", action="store_true", help="count LAPACK calls in each pass"
     )
     parser.add_argument(
         "--pycalls", action="store_true", help="count Python-level calls in each pass"
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     import momentrec
-    from momentrec import indexing, recurrence
+    from momentrec import _lapack, indexing, recurrence
     from momentrec.errors import NoRecurrenceError
     from momentrec.indexing import basis_size
     from momentrec.moments import CERTIFY_MIN_SIZE
@@ -202,11 +203,9 @@ def main(argv=None) -> int:
         return call
 
     if args.calls:
-        # the package calls np.linalg.<name>, looked up on every call
-        for name in np.linalg.__all__:
-            function = getattr(np.linalg, name)
-            if callable(function) and not isinstance(function, type):
-                setattr(np.linalg, name, counted(name, function))
+        # the package calls _lapack.<name>, looked up on every call
+        for name in _lapack.__all__:
+            setattr(_lapack, name, counted(name, getattr(_lapack, name)))
 
     screen = Counter()
     certify, fit, scan = recurrence._certified_failures, recurrence._fit_along, recurrence._scan
