@@ -346,26 +346,42 @@ def marginal_plan(dim: int, degree: int, order: int) -> np.ndarray:
 @_plan
 def extension_plan(
     dim: int, degree: int, target: int, orders: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Where one recurrence per axis, of the given orders, fills degrees degree + 1 .. target.
 
-    Returns (windows, producers, lowest) over the n new entries i, in
-    degree-lex order, each window padded to width = max(orders):
+    Returns (producers, windows_1, picks_1, windows_2, picks_2, ...) over the
+    n new entries i, in degree-lex order, with one (windows, picks) pair per
+    new degree block, lowest degree first, over its n_t entries:
 
-    - windows (width, dim, n): entry [k, l, r] is the rank of i - (k + 1) e_l
-      where i_l >= orders[l] and k < orders[l], and 0 (beta_0) elsewhere;
     - producers (dim, n), bool: i_l >= orders[l], the axes whose recurrence
       reaches i;
-    - lowest (n,): the first such axis, 0 where there is none.
+    - windows (width, dim, n_t), width = max(orders): entry [k, l, r] is the
+      rank of i - (k + 1) e_l where i_l >= orders[l] and k < orders[l], and
+      0 (beta_0) elsewhere;
+    - picks (n_t,): the flat position, in a C-ordered (dim, n) array of
+      every axis's value for every new entry, of the value of the first axis
+      that reaches i (axis 0 where none does).
+
+    A block is stored as the arrays its fill reads, so a fill takes no slice.
     """
-    entries = basis_array(dim, target)[basis_size(dim, degree) :]
+    known = basis_size(dim, degree)
+    entries = basis_array(dim, target)[known:]
+    if dim * len(entries) >= _INT32_BASIS:
+        raise ValueError(
+            f"{dim} values for each of {len(entries)} new entries: int32 positions stop at 2^31"
+        )
     producers = (entries >= np.array(orders)).T
     windows = np.zeros((max(orders), dim, len(entries)), dtype=np.int32)
     for axis, order in enumerate(orders):
         steps = np.outer(np.arange(1, order + 1), np.eye(dim, dtype=np.intp)[axis])
         rows = producers[axis]
         windows[:order, axis, rows] = degree_lex_pair_ranks(entries[rows], -steps).T
-    return windows, producers, producers.argmax(axis=0).astype(np.int32)
+    picks = producers.argmax(axis=0) * len(entries) + np.arange(len(entries))
+    plan = [producers]
+    for t in range(degree + 1, target + 1):
+        block = slice(basis_size(dim, t - 1) - known, basis_size(dim, t) - known)
+        plan += [windows[:, :, block].copy(), picks[block].astype(np.int32)]
+    return tuple(plan)
 
 
 @_plan

@@ -335,12 +335,11 @@ def shift_sequence(seq: TruncatedSequence, poly: MultivariatePoly) -> TruncatedS
         )
     # the zero polynomial (degree -1) zeroes every entry and keeps the degree
     new_degree = seq.max_degree - max(deg, 0)
-    coefs = np.array(list(poly.terms.values()), dtype=float)
-    shifted = coefs @ seq.array[shift_plan(seq.dim, tuple(poly.terms), new_degree)]
-    bad = np.flatnonzero(~np.isfinite(shifted))
-    if bad.size:
-        index = tuple(basis_array(seq.dim, new_degree)[bad[0]].tolist())
-        raise NonFiniteShiftError(index, float(shifted[bad[0]]))
+    shifted = poly.coefficients @ seq.array[shift_plan(seq.dim, poly.exponents, new_degree)]
+    if not np.isfinite(shifted).all():
+        bad = np.flatnonzero(~np.isfinite(shifted))[0]
+        index = tuple(basis_array(seq.dim, new_degree)[bad].tolist())
+        raise NonFiniteShiftError(index, float(shifted[bad]))
     return TruncatedSequence._of_finite(seq.dim, new_degree, shifted)
 
 
@@ -439,11 +438,10 @@ def _diagonal(tables, weights: np.ndarray, poly: MultivariatePoly | None):
     """d = w q(x) and m = |w| sum_g |q_g x^g| at the atoms of ``tables``; q = 1 for None."""
     if poly is None:
         return weights, np.abs(weights)
-    terms = np.array(tuple(poly.terms), dtype=np.intp).reshape(-1, len(tables))
+    terms = np.array(poly.exponents, dtype=np.intp).reshape(-1, len(tables))
     at_points = monomials(tables, terms)
-    coefficients = np.array(list(poly.terms.values()), dtype=float)
-    scaled = weights * (coefficients @ at_points)
-    return scaled, np.abs(weights) * (np.abs(coefficients) @ np.abs(at_points))
+    scaled = weights * (poly.coefficients @ at_points)
+    return scaled, np.abs(weights) * (np.abs(poly.coefficients) @ np.abs(at_points))
 
 
 # powers of far atoms may overflow; the non-finite moments are reported by the caller
@@ -545,9 +543,8 @@ def misfit_bound(sums: GramSum, misfit: TruncatedSequence) -> float:
     else:
         # |q| * |e| bounds q * e entry by entry, so its norm bounds ||E||_F
         degree = max(sums.poly.degree, 0)
-        plan = shift_plan(dim, tuple(sums.poly.terms), misfit.max_degree - degree)
-        coefficients = np.abs(np.array(list(sums.poly.terms.values())))
-        window = coefficients @ np.abs(misfit.array)[plan[:, :width]]
+        plan = shift_plan(dim, sums.poly.exponents, misfit.max_degree - degree)
+        window = np.abs(sums.poly.coefficients) @ np.abs(misfit.array)[plan[:, :width]]
     return math.sqrt(float(pair_counts(dim, order) @ (window * window)))
 
 

@@ -33,7 +33,7 @@ __all__ = [
 ROOT_CLUSTER_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnivariatePoly:
     """Dense real univariate polynomial, lowest-degree coefficient first."""
 
@@ -191,7 +191,7 @@ def monomials(tables, exponents: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultivariatePoly:
     """Sparse real polynomial in d variables: exponent tuple -> coefficient."""
 
@@ -201,6 +201,9 @@ class MultivariatePoly:
     # polynomial) and largest |coefficient| (0.0 for it)
     degree: int = field(init=False, repr=False, compare=False)
     max_coefficient: float = field(init=False, repr=False, compare=False)
+    # (exponents, coefficients) in ``terms`` order, made when first read and
+    # kept: a polynomial that is never solved with holds no arrays
+    _arrays: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -218,9 +221,28 @@ class MultivariatePoly:
             if c != 0.0:
                 cleaned[key] = c
         object.__setattr__(self, "terms", cleaned)
-        # computed once, in one order, so every instance keeps a compact __dict__
         object.__setattr__(self, "degree", max(map(total_degree, cleaned), default=-1))
         object.__setattr__(self, "max_coefficient", max(map(abs, cleaned.values()), default=0.0))
+
+    def _kept(self) -> tuple:
+        """(exponents, coefficients), made at the first call and kept."""
+        arrays = self._arrays
+        if arrays is None:
+            coefficients = np.array(list(self.terms.values()), dtype=float)
+            coefficients.flags.writeable = False
+            arrays = (tuple(self.terms), coefficients)
+            object.__setattr__(self, "_arrays", arrays)
+        return arrays
+
+    @property
+    def exponents(self) -> tuple[MultiIndex, ...]:
+        """The exponent tuples in ``terms`` order, made once."""
+        return self._kept()[0]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The coefficients in ``terms`` order, a read-only float64 array made once."""
+        return self._kept()[1]
 
     def evaluate(self, point) -> float:
         total = 0.0

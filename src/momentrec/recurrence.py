@@ -30,7 +30,6 @@ from .errors import (
 from .indexing import (
     axis_steps,
     basis_array,
-    basis_size,
     check_int32,
     extension_plan,
     marginal_plan,
@@ -346,32 +345,38 @@ def _extend(
 ) -> TruncatedSequence:
     """``extend_sequence`` to a target degree above the data's."""
     orders = tuple([len(p.coeffs) - 1 for p in system.polys])
-    windows, producers, lowest = extension_plan(seq.dim, seq.max_degree, target_degree, orders)
+    plan = extension_plan(seq.dim, seq.max_degree, target_degree, orders)
+    producers = plan[0]
     # weights[k - 1, l, 0] = a_k with beta_{i+s e_l} = sum_k a_k beta_{i+(s-k) e_l},
     # k = 1..s, and 0 past s, where the windows read the finite beta_0: such a
     # term adds +-0 to a sum started from 0, which is never -0, so no bit moves
-    weights = np.zeros((len(windows), seq.dim, 1))
+    weights = np.zeros((max(orders), seq.dim, 1))
     for axis, poly in enumerate(system.polys):
         weights[: orders[axis], axis, 0] = -np.array(poly.coeffs[-2::-1])
     known = seq.array.size
-    values = np.empty(basis_size(seq.dim, target_degree))
+    values = np.empty(known + producers.shape[1])
     values[:known] = seq.array
     new = values[known:]
     # every variable's value for every new entry; the lowest producer's is the entry
-    produced = np.empty((seq.dim, new.size))
-    for t in range(seq.max_degree + 1, target_degree + 1):
-        # a block depends only on lower degrees, so it is produced in one step;
-        # sum() adds the terms k = 1, 2, ... to 0 in turn
-        lo, hi = basis_size(seq.dim, t - 1) - known, basis_size(seq.dim, t) - known
-        produced[:, lo:hi] = sum(weights * values[windows[:, :, lo:hi]])
-        new[lo:hi] = produced[lowest[lo:hi], np.arange(lo, hi)]
+    produced = np.empty(producers.shape)
+    flat = produced.reshape(-1)
+    lo = 0
+    for windows, picks in zip(plan[1::2], plan[2::2]):
+        # a block depends only on lower degrees, so it is produced in one step,
+        # adding the terms k = 1, 2, ... to 0 in turn
+        hi = lo + picks.size
+        terms = weights * values.take(windows)
+        np.add.reduce(terms, axis=0, initial=0.0, out=produced[:, lo:hi])
+        new[lo:hi] = flat.take(picks)
+        lo = hi
 
     limit = CONSISTENCY_TOL * (1.0 + np.maximum(np.abs(new), np.abs(produced)))
     # written so that a non-finite value (its own gap is NaN) disagrees too
     disagree = producers & ~(np.abs(produced - new) <= limit)
-    failing = np.flatnonzero(~producers.any(axis=0) | disagree.any(axis=0))
-    if failing.size:
-        r = failing[0]
+    # an entry that no variable reaches (every i_l < orders[l]) has degree at
+    # most sum(orders) - dim, and every new degree up to that has one
+    if disagree.any() or seq.max_degree < sum(orders) - len(orders):
+        r = np.flatnonzero(~producers.any(axis=0) | disagree.any(axis=0))[0]
         idx = tuple(basis_array(seq.dim, target_degree)[known + r].tolist())
         if not producers[:, r].any():
             raise InsufficientInitialDataError(idx)

@@ -42,7 +42,7 @@ complex atom found after it is named in the detail as the expansion witness.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -164,7 +164,7 @@ class SemialgebraicSet:
         return self.constraints[0].dim if self.constraints else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PsdRecord:
     """PSD and rank diagnostics for one moment or localizing matrix.
 
@@ -182,7 +182,7 @@ class PsdRecord:
     certified: bool = field(default=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintRecord(PsdRecord):
     """A localizing matrix's PSD record plus pointwise checks of its constraint."""
 
@@ -314,16 +314,19 @@ def _psd_record(
     brackets: Iterable[tuple | None],
     full: np.ndarray | None = None,
     scale: float | None = None,
+    record: Callable[..., PsdRecord] = PsdRecord,
 ) -> tuple[PsdRecord, np.ndarray, np.ndarray | None]:
     """M(order) of ``seq``: its record, its eigenvalues and any entries gathered.
 
-    The record comes from the first of the measure's ``brackets`` whose
-    check certifies it, and the eigenvalues are then its centers; otherwise
-    the entries, the leading block of ``full`` (the gathered entries of an
-    M(n) of ``seq``, n > order) where given, go to eigvalsh, and the record
-    is ``psd_check``'s and ``numeric_rank``'s of that matrix, bit for bit:
-    the threshold from the entries' trace, the rank from the same
-    ``_bracket_rank``.
+    The record is ``record(order, min_eigenvalue, is_psd, rank,
+    certified=...)``, a ``PsdRecord`` unless the caller makes another. Its
+    fields come from the first of the measure's ``brackets`` whose check
+    certifies the matrix, and the eigenvalues are then its centers;
+    otherwise the entries, the leading block of ``full`` (the gathered
+    entries of an M(n) of ``seq``, n > order) where given, go to eigvalsh,
+    and the fields are ``psd_check``'s and ``numeric_rank``'s of that
+    matrix, bit for bit: the threshold from the entries' trace, the rank
+    from the same ``_bracket_rank``.
     """
     for found in brackets:
         decided = None if found is None else bracket_check(
@@ -331,8 +334,8 @@ def _psd_record(
         )
         if decided is not None:
             check, rank = decided
-            record = PsdRecord(order, check.min_eigenvalue, check.is_psd, rank, certified=True)
-            return record, found[0], None
+            made = record(order, check.min_eigenvalue, check.is_psd, rank, certified=True)
+            return made, found[0], None
     if full is None:
         entries = seq.array[moment_plan(seq.dim, order)]
     else:
@@ -342,7 +345,7 @@ def _psd_record(
     lowest = float(spectrum[0])
     threshold = -tol.psd * (1.0 + abs(float(entries.trace())))
     rank = _bracket_rank(spectrum, 0.0, tol.rank, scale)
-    return PsdRecord(order, lowest, lowest >= threshold, rank), spectrum, entries
+    return record(order, lowest, lowest >= threshold, rank, certified=False), spectrum, entries
 
 
 def _run_stages(
@@ -429,23 +432,22 @@ def _run_stages(
         # roundoff; its own sigma_max is then noise, so the rank cutoff is
         # floored at the parent matrix's scale times the coefficient size
         scale = noise_scale * (1.0 + q.max_coefficient)
-        brackets = _measure_brackets(points, grams.get(2 + k), misfit, tol.rank, scale)
-        psd, _, _ = _psd_record(shifted[k], matrices[2 + k][0], tol, brackets, scale=scale)
         threshold = tol.residual * (1.0 + q.max_coefficient)
         values = [q.evaluate(p) for p in measure.points]
         in_zero = sum(1 for value in values if abs(value) <= threshold)
         min_value = min(values, default=None)
         violated = min_value is not None and min_value < -threshold
-        records.append(
-            ConstraintRecord(
-                **vars(psd),
-                polynomial=q,
-                atoms_in_zero_set=in_zero,
-                min_over_atoms=min_value,
-                violated=violated,
-                cardinality_ok=in_zero == high.rank - psd.rank,
+
+        def record(order, lowest, is_psd, rank, certified):
+            cardinality_ok = in_zero == high.rank - rank
+            return ConstraintRecord(
+                order, lowest, is_psd, rank, q, in_zero, min_value, violated, cardinality_ok,
+                certified=certified,
             )
-        )
+
+        brackets = _measure_brackets(points, grams.get(2 + k), misfit, tol.rank, scale)
+        order = matrices[2 + k][0]
+        records.append(_psd_record(shifted[k], order, tol, brackets, None, scale, record)[0])
         if violated and violation is None:
             violation = (
                 f"constraint {k} has q(atom) = {min_value:.6g} < -{threshold:.3g} "

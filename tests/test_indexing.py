@@ -10,7 +10,17 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from momentrec import NoRecurrenceError, TruncatedSequence, detect_minimal_recurrence, indexing
+from momentrec import (
+    AtomicMeasure,
+    CharacteristicSystem,
+    NoRecurrenceError,
+    TruncatedSequence,
+    UnivariatePoly,
+    detect_minimal_recurrence,
+    evaluate_moments,
+    extend_sequence,
+    indexing,
+)
 from momentrec.indexing import (
     PLAN_STORE_LIMIT,
     basis_array,
@@ -173,14 +183,19 @@ def test_plans_match_direct_ranks(empty_store):
                         assert plan[p, r] == degree_lex_rank(tuple(basis[r] + p * unit))
         # recurrences of orders 2, 1, 3 filling degrees 3 .. 5 from degree-2 data
         orders = (2, 1, 3)[:dim]
-        windows, producers, lowest = extension_plan(dim, 2, 5, orders)
+        producers, *blocks = extension_plan(dim, 2, 5, orders)
         entries = basis[basis_size(dim, 2) : basis_size(dim, 5)]
-        assert windows.shape == (max(orders), dim, len(entries))
-        assert producers.shape == (dim, len(entries)) and lowest.shape == (len(entries),)
+        # one (windows, picks) pair per new degree block, lowest degree first
+        sizes = [basis_size(dim, t) - basis_size(dim, t - 1) for t in (3, 4, 5)]
+        assert [w.shape for w in blocks[::2]] == [(max(orders), dim, n) for n in sizes]
+        assert [p.shape for p in blocks[1::2]] == [(n,) for n in sizes]
+        windows, picks = np.concatenate(blocks[::2], axis=2), np.concatenate(blocks[1::2])
+        assert producers.shape == (dim, len(entries))
         for r, entry in enumerate(entries):
             reaching = [axis for axis in range(dim) if entry[axis] >= orders[axis]]
             assert np.flatnonzero(producers[:, r]).tolist() == reaching
-            assert lowest[r] == (reaching[0] if reaching else 0)
+            # the flat position of the first reaching axis's value in a (dim, n) array
+            assert picks[r] == (reaching[0] if reaching else 0) * len(entries) + r
             for axis, order in enumerate(orders):
                 expected = [
                     degree_lex_rank(tuple(entry - k * np.eye(dim, dtype=int)[axis]))
@@ -208,28 +223,100 @@ def test_plans_match_direct_ranks(empty_store):
     for (name, *_), plan in empty_store.items():
         for k, array in enumerate((plan,) if isinstance(plan, np.ndarray) else plan):
             if isinstance(array, np.ndarray):
-                expected = {"basis_array": np.intp, ("extension_plan", 1): bool}
+                expected = {"basis_array": np.intp, ("extension_plan", 0): bool}
                 assert array.dtype == expected.get(name, expected.get((name, k), np.int32))
 
 
 def test_plans_are_read_only_and_shared(empty_store):
     """A plan is built once, then handed out as the same read-only object."""
+    extension = extension_plan(2, 4, 6, (2, 1))
     plans = [
         basis_array(2, 3),
         moment_plan(2, 3),
         shift_plan(2, ((1, 0), (0, 0)), 3),
         split_plan(2, 4),
         grid_plan((2, 2)),
-        *extension_plan(2, 4, 6, (2, 1)),
+        *extension,
     ]
     for plan in plans:
         with pytest.raises(ValueError):
             plan[0] = 7
     assert moment_plan(2, 3) is plans[1]
-    assert all(a is b for a, b in zip(extension_plan(2, 4, 6, (2, 1)), plans[-3:]))
+    again = extension_plan(2, 4, 6, (2, 1))
+    assert len(again) == len(extension) and all(a is b for a, b in zip(again, extension))
     with pytest.raises(TypeError):
         basis_labels(2, 1)[0] = (5, 5)
     assert ("moment_plan", 2, 3) in empty_store
+
+
+def _extension_shapes():
+    """(dim, degree, target, orders) of the extensions the benchmark's workloads make.
+
+    A constrained solve extends data of degree 2(tau + 1) by the largest deg q,
+    2 for the workload's x1-cut and box; orders up to 4 in 1-3 variables cover
+    its draws of at most 8 atoms. Of the grid ladder only the 3-D 5^3 and the
+    4-D 3^4 rungs extend, from degrees 12 and 8 to 2(tau + 1).
+    """
+    shapes = [(3, 12, 26, (5, 5, 5)), (4, 8, 18, (3, 3, 3, 3))]
+    for dim in (1, 2, 3):
+        for orders in itertools.product(range(1, 5), repeat=dim):
+            degree = 2 * (sum(orders) - dim + 1)
+            shapes.append((dim, degree, degree + 2, orders))
+    return shapes
+
+
+def _module_caches():
+    """The size of every module-level container and functools cache of the package."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name != "momentrec" and not name.startswith("momentrec."):
+            continue
+        for attr, value in vars(module).items():
+            if isinstance(value, (dict, list, set)) and value is not indexing._plans:
+                sizes[name, attr] = len(value)
+            if callable(getattr(value, "cache_info", None)):
+                sizes[name, attr, "cache"] = value.cache_info().currsize
+    return sizes
+
+
+def test_the_extension_plan_is_stored_once_as_its_blocks(empty_store):
+    """Each workload shape's plan is one store entry of no more entries than the layout of
+    one (width, dim, n) window array, a (dim, n) producer mask and an (n,) lowest axis held;
+    extending a sequence keeps nothing outside the store."""
+    for shape in _extension_shapes():
+        dim, degree, target, orders = shape
+        n = basis_size(dim, target) - basis_size(dim, degree)
+        plan = extension_plan(*shape)
+        assert empty_store[("extension_plan", *shape)] is plan
+        assert extension_plan(*shape) is plan
+        assert indexing._entries(plan) <= n * (max(orders) * dim + dim + 1)
+        # the windows and picks hold one entry per new entry and per (window, axis) slot
+        assert sum(map(np.size, plan[1:])) == n * (max(orders) * dim + 1)
+    # the other entries are only the bases and binomial terms the plans are built from
+    assert {key[0] for key in empty_store} == {"extension_plan", "basis_array", "_rank_terms"}
+    assert indexing._plans_entries == sum(map(indexing._entries, empty_store.values()))
+
+    before = _module_caches()
+    points = (0.5, -0.25, 0.75, -0.5, 0.125)
+    for dim, degree, target, orders in _extension_shapes()[:: 7]:
+        grid = list(itertools.product(*(points[:order] for order in orders)))
+        measure = AtomicMeasure(dim, tuple(grid), (1.0,) * len(grid))
+        roots = [UnivariatePoly.from_roots(points[:order]) for order in orders]
+        extended = extend_sequence(
+            evaluate_moments(measure, degree), CharacteristicSystem.from_polys(roots), target
+        )
+        assert extended.max_degree == target
+    assert _module_caches() == before
+
+
+def test_no_variable_reaches_a_new_entry_only_below_the_order_sum():
+    """Some new entry has every i_l < orders[l] exactly where the data degree is below
+    sum(orders) - dim, the rule by which an extension tells that one exists."""
+    for dim, orders in ((1, (3,)), (2, (2, 3)), (3, (2, 1, 3)), (3, (1, 1, 1))):
+        for degree in range(0, 7):
+            producers = extension_plan(dim, degree, degree + 2, orders)[0]
+            orphans = bool((~producers.any(axis=0)).any())
+            assert orphans == (degree < sum(orders) - dim)
 
 
 def test_oversized_plan_is_not_retained(empty_store, monkeypatch):

@@ -1,6 +1,8 @@
 """momentrec._lapack gives numpy.linalg's results bit for bit, and owns every LAPACK call."""
 
 import ast
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -144,3 +146,117 @@ def test_only_the_lapack_module_calls_numpy_linalg():
         if path.name != "_lapack.py":
             names = _linalg_names(ast.parse(path.read_text(), filename=str(path)))
             assert names <= allowed, (path.name, sorted(names - allowed))
+
+
+def _calls():
+    """(routine, numpy.linalg's, arguments, raises) for a normal and a failing call of each."""
+    rng = np.random.default_rng(7)
+    a, h, b = rng.standard_normal((4, 4)), _hermitian(rng, (4, 4)), rng.standard_normal(4)
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+    def lstsq(a, b):
+        return np.linalg.lstsq(a, b, rcond=None)
+
+    def qr(a):
+        return np.linalg.qr(a, mode="r")
+
+    return [
+        (_lapack.lstsq, lstsq, (a, b), False),
+        (_lapack.lstsq, lstsq, (nan, np.ones(2)), True),
+        (_lapack.eigvalsh, np.linalg.eigvalsh, (h,), False),
+        (_lapack.eigvals, np.linalg.eigvals, (a,), False),
+        (_lapack.eigvals, np.linalg.eigvals, (nan,), True),
+        (_lapack.solve, np.linalg.solve, (a, b), False),
+        (_lapack.solve, np.linalg.solve, (singular, np.ones(2)), True),
+        (_lapack.qr, qr, (a,), False),
+        (_lapack.inv, np.linalg.inv, (a,), False),
+        (_lapack.inv, np.linalg.inv, (singular,), True),
+    ]
+
+
+_KINDS = ("divide", "over", "under", "invalid")
+
+
+def _caller_callback(kind, flag):
+    raise AssertionError(f"the caller's callback ran: {kind}")
+
+
+def test_every_routine_leaves_the_caller_error_state_alone():
+    """``np.geterr()`` and ``np.geterrcall()`` read the caller's own after a return and after
+    a raised LinAlgError, whatever that state is."""
+    states = (
+        dict(all="ignore"),
+        dict(all="raise"),
+        dict(divide="warn", over="call", under="print", invalid="log", call=_caller_callback),
+    )
+    for state in states:
+        with np.errstate(**state):
+            before = (np.geterr(), np.geterrcall(), np.getbufsize())
+            for ours, _, args, raises in _calls():
+                if raises:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        ours(*args)
+                else:
+                    ours(*args)
+                assert (np.geterr(), np.geterrcall(), np.getbufsize()) == before, ours.__name__
+
+
+@pytest.mark.parametrize("outer", ["raise", "ignore"])
+def test_results_and_messages_are_numpy_linalgs_under_any_outer_state(outer):
+    """Under ``np.errstate(all=outer)`` each routine returns numpy.linalg's bytes and raises
+    its message, as numpy.linalg enters its own state whatever the caller's."""
+    with np.errstate(all=outer):
+        for ours, theirs, args, raises in _calls():
+            if raises:
+                assert _message(ours, *args) == _message(theirs, *args)
+                continue
+            mine, numpys = ours(*args), theirs(*args)
+            if not isinstance(mine, tuple):  # lstsq's four results, every other's one
+                mine, numpys = (mine,), (numpys,)
+            for one, other in zip(mine, numpys, strict=True):
+                _same(one, other)
+
+
+def test_other_threads_see_only_their_own_error_state():
+    """While one thread calls every routine, raising and not, three others, each inside its
+    own ``np.errstate``, read that state and nothing of the first's (four threads, more than
+    a two-core machine runs at once, switching every microsecond)."""
+    states = [dict.fromkeys(_KINDS, kind) for kind in ("raise", "warn", "print")]
+    ready = threading.Barrier(len(states) + 1, timeout=10)
+    done = threading.Event()
+    seen = [[] for _ in states]
+
+    def watch(state, log):
+        with np.errstate(**state, call=_caller_callback):
+            ready.wait()
+            while not done.is_set():
+                log.append((np.geterr(), np.geterrcall()) == (state, _caller_callback))
+
+    watchers = [
+        threading.Thread(target=watch, args=(state, log)) for state, log in zip(states, seen)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with np.errstate(all="ignore"):
+            for watcher in watchers:
+                watcher.start()
+            try:
+                ready.wait()
+                for _ in range(100):
+                    for ours, _, args, raises in _calls():
+                        try:
+                            ours(*args)
+                        except np.linalg.LinAlgError:
+                            assert raises
+            finally:
+                done.set()
+                for watcher in watchers:
+                    watcher.join(10)
+            assert np.geterr() == dict.fromkeys(_KINDS, "ignore")
+            assert np.geterrcall() is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(watcher.is_alive() for watcher in watchers)
+    assert all(log and all(log) for log in seen)

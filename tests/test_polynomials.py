@@ -1,9 +1,21 @@
 """Univariate and multivariate polynomial arithmetic, lcm, and roots."""
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from momentrec.polynomials import ROOT_CLUSTER_TOL, MultivariatePoly, UnivariatePoly, poly_roots
+from momentrec import AtomicMeasure, TruncatedSequence, evaluate_moments, moments
+from momentrec.indexing import basis_size, pair_counts, shift_plan
+from momentrec.polynomials import (
+    ROOT_CLUSTER_TOL,
+    MultivariatePoly,
+    UnivariatePoly,
+    poly_roots,
+    power_table,
+)
 
 from euclid import univariate_gcd, univariate_lcm
 
@@ -253,3 +265,95 @@ def test_multivariate_rejects_non_finite_coefficients(value):
         MultivariatePoly(2, {(1, 0): 1.0, (0, 2): value})
     with pytest.raises(ValueError, match="not finite"):
         MultivariatePoly.from_dict({"dim": 1, "terms": [{"idx": [1], "coef": value}]})
+
+
+def _constraints(dim):
+    """The workload's cut x1 - c and box 4 - x1^2, a constant q and a cubic q."""
+    x1, x2 = MultivariatePoly.variable(dim, 0), MultivariatePoly.variable(dim, dim - 1)
+    one = MultivariatePoly.constant(dim, 1.0)
+    cut = x1 - MultivariatePoly.constant(dim, 0.3)
+    box = MultivariatePoly.constant(dim, 4.0) - x1 * x1
+    constant = one.scale(2.5)
+    cubic = x1 * x1 * x2.scale(-1.5) + x2 * x2.scale(0.25) - x1 + one.scale(0.75)
+    return cut, box, constant, cubic
+
+
+def test_coefficients_and_exponents_are_kept_in_terms_order():
+    """Each polynomial keeps its exponents and a read-only float64 array of its coefficients,
+    both in ``terms`` order, made at the first read and the same objects after it; the zero
+    polynomial keeps empty ones."""
+    for dim in (1, 2, 3):
+        for q in _constraints(dim):
+            assert q._arrays is None  # nothing is made for a polynomial never read
+            assert q.exponents == tuple(q.terms)
+            assert q.exponents is q.exponents and q.coefficients is q.coefficients
+            assert q.coefficients.dtype == np.float64 and not q.coefficients.flags.writeable
+            assert q.coefficients.tolist() == list(q.terms.values())
+            with pytest.raises(ValueError):
+                q.coefficients[0] = 1.0
+    zero = MultivariatePoly.zero(2)
+    assert zero.exponents == () and zero.coefficients.shape == (0,)
+
+
+def test_kept_constants_give_the_bytes_of_arrays_built_from_terms():
+    """``shift_sequence``, ``misfit_bound`` and ``moments._diagonal`` give the bytes they give
+    from the exponents and coefficients rebuilt from ``terms`` on each call."""
+    rng = np.random.default_rng(27)
+    for dim in (1, 2, 3):
+        points = rng.uniform(-1.5, 1.5, size=(3, dim))
+        weights = rng.uniform(0.5, 2.0, size=3)
+        measure = AtomicMeasure(dim, tuple(map(tuple, points.tolist())), tuple(weights.tolist()))
+        seq = evaluate_moments(measure, 8)
+        noise = rng.standard_normal(seq.array.size) * 1e-9
+        misfit = TruncatedSequence(dim, 8, noise)
+        tables = [power_table(axis, 8) for axis in points.T]
+        for q in _constraints(dim):
+            terms = tuple(q.terms)
+            coefficients = np.array(list(q.terms.values()), dtype=float)
+            new_degree = 8 - max(q.degree, 0)
+            shifted = coefficients @ seq.array[shift_plan(dim, terms, new_degree)]
+            assert moments.shift_sequence(seq, q).array.tobytes() == shifted.tobytes()
+
+            exponents = np.array(terms, dtype=np.intp).reshape(-1, dim)
+            at_points = moments.monomials(tables, exponents)
+            diagonal = weights * (coefficients @ at_points)
+            magnitude = np.abs(weights) * (np.abs(coefficients) @ np.abs(at_points))
+            ours = moments._diagonal(tables, weights, q)
+            assert [a.tobytes() for a in ours] == [diagonal.tobytes(), magnitude.tobytes()]
+
+            order = (8 - max(q.degree, 0)) // 2
+            (sums,) = moments.moments_and_grams(points, weights, 8, [(order, q)])[1]
+            width = basis_size(dim, 2 * order)
+            plan = shift_plan(dim, terms, new_degree)
+            window = np.abs(coefficients) @ np.abs(misfit.array)[plan[:, :width]]
+            bound = math.sqrt(float(pair_counts(dim, order) @ (window * window)))
+            assert moments.misfit_bound(sums, misfit).hex() == bound.hex()
+
+
+def test_threads_reading_fresh_polynomials_all_see_their_terms():
+    """Four threads (more than a two-core machine runs at once, switching every
+    microsecond) read the arrays of polynomials no one has read yet: each read gives the
+    terms, and each polynomial then keeps one pair."""
+    polys = [_constraints(3)[3].scale(k + 1.0) for k in range(300)]
+    start = threading.Barrier(4, timeout=10)
+    wrong = []
+
+    def read():
+        start.wait()
+        for q in polys:
+            if q.exponents != tuple(q.terms) or q.coefficients.tolist() != list(q.terms.values()):
+                wrong.append(q)
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert not wrong
+    assert all(q.coefficients is q._arrays[1] and q.exponents is q._arrays[0] for q in polys)

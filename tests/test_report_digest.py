@@ -63,6 +63,29 @@ def test_certified_counts_every_record():
     assert certified >= 2 and large == 0
 
 
+def test_extra_constraints_add_two_localizing_records_per_constrained_input():
+    """--extra-constraints gives each small constrained input four M_q records and another
+    digest, names itself in every line, and leaves a workload without constraints as it was."""
+    command = [sys.executable, str(TOOL), "--workload", "constrained", "--seed", "2026", "--small"]
+    plain, extra = (
+        subprocess.run(
+            command + options, capture_output=True, text=True, timeout=120, check=True
+        ).stdout.splitlines()
+        for options in (["--certified"], ["--certified", "--extra-constraints"])
+    )
+    head = "constrained seed 2026: 24 inputs with extra constraints, "
+    assert all(line.startswith(head) for line in extra)
+    assert extra[0] != plain[0].replace("24 inputs", "24 inputs with extra constraints")
+    pattern = r"M_q records: (\d+) certified, (\d+) by eigvalsh \(\d+ of >= 48 rows\)"
+    assert sum(map(int, re.fullmatch(head + pattern, extra[2]).groups())) == 96
+    corpus = [sys.executable, str(TOOL), "--workload", "corpus", "--seed", "7", "--small"]
+    runs = [
+        subprocess.run(corpus + options, capture_output=True, text=True, timeout=120, check=True)
+        for options in ([], ["--extra-constraints"])
+    ]
+    assert runs[1].stdout.split(", ", 1)[1] == runs[0].stdout.split(", ", 1)[1]
+
+
 def test_certified_counts_the_detection_screen_in_each_pass():
     """--certified prints each pass's detection screen counts on the small grid workload: its
     1-D rung of 10 nodes is screened, every pass counts the same, and the QR and inverse

@@ -47,6 +47,13 @@ the three passes built, and how many entries the plan store then holds. A
 store that keeps every plan it is asked for builds none after the first
 pass.
 
+``--extra-constraints`` adds two constraints to every input that has some
+(those of ``constrained``; other workloads are solved as without it): the
+constant q = 3 (degree 0) and the cubic q = 8 - x_1^2 x_d (x_d the last
+variable; 8 - x_1^3 in one variable). Next to the workload's cut and box,
+both of degree <= 2, they move the extension target to 2(tau + 1) + 3 and
+give localizing matrices of orders tau + 2 (the constant) and tau + 1.
+
 ``--transform reverse`` (the variables in reverse order) or ``--transform
 reflect`` (x_1 -> -x_1) also solves each input with its moments, and any
 constraints, transformed that way, and prints how many statuses and how many
@@ -133,6 +140,11 @@ def main(argv=None) -> int:
         "--retained", action="store_true", help="bytes kept by reading every input's values"
     )
     parser.add_argument(
+        "--extra-constraints",
+        action="store_true",
+        help="add a constant and a cubic constraint to every constrained input",
+    )
+    parser.add_argument(
         "--transform", choices=("reverse", "reflect"), help="also solve each input transformed"
     )
     args = parser.parse_args(argv)
@@ -156,6 +168,17 @@ def main(argv=None) -> int:
 
     cases = make_cases(args.workload, args.seed, args.small)
     inputs = [case.moments for case in cases]
+
+    def with_extras(constraints):
+        """The set with the constant q = 3 and the cubic q = 8 - x_1^2 x_d added."""
+        poly, dim = momentrec.MultivariatePoly, constraints.dim
+        x1, last = poly.variable(dim, 0), poly.variable(dim, dim - 1)
+        added = (poly.constant(dim, 3.0), poly.constant(dim, 8.0) - x1 * x1 * last)
+        return momentrec.SemialgebraicSet((*constraints.constraints, *added))
+
+    constraint_sets = [case.constraints for case in cases]
+    if args.extra_constraints:
+        constraint_sets = [None if c is None else with_extras(c) for c in constraint_sets]
     if args.moments_from:
         with np.load(args.moments_from) as saved:
             arrays = [saved[f"arr_{k}"] for k in range(len(saved.files))]
@@ -279,8 +302,8 @@ def main(argv=None) -> int:
     # kind -> [certified, by eigvalsh, by eigvalsh with CERTIFY_MIN_SIZE rows or more]
     tally = {"M(n)": [0, 0, 0], "M_q": [0, 0, 0]}
     outcomes = []
-    for case, moments in zip(cases, inputs):
-        report = solve(moments, case.constraints)
+    for moments, constraints in zip(inputs, constraint_sets):
+        report = solve(moments, constraints)
         outcomes.append(summary(report))
         for kind, records in (("M(n)", report.psd_records), ("M_q", report.constraint_records)):
             for record in records:
@@ -299,8 +322,8 @@ def main(argv=None) -> int:
         for counter in (calls, screen, pycalls):
             counter.clear()
         per_solve.clear()
-        for case, moments in zip(cases, inputs):
-            solve(moments, case.constraints)
+        for moments, constraints in zip(inputs, constraint_sets):
+            solve(moments, constraints)
         passes.append((builds[0], dict(calls), dict(screen), dict(pycalls), list(per_solve)))
 
     retained = None
@@ -315,18 +338,19 @@ def main(argv=None) -> int:
         return dict(transform(args.transform, idx, value) for idx, value in terms.items())
 
     moved = Counter()
-    for case, moments, outcome in zip(cases, inputs, outcomes) if args.transform else ():
+    for given, moments, outcome in zip(constraint_sets, inputs, outcomes) if args.transform else ():
         constraints = None
-        if case.constraints is not None:
-            polys = case.constraints.constraints
+        if given is not None:
             constraints = momentrec.SemialgebraicSet(
-                [momentrec.MultivariatePoly(q.dim, mirror(q.terms)) for q in polys]
+                [momentrec.MultivariatePoly(q.dim, mirror(q.terms)) for q in given.constraints]
             )
         seq = momentrec.TruncatedSequence(moments.dim, moments.max_degree, mirror(moments.values))
         status, atoms = summary(solve(seq, constraints))
         moved["statuses"] += status != outcome[0]
         moved["atom counts"] += atoms != outcome[1]
     head = f"{args.workload} seed {args.seed}: {len(cases)} inputs"
+    if args.extra_constraints:
+        head += " with extra constraints"
     print(f"{head}, sha256 {digest.hexdigest()}")
     if args.decisions:
         print(f"{head}, decisions sha256 {decisions.hexdigest()}")
